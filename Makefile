@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race vet lint check bench bench-obs bench-stream bench-shard bench-serve bench-intake bench-wal fuzz fuzz-smoke
+.PHONY: all build test race vet lint check bench fuzz fuzz-smoke
 
 all: build
 
@@ -31,75 +31,29 @@ lint:
 # check is the tier-1 gate (see README "Testing"): everything must
 # compile, pass vet and the custom lint suite, pass the full test
 # suite (shuffled) under the race detector, and survive a short fuzz
-# smoke over the log parsers.
+# smoke over the log parsers and the checkpoint decoder.
 check: vet lint build race fuzz-smoke
 
+# bench runs the repository benchmark (bench/README.md) once for each
+# workload BENCHMARK.json lists, at the harness defaults (seed 1, 10
+# measured seconds, untraced); each run prints one JSON line.
 bench:
-	$(GO) test -bench=. -benchmem ./...
+	for w in $$(python3 -c 'import json; print(*(w["name"] for w in json.load(open("BENCHMARK.json"))["workloads"]))'); do \
+		bash bench/run.sh --workload $$w || exit 1; \
+	done
 
-# bench-obs captures the PR 3 benchmark evidence: the repro sweep pair
-# and the observability overhead pair, benchstat-compatible, three
-# samples each. The committed BENCH_pr3.json is one run of this target.
-bench-obs:
-	$(GO) test -run '^$$' -bench 'ReproSweep|ObsOverhead' -benchmem -count=3 . | tee BENCH_pr3.json
-
-# bench-stream captures the streaming-vs-batch benchmark evidence:
-# records/sec plus the allocation gap from never materializing the
-# trace. The committed BENCH_pr4.json was the PR 4 baseline (~5.2
-# heap allocations per record); BENCH_pr7.json is the same target
-# after the hotalloc burn-down (hand-rolled CLF field splitting, the
-# concrete expiry heap) cut it to ~1.2. One run of this target
-# produces the committed file.
-bench-stream:
-	$(GO) test -run '^$$' -bench 'StreamVsBatch' -benchmem -count=3 . | tee BENCH_pr7.json
-
-# bench-shard captures the PR 6 benchmark evidence: the streaming
-# engine at one shard versus four on identical CLF bytes. The gate is
-# no records/sec regression at -shards 1 (the single-shard path skips
-# the host hash and snapshot merge entirely). The committed
-# BENCH_pr6.json is one run of this target.
-bench-shard:
-	$(GO) test -run '^$$' -bench 'ShardedStream' -benchmem -count=3 . | tee BENCH_pr6.json
-
-# bench-serve captures the PR 8 benchmark evidence: the streaming
-# engine with the telemetry surface off versus fully on (registry
-# instruments, copy-on-publish holder, live HTTP scraper polling
-# /metrics and /snapshot throughout). The gate is no records/sec
-# regression and no per-record allocation growth — publication is
-# chunk-granular and scrapes read only published values. The committed
-# BENCH_pr8.json is one run of this target.
-bench-serve:
-	$(GO) test -run '^$$' -bench 'ObsServe' -benchmem -count=3 . | tee BENCH_pr8.json
-
-# bench-intake captures the PR 9 benchmark evidence: the same CLF
-# bytes through the stream engine three ways — straight from a file
-# reader, through the serve HTTP /ingest path, and through the raw TCP
-# intake — at 1 and 4 shards. The gate is HTTP and TCP records/sec
-# within 20% of the file path: the intake queue and transport framing
-# must not be the bottleneck. The committed BENCH_pr9.json is one run
-# of this target.
-bench-intake:
-	$(GO) test -run '^$$' -bench 'IntakeFile|IntakeHTTP|IntakeTCP' -benchmem -count=3 . | tee BENCH_pr9.json
-
-# bench-wal captures the PR 10 benchmark evidence: the serve HTTP
-# intake at one shard with the durable journal off and on, over
-# delivery-ID-stamped 256 KiB POSTs. The gate is WAL-on records/sec
-# within 10% of WAL-off: journaling a delivery before acknowledging
-# it (sha256 framing, segment writes, OS-writeback durability) must
-# not become the intake bottleneck. The committed BENCH_pr10.json is
-# one run of this target.
-bench-wal:
-	$(GO) test -run '^$$' -bench 'IntakeWAL' -benchmem -count=3 . | tee BENCH_pr10.json
-
-# Short fuzz smoke (~15s total) over the checked-in corpora; part of
-# the tier-1 gate so parser and sessionizer regressions surface
-# immediately. The streamer/batch target is the root of the PR 4
-# streaming-equals-batch invariant.
+# Short fuzz smoke (~25s total) over the checked-in corpora; part of
+# the tier-1 gate so parser, sessionizer and checkpoint-decoder
+# regressions surface immediately. The streamer/batch target is the
+# root of the PR 4 streaming-equals-batch invariant. The checkpoint
+# target runs with minimization off: its inputs are several KiB of
+# JSON, and minimizing each new one would take the whole budget.
 fuzz-smoke:
 	$(GO) test -fuzz=FuzzParseCLF -fuzztime=5s ./internal/weblog/
 	$(GO) test -fuzz=FuzzParseCombined -fuzztime=5s ./internal/weblog/
 	$(GO) test -fuzz=FuzzChunkedIngest -fuzztime=5s ./internal/weblog/
 	$(GO) test -fuzz=FuzzStreamerBatchEquivalence -fuzztime=3s ./internal/session/
+	$(GO) test -fuzz=FuzzCheckpointDecode -fuzztime=5s -fuzzminimizetime=0 ./internal/stream/
 
 # Longer fuzz pass over the log-parser targets; starts warm from the
 # minimized seed corpora in internal/weblog/testdata/fuzz/.

@@ -8,12 +8,9 @@
 package fullweb_test
 
 import (
-	"io"
 	"testing"
-	"time"
 
 	"fullweb/internal/core"
-	"fullweb/internal/obs"
 	"fullweb/internal/repro"
 )
 
@@ -40,59 +37,6 @@ func newBenchHarness(days int) *repro.Harness {
 	h.AnalyzerConfig = &cfg
 	return h
 }
-
-// benchSweep is the before/after workload for the parallel engine: the
-// two full-battery Hurst experiments (raw + stationary, all four
-// servers) off one harness, the dominant cost of a reproduction run.
-func benchSweep(b *testing.B, workers int) {
-	b.Helper()
-	for i := 0; i < b.N; i++ {
-		h := newBenchHarness(1)
-		h.Workers = workers
-		if _, err := h.Figure4(); err != nil {
-			b.Fatal(err)
-		}
-		if _, err := h.Figure6(); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkReproSweepSequential and BenchmarkReproSweepParallel are the
-// concurrency before/after pair: identical work (and identical results —
-// see TestHarnessParallelMatchesSequential) at pool size 1 vs all CPUs.
-// The gap is the engine's speedup; on a single-core host they coincide.
-func BenchmarkReproSweepSequential(b *testing.B) { benchSweep(b, 1) }
-
-func BenchmarkReproSweepParallel(b *testing.B) { benchSweep(b, 0) }
-
-// benchObsOverhead measures one full Figure 4 experiment (generation +
-// sessionization + four-server Hurst battery) with the given
-// instrumentation. The Off/On pair bounds the observability tax: the
-// contract in DESIGN.md is that full tracing plus metrics stays within
-// a few percent of the uninstrumented run.
-func benchObsOverhead(b *testing.B, instrument bool) {
-	b.Helper()
-	for i := 0; i < b.N; i++ {
-		h := newBenchHarness(1)
-		if instrument {
-			clock := obs.NewManualClock(time.Unix(0, 0).UTC(), time.Microsecond)
-			h.Tracer = obs.NewTracer(clock, obs.NewJSONLWriter(io.Discard))
-			h.Metrics = obs.NewRegistry()
-		}
-		if _, err := h.Figure4(); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkObsOverheadTracingOff and BenchmarkObsOverheadTracingOn are
-// the observability before/after pair: identical work and identical
-// results (TestHarnessDeterministicUnderInstrumentation) with the no-op
-// path vs full JSONL tracing and a live metrics registry.
-func BenchmarkObsOverheadTracingOff(b *testing.B) { benchObsOverhead(b, false) }
-
-func BenchmarkObsOverheadTracingOn(b *testing.B) { benchObsOverhead(b, true) }
 
 func BenchmarkTable1RawData(b *testing.B) {
 	for i := 0; i < b.N; i++ {

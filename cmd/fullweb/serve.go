@@ -9,17 +9,12 @@ import (
 	"net"
 	"os"
 	"os/signal"
-	"strings"
 	"syscall"
-	"time"
 
-	"fullweb/internal/faultpoint"
 	"fullweb/internal/obs"
 	"fullweb/internal/serve"
-	"fullweb/internal/session"
 	"fullweb/internal/stream"
 	"fullweb/internal/telemetry"
-	"fullweb/internal/weblog"
 )
 
 // cmdServe is the live intake server: CLF lines arrive from declared
@@ -53,29 +48,14 @@ func cmdServe(args []string, out io.Writer) (err error) {
 	bufferBytes := fs.Int64("buffer-bytes", serve.DefaultBufferBytes, "per-source intake buffer cap in bytes; a full buffer returns 429 on HTTP and blocks on TCP")
 	whatifWindow := fs.Int("whatif-window", stream.DefaultArrivalWindow, "trailing arrival-series window in trace seconds for /whatif")
 	staleAfter := fs.Duration("stale-after", telemetry.DefaultSourceStaleAfter, "source-staleness health rule: warn when an incomplete source has been silent this long")
-	threshold := fs.Duration("threshold", session.DefaultThreshold, "session inactivity threshold")
-	snapshotEvery := fs.Duration("snapshot", 6*time.Hour, "trace-time between snapshots (0 = final only)")
-	workers := fs.Int("parallel", 0, "parse worker pool size (0 = all CPUs, 1 = sequential); snapshots are identical at any setting")
-	shards := fs.Int("shards", 1, "hash-partition engine state by host into N mergeable shards")
-	reservoir := fs.Int("reservoir", 8192, "per-characteristic Hill reservoir capacity")
-	quantileCap := fs.Int("quantile-cap", stream.DefaultQuantileCap, "per-characteristic quantile sketch capacity (even, >= 16)")
-	seed := fs.Int64("seed", 1, "reservoir sampling seed")
-	chunkLines := fs.Int("chunk-lines", 0, "lines per parse chunk (0 = default)")
-	chunkWindow := fs.Int("chunk-window", 0, "parse chunks in flight (0 = default); bounds memory with -parallel")
-	mode := fs.String("mode", "budgeted", "ingestion mode: budgeted (count, quarantine, degrade), strict (fail on first reject) or lenient (count only)")
-	quarantinePath := fs.String("quarantine", "", "append rejected raw lines to this file (budgeted/lenient modes)")
-	checkpointPath := fs.String("checkpoint", "", "write a resumable engine checkpoint here at every snapshot boundary")
-	resume := fs.Bool("resume", false, "resume from the -checkpoint file and/or replay the -wal journal instead of starting fresh")
+	ef := bindEngineFlags(fs, "serve",
+		"resume from the -checkpoint file and/or replay the -wal journal instead of starting fresh",
+		"serve.read=hit:3")
 	walDir := fs.String("wal", "", "durable intake journal directory: every delivery is journaled (sha256-framed segments) before acknowledgment; with -resume the journal replays on restart")
 	walSegmentBytes := fs.Int64("wal-segment-bytes", serve.DefaultWALSegmentBytes, "rotate a source's journal segment past this many bytes")
 	walSyncBytes := fs.Int64("wal-sync-bytes", serve.DefaultWALSyncBytes, "background-fsync a source's journal after this many unsynced bytes, bounding what a power loss can take (0 = OS writeback only: process crashes still lose nothing, forced writeback stays off the intake path)")
 	walDiskBudget := fs.Int64("wal-disk-budget", 0, "cap the journal's on-disk footprint; appends past it shed intake with 503 (0 = unbounded)")
 	walCheckpointBytes := fs.Int64("wal-checkpoint-bytes", serve.DefaultWALCheckpointBytes, "request an engine checkpoint whenever this many journaled bytes are not yet covered by one (requires -checkpoint)")
-	maxRejects := fs.Int64("max-rejects", 0, "budgeted mode: degrade after this many rejected lines (0 = no absolute cap)")
-	maxRejectRate := fs.Float64("max-reject-rate", 0, "budgeted mode: degrade when rejects/parse-attempts exceeds this rate (0 = no rate cap)")
-	maxClamped := fs.Int64("max-clamped", 0, "budgeted mode: degrade after this many clamped non-monotonic timestamps (0 = no cap)")
-	maxFieldBytes := fs.Int("max-field-bytes", 0, "reject records whose host or path exceeds this many bytes (0 = no limit)")
-	faultSpec := fs.String("faults", "", "deterministic fault-injection spec, e.g. 'serve.read=hit:3' (default $FULLWEB_FAULTS)")
 	reportPath := fs.String("report", "", "write the end-of-run JSON run report (including the what-if capacity sweep) to this file")
 	var obsCfg obs.CLIConfig
 	obsCfg.RegisterFlags(fs)
@@ -88,24 +68,17 @@ func cmdServe(args []string, out io.Writer) (err error) {
 	if *listen == "" {
 		return fmt.Errorf("serve: -listen is required")
 	}
-	if *workers < 0 {
-		return fmt.Errorf("serve: -parallel must be >= 0, got %d", *workers)
-	}
-	if *shards < 1 {
-		return fmt.Errorf("serve: -shards must be >= 1, got %d", *shards)
+	if err := ef.validate(); err != nil {
+		return err
 	}
 	if *whatifWindow < 1 {
 		return fmt.Errorf("serve: -whatif-window must be >= 1, got %d", *whatifWindow)
 	}
-	if *resume && *checkpointPath == "" && *walDir == "" {
+	if ef.resume && ef.checkpointPath == "" && *walDir == "" {
 		return fmt.Errorf("serve: -resume requires -checkpoint or -wal")
 	}
 	if *intakeTCPAddrFile != "" && *intakeTCP == "" {
 		return fmt.Errorf("serve: -intake-tcp-addr-file requires -intake-tcp")
-	}
-	ingestMode, err := stream.ParseMode(*mode)
-	if err != nil {
-		return fmt.Errorf("serve: %w", err)
 	}
 	// Serve always runs its telemetry surface, so the registry is
 	// always wanted.
@@ -121,82 +94,40 @@ func cmdServe(args []string, out io.Writer) (err error) {
 	}()
 	ctx := osess.Context(context.Background())
 
-	spec := *faultSpec
-	if spec == "" {
-		spec = os.Getenv("FULLWEB_FAULTS")
-	}
-	var faults *faultpoint.Set
-	if spec != "" {
-		if faults, err = faultpoint.Parse(spec); err != nil {
-			return fmt.Errorf("serve: %w", err)
-		}
-		ctx = faultpoint.With(ctx, faults)
+	if ctx, err = ef.armFaults(ctx); err != nil {
+		return err
 	}
 
 	// Load the checkpoint before touching any output state: a corrupt
 	// or mismatched checkpoint must abort with everything untouched.
 	var cp *stream.Checkpoint
-	if *resume && *checkpointPath != "" {
-		cp, err = stream.LoadCheckpoint(*checkpointPath)
+	if ef.resume && ef.checkpointPath != "" {
+		cp, err = stream.LoadCheckpoint(ef.checkpointPath)
 		switch {
 		case err == nil:
 		case errors.Is(err, os.ErrNotExist) && *walDir != "":
 			// The crash may predate the first checkpoint; the journal
 			// alone still replays everything from byte 0.
-			fmt.Fprintf(os.Stderr, "serve: no checkpoint at %s; recovering from the journal alone\n", *checkpointPath)
+			fmt.Fprintf(os.Stderr, "serve: no checkpoint at %s; recovering from the journal alone\n", ef.checkpointPath)
 		default:
 			return fmt.Errorf("serve: %w", err)
 		}
 	}
 
-	var closers []io.Closer
-	defer func() {
-		for _, c := range closers {
-			if cerr := c.Close(); cerr != nil && err == nil {
+	cfg, qf, err := ef.engineConfig(cp, osess.Metrics)
+	if err != nil {
+		return err
+	}
+	if qf != nil {
+		defer func() {
+			if cerr := qf.Close(); cerr != nil && err == nil {
 				err = cerr
 			}
-		}
-	}()
-	var quarantine io.Writer
-	if *quarantinePath != "" {
-		var offset int64
-		if cp != nil {
-			offset = cp.QuarantineOffset()
-		}
-		qf, qerr := openQuarantine(*quarantinePath, offset)
-		if qerr != nil {
-			return fmt.Errorf("serve: %w", qerr)
-		}
-		closers = append(closers, qf)
-		quarantine = qf
+		}()
 	}
-
-	cfg := stream.DefaultConfig()
-	cfg.Threshold = *threshold
-	cfg.SnapshotEvery = *snapshotEvery
-	cfg.Workers = *workers
-	cfg.Shards = *shards
-	cfg.ReservoirCap = *reservoir
-	cfg.QuantileCap = *quantileCap
-	cfg.Seed = *seed
-	cfg.Chunk = weblog.ChunkConfig{Lines: *chunkLines, Window: *chunkWindow, MaxFieldBytes: *maxFieldBytes}
-	cfg.Mode = ingestMode
-	cfg.Budget = stream.Budget{MaxRejects: *maxRejects, MaxRejectRate: *maxRejectRate, MaxClamped: *maxClamped}
-	cfg.Quarantine = quarantine
-	cfg.CheckpointPath = *checkpointPath
-	cfg.Metrics = osess.Metrics
 	cfg.ArrivalWindow = *whatifWindow
-
-	hcfg := telemetry.HealthConfig{
-		Mode:             ingestMode,
-		Budget:           cfg.Budget,
-		ChunkWindow:      *chunkWindow,
-		Checkpointing:    *checkpointPath != "",
-		SourceStaleAfter: *staleAfter,
-	}
-	if *quarantinePath != "" {
-		hcfg.MaxQuarantineRate = defaultMaxQuarantineRate
-	}
+	hcfg := ef.healthConfig()
+	hcfg.SourceStaleAfter = *staleAfter
 
 	var walCfg *serve.WALConfig
 	if *walDir != "" {
@@ -206,7 +137,7 @@ func cmdServe(args []string, out io.Writer) (err error) {
 			SyncBytes:       *walSyncBytes,
 			DiskBudgetBytes: *walDiskBudget,
 			CheckpointBytes: *walCheckpointBytes,
-			Resume:          *resume,
+			Resume:          ef.resume,
 		}
 	}
 
@@ -265,16 +196,7 @@ func cmdServe(args []string, out io.Writer) (err error) {
 		}
 	}()
 
-	shardNote := ""
-	if *shards > 1 {
-		shardNote = fmt.Sprintf(", %d shards", *shards)
-	}
-	fmt.Fprintf(out, "serving %s (threshold %v, %s, %s mode%s)\n",
-		strings.Join(sources, ", "), *threshold, snapshotLabel(*snapshotEvery), ingestMode, shardNote)
-	if cp != nil {
-		fmt.Fprintf(out, "resumed from %s (skipping %d already-processed lines)\n", *checkpointPath, cp.SkipLines())
-	}
-	fmt.Fprintln(out)
+	ef.writeHeader(out, "serving", sources, cp)
 
 	final, perr := srv.Run(ctx, func(s *stream.Snapshot) error {
 		return s.Render(out)
@@ -282,22 +204,9 @@ func cmdServe(args []string, out io.Writer) (err error) {
 	if perr == nil {
 		perr = final.Render(out)
 	}
-	for _, st := range faults.Stats() {
-		fmt.Fprintf(out, "fault site %s: hits=%d fires=%d\n", st.Site, st.Hits, st.Fires)
-	}
+	ef.writeFaultSummary(out)
 	if perr == nil && *reportPath != "" {
-		totals, chars, verdict := telemetry.StreamReportParts(final)
-		rep := &telemetry.RunReport{
-			Tool:            "serve",
-			Inputs:          sources,
-			Config:          cfg.Fingerprint(),
-			Totals:          totals,
-			Ingest:          final.Ingest,
-			Verdict:         verdict,
-			Characteristics: chars,
-			Faults:          faults.Stats(),
-			Obs:             osess.Metrics.Snapshot(),
-		}
+		rep := ef.runReport(sources, cfg, final, osess.Metrics)
 		if sweep := serve.WhatIfSweep(srv.Holder()); len(sweep) > 0 {
 			rep.WhatIf = sweep
 		}

@@ -7,12 +7,9 @@ import (
 	"io"
 	"net"
 	"os"
-	"strings"
 	"time"
 
-	"fullweb/internal/faultpoint"
 	"fullweb/internal/obs"
-	"fullweb/internal/session"
 	"fullweb/internal/stream"
 	"fullweb/internal/telemetry"
 	"fullweb/internal/weblog"
@@ -42,25 +39,10 @@ func cmdStream(args []string, out io.Writer) (err error) {
 		logs = append(logs, v)
 		return nil
 	})
-	threshold := fs.Duration("threshold", session.DefaultThreshold, "session inactivity threshold")
-	snapshotEvery := fs.Duration("snapshot", 6*time.Hour, "trace-time between snapshots (0 = final only)")
-	workers := fs.Int("parallel", 0, "parse worker pool size (0 = all CPUs, 1 = sequential); snapshots are identical at any setting")
-	shards := fs.Int("shards", 1, "hash-partition engine state by host into N mergeable shards; snapshots are the deterministic shard merge")
+	ef := bindEngineFlags(fs, "stream",
+		"resume from the -checkpoint file instead of starting fresh",
+		"stream.fold=hit:3;weblog.read=rate:0.01,seed:7")
 	shardDetail := fs.Bool("shard-detail", false, "after the final snapshot, print the per-shard breakdown and pooled per-shard Hurst estimates (requires -shards > 1)")
-	reservoir := fs.Int("reservoir", 8192, "per-characteristic Hill reservoir capacity")
-	quantileCap := fs.Int("quantile-cap", stream.DefaultQuantileCap, "per-characteristic quantile sketch capacity (even, >= 16)")
-	seed := fs.Int64("seed", 1, "reservoir sampling seed")
-	chunkLines := fs.Int("chunk-lines", 0, "lines per parse chunk (0 = default)")
-	chunkWindow := fs.Int("chunk-window", 0, "parse chunks in flight (0 = default); bounds memory with -parallel")
-	mode := fs.String("mode", "budgeted", "ingestion mode: budgeted (count, quarantine, degrade), strict (fail on first reject) or lenient (count only)")
-	quarantinePath := fs.String("quarantine", "", "append rejected raw lines to this file (budgeted/lenient modes)")
-	checkpointPath := fs.String("checkpoint", "", "write a resumable engine checkpoint here at every snapshot boundary")
-	resume := fs.Bool("resume", false, "resume from the -checkpoint file instead of starting fresh")
-	maxRejects := fs.Int64("max-rejects", 0, "budgeted mode: degrade after this many rejected lines (0 = no absolute cap)")
-	maxRejectRate := fs.Float64("max-reject-rate", 0, "budgeted mode: degrade when rejects/parse-attempts exceeds this rate (0 = no rate cap)")
-	maxClamped := fs.Int64("max-clamped", 0, "budgeted mode: degrade after this many clamped non-monotonic timestamps (0 = no cap)")
-	maxFieldBytes := fs.Int("max-field-bytes", 0, "reject records whose host or path exceeds this many bytes (0 = no limit)")
-	faultSpec := fs.String("faults", "", "deterministic fault-injection spec, e.g. 'stream.fold=hit:3;weblog.read=rate:0.01,seed:7' (default $FULLWEB_FAULTS)")
 	listen := fs.String("listen", "", "serve read-only live telemetry (/metrics, /snapshot, /healthz, /readyz) on this address for the run's lifetime (e.g. 127.0.0.1:9090; ':0' picks a free port)")
 	listenAddrFile := fs.String("listen-addr-file", "", "write the telemetry listener's bound address to this file (useful with -listen :0)")
 	reportPath := fs.String("report", "", "write the end-of-run JSON run report to this file")
@@ -73,20 +55,13 @@ func cmdStream(args []string, out io.Writer) (err error) {
 	if len(logs) == 0 {
 		return fmt.Errorf("stream: at least one -log is required")
 	}
-	if *workers < 0 {
-		return fmt.Errorf("stream: -parallel must be >= 0, got %d", *workers)
+	if err := ef.validate(); err != nil {
+		return err
 	}
-	ingestMode, err := stream.ParseMode(*mode)
-	if err != nil {
-		return fmt.Errorf("stream: %w", err)
-	}
-	if *resume && *checkpointPath == "" {
+	if ef.resume && ef.checkpointPath == "" {
 		return fmt.Errorf("stream: -resume requires -checkpoint")
 	}
-	if *shards < 1 {
-		return fmt.Errorf("stream: -shards must be >= 1, got %d", *shards)
-	}
-	if *shardDetail && *shards == 1 {
+	if *shardDetail && ef.shards == 1 {
 		return fmt.Errorf("stream: -shard-detail requires -shards > 1")
 	}
 	if *listenAddrFile != "" && *listen == "" {
@@ -106,25 +81,15 @@ func cmdStream(args []string, out io.Writer) (err error) {
 	}()
 	ctx := osess.Context(context.Background())
 
-	// Arm fault injection. The spec is deterministic, so a faulted run
-	// is reproducible bit for bit from the command line alone.
-	spec := *faultSpec
-	if spec == "" {
-		spec = os.Getenv("FULLWEB_FAULTS")
-	}
-	var faults *faultpoint.Set
-	if spec != "" {
-		if faults, err = faultpoint.Parse(spec); err != nil {
-			return fmt.Errorf("stream: %w", err)
-		}
-		ctx = faultpoint.With(ctx, faults)
+	if ctx, err = ef.armFaults(ctx); err != nil {
+		return err
 	}
 
 	// Load the checkpoint before touching any output state: a corrupt
 	// or mismatched checkpoint must abort with everything untouched.
 	var cp *stream.Checkpoint
-	if *resume {
-		if cp, err = stream.LoadCheckpoint(*checkpointPath); err != nil {
+	if ef.resume {
+		if cp, err = stream.LoadCheckpoint(ef.checkpointPath); err != nil {
 			return fmt.Errorf("stream: %w", err)
 		}
 	}
@@ -161,38 +126,13 @@ func cmdStream(args []string, out io.Writer) (err error) {
 		readers = append(readers, dr)
 	}
 
-	// The quarantine sink. On resume it is truncated to the offset the
-	// checkpoint recorded, discarding lines quarantined after the last
-	// durable state, then reopened for append — so the resumed run's
-	// quarantine is byte-identical to an uninterrupted one.
-	var quarantine io.Writer
-	if *quarantinePath != "" {
-		var offset int64
-		if cp != nil {
-			offset = cp.QuarantineOffset()
-		}
-		qf, qerr := openQuarantine(*quarantinePath, offset)
-		if qerr != nil {
-			return fmt.Errorf("stream: %w", qerr)
-		}
-		closers = append(closers, qf)
-		quarantine = qf
+	cfg, qf, err := ef.engineConfig(cp, osess.Metrics)
+	if err != nil {
+		return err
 	}
-
-	cfg := stream.DefaultConfig()
-	cfg.Threshold = *threshold
-	cfg.SnapshotEvery = *snapshotEvery
-	cfg.Workers = *workers
-	cfg.Shards = *shards
-	cfg.ReservoirCap = *reservoir
-	cfg.QuantileCap = *quantileCap
-	cfg.Seed = *seed
-	cfg.Chunk = weblog.ChunkConfig{Lines: *chunkLines, Window: *chunkWindow, MaxFieldBytes: *maxFieldBytes}
-	cfg.Mode = ingestMode
-	cfg.Budget = stream.Budget{MaxRejects: *maxRejects, MaxRejectRate: *maxRejectRate, MaxClamped: *maxClamped}
-	cfg.Quarantine = quarantine
-	cfg.CheckpointPath = *checkpointPath
-	cfg.Metrics = osess.Metrics
+	if qf != nil {
+		closers = append(closers, qf)
+	}
 
 	// The live telemetry service: the engine publishes copy-on-publish
 	// views into the holder; the HTTP mux reads only published values
@@ -200,16 +140,7 @@ func cmdStream(args []string, out io.Writer) (err error) {
 	// the run — output stays byte-identical with -listen on or off.
 	if *listen != "" {
 		holder := telemetry.NewHolder(obs.SystemClock())
-		hcfg := telemetry.HealthConfig{
-			Mode:          ingestMode,
-			Budget:        cfg.Budget,
-			ChunkWindow:   *chunkWindow,
-			Checkpointing: *checkpointPath != "",
-		}
-		if *quarantinePath != "" {
-			hcfg.MaxQuarantineRate = defaultMaxQuarantineRate
-		}
-		health := telemetry.NewHealth(hcfg, holder, osess.Metrics, obs.SystemClock())
+		health := telemetry.NewHealth(ef.healthConfig(), holder, osess.Metrics, obs.SystemClock())
 		ln, lerr := net.Listen("tcp", *listen)
 		if lerr != nil {
 			return fmt.Errorf("stream: telemetry listener: %w", lerr)
@@ -235,19 +166,7 @@ func cmdStream(args []string, out io.Writer) (err error) {
 	if err != nil {
 		return err
 	}
-	// The shard count is appended only when sharding is on, so the
-	// single-shard header — and with it the whole report — stays
-	// byte-identical to every earlier release.
-	shardNote := ""
-	if *shards > 1 {
-		shardNote = fmt.Sprintf(", %d shards", *shards)
-	}
-	fmt.Fprintf(out, "streaming %s (threshold %v, %s, %s mode%s)\n",
-		strings.Join(logs, ", "), *threshold, snapshotLabel(*snapshotEvery), ingestMode, shardNote)
-	if cp != nil {
-		fmt.Fprintf(out, "resumed from %s (skipping %d already-processed lines)\n", *checkpointPath, cp.SkipLines())
-	}
-	fmt.Fprintln(out)
+	ef.writeHeader(out, "streaming", logs, cp)
 	final, perr := engine.ProcessCtx(ctx, io.MultiReader(readers...), func(s *stream.Snapshot) error {
 		return s.Render(out)
 	})
@@ -260,25 +179,10 @@ func cmdStream(args []string, out io.Writer) (err error) {
 			perr = detail.RenderShardDetail(out)
 		}
 	}
-	// The fault summary prints even when the run died on an injected
-	// fault — that is exactly when the drill operator needs it.
-	for _, st := range faults.Stats() {
-		fmt.Fprintf(out, "fault site %s: hits=%d fires=%d\n", st.Site, st.Hits, st.Fires)
-	}
+	ef.writeFaultSummary(out)
 	if perr == nil && *reportPath != "" {
-		totals, chars, verdict := telemetry.StreamReportParts(final)
-		rep := &telemetry.RunReport{
-			Tool:            "stream",
-			Inputs:          logs,
-			Config:          cfg.Fingerprint(),
-			Totals:          totals,
-			Ingest:          final.Ingest,
-			Verdict:         verdict,
-			Snapshots:       engine.Snapshots(),
-			Characteristics: chars,
-			Faults:          faults.Stats(),
-			Obs:             osess.Metrics.Snapshot(),
-		}
+		rep := ef.runReport(logs, cfg, final, osess.Metrics)
+		rep.Snapshots = engine.Snapshots()
 		if werr := rep.WriteFile(*reportPath); werr != nil {
 			return fmt.Errorf("stream: %w", werr)
 		}
@@ -291,29 +195,4 @@ func cmdStream(args []string, out io.Writer) (err error) {
 		time.Sleep(*linger)
 	}
 	return perr
-}
-
-// defaultMaxQuarantineRate bounds quarantine growth for the health
-// rule when a quarantine sink is configured: a sustained megabyte per
-// second of rejected lines means the input is mostly garbage.
-const defaultMaxQuarantineRate = 1 << 20
-
-// openQuarantine prepares the quarantine file: fresh runs truncate,
-// resumed runs cut back to the checkpointed offset and append.
-func openQuarantine(path string, offset int64) (*os.File, error) {
-	if offset > 0 {
-		if err := os.Truncate(path, offset); err != nil {
-			return nil, fmt.Errorf("truncating quarantine to checkpoint offset: %w", err)
-		}
-		return os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
-	}
-	return os.Create(path)
-}
-
-// snapshotLabel renders the snapshot cadence, naming the disabled case.
-func snapshotLabel(d time.Duration) string {
-	if d <= 0 {
-		return "snapshots: final only"
-	}
-	return fmt.Sprintf("snapshot every %v", d)
 }

@@ -378,6 +378,18 @@ func ResumeEngine(cfg Config, cp *Checkpoint) (*Engine, error) {
 			if cc.Name != c.name {
 				return nil, fmt.Errorf("stream: characteristic %d is %q in checkpoint, %q in engine", i, cc.Name, c.name)
 			}
+			// The sketches must have the geometry this engine builds and
+			// have seen exactly the shard's closed sessions: capacities
+			// size allocations and the Hill count sets the length of the
+			// reservoir's RNG replay, so neither is taken on trust.
+			fresh := c.hill.State()
+			if cc.Quant.Cap != c.quant.Cap() || cc.Hill.Res.Cap != fresh.Res.Cap || cc.Hill.Res.Seed != fresh.Res.Seed ||
+				cc.Hill.TailFraction != fresh.TailFraction || cc.Hill.RelTol != fresh.RelTol {
+				return nil, fmt.Errorf("stream: shard %d %s sketch geometry does not match the engine config", si, c.name)
+			}
+			if cc.Moments.N != sc.Closed || cc.Quant.N != sc.Closed || cc.Hill.Dropped < 0 || cc.Hill.Res.Seen+cc.Hill.Dropped != sc.Closed {
+				return nil, fmt.Errorf("stream: shard %d %s sketch counts disagree with its %d closed sessions", si, c.name, sc.Closed)
+			}
 			c.moments = RestoreWelford(cc.Moments)
 			if c.quant, err = RestoreQuantileSketch(cc.Quant); err != nil {
 				return nil, fmt.Errorf("stream: restoring shard %d %s quantiles: %w", si, c.name, err)

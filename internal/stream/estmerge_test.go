@@ -120,38 +120,3 @@ func TestWelfordEmptyRestoreNormalized(t *testing.T) {
 		t.Fatalf("serialized state diverged: %+v vs %+v", got.State(), fresh.State())
 	}
 }
-
-// TestP2QuantileHeavyTies: the linear/parabolic interpolation guards —
-// adjacent marker positions can only collide once float64 increments
-// stop changing the position counters (~2^53 observations), but a
-// tie-saturated stream is the stress that gets positions closest. The
-// estimator must never emit NaN or Inf and must stay inside the data
-// range.
-func TestP2QuantileHeavyTies(t *testing.T) {
-	rng := rand.New(rand.NewSource(41))
-	for trial := 0; trial < 200; trial++ {
-		e := NewP2Quantile([]float64{0.5, 0.9, 0.99}[trial%3])
-		n := 50 + rng.Intn(500)
-		for i := 0; i < n; i++ {
-			// Draw from only three distinct values: most updates hit
-			// exact marker-height ties.
-			v := float64(rng.Intn(3))
-			e.Observe(v)
-		}
-		q := e.Quantile()
-		if math.IsNaN(q) || math.IsInf(q, 0) {
-			t.Fatalf("trial %d: tie-heavy stream produced %v", trial, q)
-		}
-		if q < 0 || q > 2 {
-			t.Fatalf("trial %d: quantile %v outside data range [0,2]", trial, q)
-		}
-	}
-	// A fully constant stream must return the constant.
-	c := NewP2Quantile(0.9)
-	for i := 0; i < 1000; i++ {
-		c.Observe(13)
-	}
-	if got := c.Quantile(); got != 13 {
-		t.Fatalf("constant stream quantile = %v, want 13", got)
-	}
-}

@@ -32,7 +32,7 @@ const DefaultQuantileCap = 8192
 // log2(n/capacity)/(2·capacity) of the stream length per compacted
 // level; the engine-facing tolerance is documented in DESIGN.md §12.
 //
-// Unlike P² (kept in this package for comparison), the sketch has an
+// Unlike the P² estimator it replaced, the sketch has an
 // associative Merge, which is what makes sharded and map-reduce
 // analysis possible. Not safe for concurrent use.
 type QuantileSketch struct {

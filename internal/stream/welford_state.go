@@ -1,7 +1,5 @@
 package stream
 
-import "fmt"
-
 // WelfordState is the checkpointable image of a Welford accumulator.
 type WelfordState struct {
 	N    int64   `json:"n"`
@@ -30,38 +28,4 @@ func RestoreWelford(st WelfordState) Welford {
 		return Welford{}
 	}
 	return Welford{n: st.N, mean: st.Mean, m2: st.M2, minV: st.Min, maxV: st.Max}
-}
-
-// P2State is the checkpointable image of a P2Quantile: the five
-// markers verbatim plus the exact small-sample buffer.
-type P2State struct {
-	P    float64    `json:"p"`
-	N    int64      `json:"n"`
-	Q    [5]float64 `json:"q"`
-	Pos  [5]float64 `json:"pos"`
-	Des  [5]float64 `json:"des"`
-	Inc  [5]float64 `json:"inc"`
-	Init []float64  `json:"init,omitempty"`
-}
-
-// State captures the estimator for checkpointing.
-func (e *P2Quantile) State() P2State {
-	st := P2State{P: e.p, N: e.n, Q: e.q, Pos: e.pos, Des: e.des, Inc: e.inc}
-	st.Init = append(st.Init, e.init...)
-	return st
-}
-
-// RestoreP2Quantile rebuilds an estimator from a checkpointed state.
-func RestoreP2Quantile(st P2State) (*P2Quantile, error) {
-	if st.P <= 0 || st.P >= 1 {
-		return nil, fmt.Errorf("%w: P2 quantile p=%v", ErrBadConfig, st.P)
-	}
-	if len(st.Init) > 5 {
-		return nil, fmt.Errorf("%w: P2 init buffer holds %d values", ErrBadConfig, len(st.Init))
-	}
-	e := NewP2Quantile(st.P)
-	e.n = st.N
-	e.q, e.pos, e.des, e.inc = st.Q, st.Pos, st.Des, st.Inc
-	e.init = append(e.init, st.Init...)
-	return e, nil
 }

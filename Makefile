@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race vet lint check bench fuzz fuzz-smoke
+.PHONY: all build test race vet fmt lint check bench fuzz fuzz-smoke
 
 all: build
 
@@ -18,6 +18,12 @@ race:
 vet:
 	$(GO) vet ./...
 
+# fmt fails when any Go file in the tree (bench/ included, the bench
+# build directory skipped) is not gofmt-clean, listing the offenders.
+fmt:
+	@out=$$(find . -path ./.bench_build -prune -o -name '*.go' -print | xargs gofmt -l); \
+	if [ -n "$$out" ]; then echo "gofmt -l:"; echo "$$out"; exit 1; fi
+
 # lint runs the repo's custom determinism/concurrency/dataflow
 # analyzers (internal/lint, driven by cmd/fullweb-lint): maporder,
 # globalrand, walltime, rawgo, ctxflow, faultguard, plus the PR 7
@@ -28,11 +34,11 @@ vet:
 lint:
 	$(GO) run ./cmd/fullweb-lint ./...
 
-# check is the tier-1 gate (see README "Testing"): everything must
-# compile, pass vet and the custom lint suite, pass the full test
-# suite (shuffled) under the race detector, and survive a short fuzz
-# smoke over the log parsers and the checkpoint decoder.
-check: vet lint build race fuzz-smoke
+# check is the tier-1 gate (see README "Testing"): everything must be
+# gofmt-clean, compile, pass vet and the custom lint suite, pass the
+# full test suite (shuffled) under the race detector, and survive a
+# short fuzz smoke over the log parsers and the checkpoint decoder.
+check: fmt vet lint build race fuzz-smoke
 
 # bench runs the repository benchmark (bench/README.md) once for each
 # workload BENCHMARK.json lists, at the harness defaults (seed 1, 10

@@ -3,7 +3,7 @@ package heavytail
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"fullweb/internal/stats"
 )
@@ -38,7 +38,8 @@ type HillResult struct {
 // of the classical plot and is emitted too; it is noisy, but dropping it
 // would silently shift every plot read off by one order statistic. kMax
 // must still be at least 2 (a one-point plot carries no stability
-// information) and is capped at n-1. The sample must be positive.
+// information) and is capped at n-1. The sample must be positive; it
+// is not modified.
 func HillPlot(x []float64, kMax int) ([]HillPoint, error) {
 	n := len(x)
 	if n < 3 {
@@ -55,12 +56,13 @@ func HillPlot(x []float64, kMax int) ([]HillPoint, error) {
 	if kMax > n-1 {
 		kMax = n - 1
 	}
-	desc := make([]float64, n)
-	copy(desc, x)
-	sort.Sort(sort.Reverse(sort.Float64Slice(desc)))
-	logs := make([]float64, n)
-	for i, v := range desc {
-		logs[i] = math.Log(v)
+	asc := slices.Clone(x)
+	slices.Sort(asc)
+	// logs[i] = log X_(i+1): only the kMax+1 largest order statistics
+	// enter the plot, so only they are logged.
+	logs := make([]float64, kMax+1)
+	for i := range logs {
+		logs[i] = math.Log(asc[n-1-i])
 	}
 	out := make([]HillPoint, 0, kMax)
 	sumLog := 0.0

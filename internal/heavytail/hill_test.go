@@ -3,6 +3,8 @@ package heavytail
 import (
 	"errors"
 	"math"
+	"math/rand"
+	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -191,5 +193,72 @@ func TestHillConsistentWithLLCD(t *testing.T) {
 	}
 	if math.Abs(hill.Alpha-llcd.Alpha) > 0.25 {
 		t.Errorf("Hill %v vs LLCD %v disagree", hill.Alpha, llcd.Alpha)
+	}
+}
+
+// refHillPlot is the full reverse-sort HillPlot replaced: sort the
+// whole sample descending and log every order statistic. It is the
+// oracle the tail-only plot must match bit for bit.
+func refHillPlot(x []float64, kMax int) []HillPoint {
+	n := len(x)
+	if kMax > n-1 {
+		kMax = n - 1
+	}
+	desc := append([]float64(nil), x...)
+	sort.Sort(sort.Reverse(sort.Float64Slice(desc)))
+	logs := make([]float64, n)
+	for i, v := range desc {
+		logs[i] = math.Log(v)
+	}
+	var out []HillPoint
+	sumLog := 0.0
+	for k := 1; k <= kMax; k++ {
+		sumLog += logs[k-1]
+		if h := sumLog/float64(k) - logs[k]; h > 0 {
+			out = append(out, HillPoint{K: k, Alpha: 1 / h})
+		}
+	}
+	return out
+}
+
+// TestHillPlotMatchesFullSortOracle: on random positive samples —
+// heavy ties, magnitudes from 1e-9 to 1e12, every kMax regime — the
+// tail-only plot returns the reference's points bit for bit.
+func TestHillPlotMatchesFullSortOracle(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	for trial := 0; trial < 300; trial++ {
+		n := 3 + rng.Intn(3000)
+		pool := make([]float64, 1+rng.Intn(5))
+		for i := range pool {
+			pool[i] = math.Pow(10, -9+21*rng.Float64())
+		}
+		x := make([]float64, n)
+		for i := range x {
+			if rng.Intn(3) == 0 {
+				x[i] = pool[rng.Intn(len(pool))]
+			} else {
+				x[i] = math.Pow(10, -9+21*rng.Float64())
+			}
+		}
+		kMax := 2 + rng.Intn(n+5) // sometimes past n-1, exercising the cap
+		want := refHillPlot(x, kMax)
+		got, err := HillPlot(x, kMax)
+		if len(want) == 0 {
+			if !errors.Is(err, ErrTooFewTail) {
+				t.Fatalf("trial %d: degenerate tail gave %v", trial, err)
+			}
+			continue
+		}
+		if err != nil {
+			t.Fatalf("trial %d: %v", trial, err)
+		}
+		if len(got) != len(want) {
+			t.Fatalf("trial %d: %d points, reference %d", trial, len(got), len(want))
+		}
+		for i := range want {
+			if got[i].K != want[i].K || math.Float64bits(got[i].Alpha) != math.Float64bits(want[i].Alpha) {
+				t.Fatalf("trial %d point %d: got %+v, reference %+v", trial, i, got[i], want[i])
+			}
+		}
 	}
 }

@@ -207,8 +207,10 @@ func (h *OnlineHill) SampleLen() int { return h.res.Len() }
 
 // Estimate runs EstimateHill over the current reservoir sample. The
 // estimator keeps accumulating afterwards; call at every snapshot.
+// EstimateHill only reads its input (HillPlot sorts a copy), so the
+// live sample is passed without another copy.
 func (h *OnlineHill) Estimate() (HillResult, error) {
-	return EstimateHill(h.res.Sample(), h.tailFraction, h.relTol)
+	return EstimateHill(h.res.items, h.tailFraction, h.relTol)
 }
 
 // MergeOnlineHills combines shard Hill estimators into one covering

@@ -53,8 +53,10 @@ func foldPresized(lines []string) []record {
 	return out
 }
 
-//hot:path — a documented, amortized allocation stays via the escape
-// hatch; the allow reason is the budget decision.
+// A documented, amortized allocation stays via the escape hatch; the
+// allow reason is the budget decision.
+//
+//hot:path
 func foldAllowed(lines []string) []record {
 	var out []record
 	for _, line := range lines {

@@ -83,7 +83,8 @@ type want struct {
 
 // wantRE locates the want keyword; wantPatternRE then pulls every
 // payload after it, so one comment can expect several diagnostics on
-// its line (`// want `first` `second``), as analysistest allows.
+// its line (a "// want" followed by two backquoted patterns), as
+// analysistest allows.
 var (
 	wantRE        = regexp.MustCompile("//\\s*want\\s+(`[^`]*`|\"(?:[^\"\\\\]|\\\\.)*\")")
 	wantPatternRE = regexp.MustCompile("`[^`]*`|\"(?:[^\"\\\\]|\\\\.)*\"")

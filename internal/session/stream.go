@@ -162,9 +162,10 @@ func (s *Streamer) ObserveClamped(r weblog.Record) ([]Session, error) {
 // order (access logs are written that way). It returns any sessions
 // whose inactivity window closed at or before this record's timestamp.
 //
-//hot:path — one call per record; the concrete expiry heap exists so
-// this path allocates nothing but amortized session growth
-// (DESIGN.md §13).
+// One call per record: the concrete expiry heap exists so this path
+// allocates nothing but amortized session growth (DESIGN.md §13).
+//
+//hot:path
 func (s *Streamer) Observe(r weblog.Record) ([]Session, error) {
 	if s.sawAny && r.Time.Before(s.lastTime) {
 		return nil, fmt.Errorf("session: streamer requires time-ordered input: %v after %v", r.Time, s.lastTime)

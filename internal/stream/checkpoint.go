@@ -145,7 +145,7 @@ type shardCheckpoint struct {
 // engineState is the full serialized engine: the global clocks, totals
 // and arrival estimators, plus every shard verbatim.
 type engineState struct {
-	Config           ConfigFingerprint  `json:"config"`
+	Config           ConfigFingerprint `json:"config"`
 	Lines            int64             `json:"lines"`
 	QuarantineOffset int64             `json:"quarantine_offset"`
 	Records          int64             `json:"records"`
@@ -224,28 +224,64 @@ func (e *Engine) state() engineState {
 // WriteCheckpoint serializes the engine: a one-line header binding the
 // format version and the payload's SHA-256, then the JSON payload.
 func (e *Engine) WriteCheckpoint(w io.Writer) error {
-	payload, err := json.Marshal(e.state())
+	st := e.state()
+	var payload bytes.Buffer
+	sum, err := encodePayload(&payload, &st)
 	if err != nil {
-		return fmt.Errorf("stream: encoding checkpoint: %w", err)
-	}
-	sum := sha256.Sum256(payload)
-	if _, err := fmt.Fprintf(w, "%s v%d sha256=%s\n", checkpointMagic, checkpointVersion, hex.EncodeToString(sum[:])); err != nil {
 		return err
 	}
-	_, err = w.Write(payload)
+	if _, err := io.WriteString(w, checkpointHeader(sum)); err != nil {
+		return err
+	}
+	_, err = w.Write(payload.Bytes())
 	return err
+}
+
+// checkpointHeader is the header line for a payload with the given
+// SHA-256. Its length does not depend on the sum.
+func checkpointHeader(sum [sha256.Size]byte) string {
+	return fmt.Sprintf("%s v%d sha256=%s\n", checkpointMagic, checkpointVersion, hex.EncodeToString(sum[:]))
+}
+
+// encodePayload writes the JSON payload of a captured state to w and
+// returns its SHA-256.
+func encodePayload(w io.Writer, st *engineState) (sum [sha256.Size]byte, err error) {
+	h := sha256.New()
+	if err := json.NewEncoder(payloadWriter{io.MultiWriter(w, h)}).Encode(st); err != nil {
+		return sum, fmt.Errorf("stream: encoding checkpoint: %w", err)
+	}
+	h.Sum(sum[:0])
+	return sum, nil
+}
+
+// payloadWriter drops the newline json.Encoder ends a document with,
+// which the payload format does not have. Compact JSON holds no other
+// raw newline.
+type payloadWriter struct{ w io.Writer }
+
+func (p payloadWriter) Write(b []byte) (int, error) {
+	if _, err := p.w.Write(bytes.TrimSuffix(b, []byte("\n"))); err != nil {
+		return 0, err
+	}
+	return len(b), nil
 }
 
 // SaveCheckpoint writes the checkpoint atomically: a temp file in the
 // target directory, fsynced, then renamed over the destination — a
 // crash mid-write leaves the previous checkpoint intact.
 func (e *Engine) SaveCheckpoint(path string) error {
+	st := e.state()
+	return saveCheckpoint(path, &st)
+}
+
+// saveCheckpoint is SaveCheckpoint for a captured state.
+func saveCheckpoint(path string, st *engineState) error {
 	tmp := path + ".tmp"
 	f, err := os.Create(tmp)
 	if err != nil {
 		return fmt.Errorf("stream: creating checkpoint: %w", err)
 	}
-	if err := e.WriteCheckpoint(f); err != nil {
+	if err := writeCheckpointFile(f, st); err != nil {
 		f.Close()
 		os.Remove(tmp)
 		return err
@@ -266,21 +302,148 @@ func (e *Engine) SaveCheckpoint(path string) error {
 	return nil
 }
 
-// saveCheckpointCtx persists the checkpoint to cfg.CheckpointPath,
-// first consulting the stream.checkpoint fault site.
-func (e *Engine) saveCheckpointCtx(ctx context.Context) error {
+// writeCheckpointFile writes a captured state to f in the
+// WriteCheckpoint format without holding a copy of the payload: it
+// streams into the file behind a placeholder header of the same
+// length, overwritten once the sum is known.
+func writeCheckpointFile(f *os.File, st *engineState) error {
+	if _, err := f.WriteString(checkpointHeader([sha256.Size]byte{})); err != nil {
+		return err
+	}
+	sum, err := encodePayload(f, st)
+	if err != nil {
+		return err
+	}
+	_, err = f.WriteAt([]byte(checkpointHeader(sum)), 0)
+	return err
+}
+
+// checkpointWriter persists captured engine states off the fold
+// goroutine. Its one goroutine encodes, hashes, writes, fsyncs and
+// renames each capture while the fold carries on; at most one write is
+// in flight, because the fold settles the previous write before it
+// hands over the next capture. Results come back through done, read
+// only by the fold goroutine, so checkpoint telemetry advances once a
+// rename has committed and never before.
+type checkpointWriter struct {
+	path   string
+	jobs   chan *engineState
+	done   chan checkpointResult // capacity 1: the writer never blocks on it
+	exited chan struct{}
+	// busy is the fold goroutine's view: a capture was handed over and
+	// its result not yet settled.
+	busy bool
+}
+
+// checkpointResult is one finished write: the raw-line position the
+// capture recorded, and the write's error.
+type checkpointResult struct {
+	lines int64
+	err   error
+}
+
+// startCheckpointWriter starts the writer for one ProcessCtx call; the
+// caller must join it with joinCheckpointWriter on every return path.
+func startCheckpointWriter(ctx context.Context, path string) *checkpointWriter {
+	w := &checkpointWriter{
+		path:   path,
+		jobs:   make(chan *engineState),
+		done:   make(chan checkpointResult, 1),
+		exited: make(chan struct{}),
+	}
+	//lint:allow rawgo checkpoint persistence, not an analysis fan-out; one goroutine that ProcessCtx joins on every return path
+	go w.run(ctx)
+	return w
+}
+
+// run is the writer goroutine: one atomic write per capture, in
+// order, until the jobs channel closes.
+func (w *checkpointWriter) run(ctx context.Context) {
+	defer close(w.exited)
+	for st := range w.jobs {
+		_, sp := obs.StartSpan(ctx, "stream.checkpoint_write")
+		sp.SetInt("lines", st.Lines)
+		err := saveCheckpoint(w.path, st)
+		sp.End()
+		w.done <- checkpointResult{lines: st.Lines, err: err}
+	}
+}
+
+// settleCheckpoint collects the in-flight write's result — waiting for
+// it when wait is set, otherwise only if it has already finished. A
+// commit advances the checkpoint telemetry and settles any pending
+// RequestCheckpoint; a failed write returns its error.
+func (e *Engine) settleCheckpoint(ctx context.Context, w *checkpointWriter, wait bool) error {
+	if !w.busy {
+		return nil
+	}
+	var res checkpointResult
+	if wait {
+		res = <-w.done
+	} else {
+		select {
+		case res = <-w.done:
+		default:
+			return nil
+		}
+	}
+	w.busy = false
+	if res.err != nil {
+		return res.err
+	}
+	e.noteCheckpoint(res.lines)
+	e.ckptReq.Store(false)
+	obs.MetricsFrom(ctx).Counter("stream.checkpoints").Inc()
+	return nil
+}
+
+// checkpointAtChunk runs the checkpoint cadence after a folded chunk —
+// an exact line boundary. A chunk that crossed a snapshot boundary
+// always checkpoints; otherwise a pending RequestCheckpoint does, once
+// no write is in flight.
+func (e *Engine) checkpointAtChunk(ctx context.Context, w *checkpointWriter, boundary bool) error {
+	if w == nil {
+		return nil
+	}
+	if err := e.settleCheckpoint(ctx, w, false); err != nil {
+		return err
+	}
+	if !boundary && (w.busy || !e.ckptReq.Load()) {
+		return nil
+	}
+	return e.saveCheckpointCtx(ctx, w)
+}
+
+// saveCheckpointCtx consults the stream.checkpoint fault site, waits
+// for the previous write, captures the engine state and hands it to
+// the writer. The capture answers every RequestCheckpoint made before
+// it.
+func (e *Engine) saveCheckpointCtx(ctx context.Context, w *checkpointWriter) error {
 	if err := fpCheckpoint.Check(ctx); err != nil {
 		return fmt.Errorf("stream: checkpoint at line %d: %w", e.lines, err)
 	}
-	_, sp := obs.StartSpan(ctx, "stream.checkpoint")
-	defer sp.End()
-	sp.SetInt("lines", e.lines)
-	if err := e.SaveCheckpoint(e.cfg.CheckpointPath); err != nil {
+	if err := e.settleCheckpoint(ctx, w, true); err != nil {
 		return err
 	}
-	e.noteCheckpoint()
-	obs.MetricsFrom(ctx).Counter("stream.checkpoints").Inc()
+	e.ckptReq.Store(false)
+	_, sp := obs.StartSpan(ctx, "stream.checkpoint")
+	sp.SetInt("lines", e.lines)
+	st := e.state()
+	sp.End()
+	w.jobs <- &st
+	w.busy = true
 	return nil
+}
+
+// joinCheckpointWriter stops the writer after its last write and
+// returns that write's error (nil for a nil writer).
+func (e *Engine) joinCheckpointWriter(ctx context.Context, w *checkpointWriter) error {
+	if w == nil {
+		return nil
+	}
+	close(w.jobs)
+	<-w.exited
+	return e.settleCheckpoint(ctx, w, true)
 }
 
 // ReadCheckpoint parses and verifies a checkpoint stream: magic,

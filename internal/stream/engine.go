@@ -30,7 +30,7 @@ var (
 //
 //	stream.fold        — crash at a chunk-fold boundary
 //	stream.snapshot    — crash while emitting a periodic snapshot
-//	stream.checkpoint  — crash while persisting a checkpoint
+//	stream.checkpoint  — crash before capturing a checkpoint
 var (
 	fpFold       = faultpoint.NewSite("stream.fold")
 	fpSnapshot   = faultpoint.NewSite("stream.snapshot")
@@ -105,8 +105,10 @@ type Config struct {
 	Quarantine io.Writer
 	// CheckpointPath, when non-empty, makes the engine persist a
 	// versioned, checksummed checkpoint of its full state at every
-	// snapshot cadence (written atomically after the chunk that crossed
-	// the boundary, so the file always sits on an exact line boundary).
+	// snapshot cadence: captured after the chunk that crossed the
+	// boundary, so the file always sits on an exact line boundary, and
+	// written atomically by the checkpoint writer goroutine while the
+	// fold continues (DESIGN.md §11).
 	CheckpointPath string
 	// ArrivalWindow, when > 0, maintains a per-second arrival ring over
 	// the most recent ArrivalWindow trace seconds and publishes it
@@ -217,8 +219,11 @@ func (sh *engineShard) noteClosed(s session.Session) {
 }
 
 // Engine is the streaming analysis pipeline: one instance processes one
-// log stream. Not safe for concurrent use (the chunk parser fans out
-// internally; state folding is single-goroutine by design).
+// log stream. Not safe for concurrent use. The chunk parser fans out
+// internally; state is folded on a single goroutine, beside which one
+// checkpoint writer goroutine persists the states the fold captures
+// (only when a checkpoint path is configured, and joined before
+// ProcessCtx returns).
 //
 // With Shards > 1 the engine keeps N independent host-partitioned
 // shard states and dispatches each record to its host's shard; the
@@ -410,11 +415,15 @@ func (e *Engine) Shards() int { return len(e.shards) }
 func (e *Engine) Snapshots() int64 { return e.snapshots }
 
 // RequestCheckpoint asks the engine to persist a checkpoint at the
-// next chunk-fold boundary (a no-op without a checkpoint path). Safe
-// to call from any goroutine; requests coalesce until honored. Chunk
-// boundaries are exact line boundaries, so an extra checkpoint never
-// changes a published byte — serve's WAL supervisor uses this to
-// bound crash-replay by journal growth.
+// next chunk-fold boundary at which no checkpoint write is in flight
+// (a no-op without a checkpoint path). Safe to call from any
+// goroutine; requests coalesce until honored, and a request pending
+// when an in-flight write commits is settled by that commit — the
+// runtime publication that follows shows the new checkpoint line, so
+// a caller that still needs one asks again. Chunk boundaries are
+// exact line boundaries, so an extra checkpoint never changes a
+// published byte — serve's WAL supervisor uses this to bound
+// crash-replay by journal growth.
 func (e *Engine) RequestCheckpoint() { e.ckptReq.Store(true) }
 
 // PeakActiveSessions returns the summed sessionizer live-state
@@ -481,10 +490,21 @@ func (e *Engine) advanceShards(now time.Time) {
 // boundary passes. The returned final snapshot includes the flushed
 // still-open sessions, so its session count equals the batch
 // sessionizer's exactly.
+//
+// The fold runs on the calling goroutine. With a checkpoint path, the
+// fold only captures each checkpoint's state; one writer goroutine
+// encodes, fsyncs and renames it, at most one write in flight. A
+// failed write is returned at the next chunk boundary or when
+// ProcessCtx returns, which always joins the writer first, so the
+// checkpoint file is settled whenever ProcessCtx has returned.
 func (e *Engine) ProcessCtx(ctx context.Context, r io.Reader, emit func(*Snapshot) error) (*Snapshot, error) {
 	ctx, sp := obs.StartSpan(ctx, "stream.process")
 	defer sp.End()
 	reg := obs.MetricsFrom(ctx)
+	var ckpt *checkpointWriter
+	if e.cfg.CheckpointPath != "" {
+		ckpt = startCheckpointWriter(ctx, e.cfg.CheckpointPath)
+	}
 	err := weblog.ReadChunksCtx(ctx, r, e.pool, e.cfg.Chunk, func(ch weblog.Chunk) error {
 		_, csp := obs.StartSpan(ctx, "stream.fold_chunk")
 		csp.SetInt("records", int64(len(ch.Records)))
@@ -515,15 +535,15 @@ func (e *Engine) ProcessCtx(ctx context.Context, r io.Reader, emit func(*Snapsho
 		}
 		e.lines += int64(ch.Lines)
 		reg.Gauge("stream.active_sessions").Set(int64(e.activeSessions()))
-		requested := e.ckptReq.Swap(false)
-		if e.cfg.CheckpointPath != "" && (e.snapshots > snapsBefore || requested) {
-			if err := e.saveCheckpointCtx(ctx); err != nil {
-				return err
-			}
+		if err := e.checkpointAtChunk(ctx, ckpt, e.snapshots > snapsBefore); err != nil {
+			return err
 		}
 		e.noteChunkFolded()
 		return nil
 	})
+	if werr := e.joinCheckpointWriter(ctx, ckpt); werr != nil {
+		return nil, errors.Join(err, werr)
+	}
 	if err != nil {
 		var re *weblog.ReadError
 		if e.cfg.Mode == ModeBudgeted && errors.As(err, &re) && !faultpoint.IsFault(err) {
@@ -582,8 +602,10 @@ func (e *Engine) ProcessCtx(ctx context.Context, r io.Reader, emit func(*Snapsho
 // reversed time, and per-shard clamping would depend on the
 // partition), or rejected outright in strict mode.
 //
-//hot:path — the engine's per-record fold; every allocation here is
+// This is the engine's per-record fold: every allocation here is
 // multiplied by the trace length (DESIGN.md §13).
+//
+//hot:path
 func (e *Engine) observe(ctx context.Context, rec weblog.Record, emit func(*Snapshot) error) error {
 	if e.started && rec.Time.Before(e.lastTime) {
 		if e.cfg.Mode == ModeStrict {

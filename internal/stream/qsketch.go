@@ -3,6 +3,7 @@ package stream
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 )
 
@@ -175,59 +176,107 @@ func (s *QuantileSketch) Merge(o *QuantileSketch) error {
 }
 
 // Quantile returns the current estimate of the p-quantile (0 <= p <=
-// 1): NaN before any observation, otherwise the weighted-rank read-off
-// using the stats.Quantile interpolation convention, which makes the
-// pre-compaction regime exactly the batch quantile.
-func (s *QuantileSketch) Quantile(p float64) float64 {
-	if s.n == 0 || math.IsNaN(p) || p < 0 || p > 1 {
-		return math.NaN()
+// 1): NaN before any observation or for p outside [0, 1], otherwise
+// the weighted-rank read-off of Quantiles.
+func (s *QuantileSketch) Quantile(p float64) float64 { return s.Quantiles(p)[0] }
+
+// Quantiles returns the estimates of several quantiles from one
+// read-off, in the order asked. Each follows the stats.Quantile
+// interpolation convention over the expanded weighted multiset — item
+// k occupies ranks [cum, cum+w); the p-quantile interpolates between
+// the values at ranks floor(h) and floor(h)+1 for h = p*(n-1) — which
+// makes the pre-compaction regime exactly the batch quantile. A p
+// outside [0, 1], or any p before the first observation, reads NaN.
+func (s *QuantileSketch) Quantiles(ps ...float64) []float64 {
+	out := make([]float64, len(ps))
+	ranks := make([]int64, 0, 2*len(ps))
+	for _, p := range ps {
+		if !s.answers(p) {
+			continue
+		}
+		lo, frac := s.rankOf(p)
+		ranks = append(ranks, lo)
+		if frac != 0 && lo+1 < s.n {
+			ranks = append(ranks, lo+1)
+		}
 	}
-	pts := make([]weightedVal, 0, len(s.buf)+len(s.levels)*s.cap)
-	for _, v := range s.buf {
-		pts = append(pts, weightedVal{v, 1})
+	slices.Sort(ranks)
+	ranks = slices.Compact(ranks)
+	vals := s.valuesAt(ranks)
+	at := func(r int64) float64 {
+		i, _ := slices.BinarySearch(ranks, r)
+		return vals[i]
+	}
+	for i, p := range ps {
+		if !s.answers(p) {
+			out[i] = math.NaN()
+			continue
+		}
+		lo, frac := s.rankOf(p)
+		vLo := at(lo)
+		if frac == 0 || lo+1 >= s.n {
+			out[i] = vLo
+			continue
+		}
+		out[i] = vLo*(1-frac) + at(lo+1)*frac
+	}
+	return out
+}
+
+// answers reports whether p has an estimate: the sketch holds data and
+// p lies in [0, 1].
+func (s *QuantileSketch) answers(p float64) bool {
+	return s.n > 0 && !math.IsNaN(p) && p >= 0 && p <= 1
+}
+
+// rankOf splits h = p*(n-1) into its integer rank and fraction.
+func (s *QuantileSketch) rankOf(p float64) (lo int64, frac float64) {
+	h := p * float64(s.n-1)
+	lo = int64(math.Floor(h))
+	return lo, h - float64(lo)
+}
+
+// valuesAt returns the values at the given ascending, distinct ranks
+// of the expanded weighted multiset. Only a copy of the level-0 buffer
+// needs sorting — every ladder level is already sorted — so one merge
+// walk over the buffer and the levels, stopping at the last rank,
+// reads every value off. Which of several equal values is walked first
+// cannot change the value found at a rank.
+func (s *QuantileSketch) valuesAt(ranks []int64) []float64 {
+	out := make([]float64, len(ranks))
+	type run struct {
+		vals []float64
+		w    int64
+	}
+	runs := make([]run, 0, 1+len(s.levels))
+	if len(s.buf) > 0 {
+		buf := slices.Clone(s.buf)
+		slices.Sort(buf)
+		runs = append(runs, run{buf, 1})
 	}
 	for h, lvl := range s.levels {
-		w := int64(1) << uint(h)
-		for _, v := range lvl {
-			pts = append(pts, weightedVal{v, w})
+		if lvl != nil {
+			runs = append(runs, run{lvl, int64(1) << uint(h)})
 		}
 	}
-	sort.Slice(pts, func(i, j int) bool { return pts[i].v < pts[j].v })
-	// Weighted analogue of stats.Quantile: item k of the expanded
-	// multiset occupies ranks [cum, cum+w); interpolate between the
-	// values at ranks floor(h) and floor(h)+1 for h = p*(n-1).
-	h := p * float64(s.n-1)
-	lo := int64(math.Floor(h))
-	vLo := rankValue(pts, lo)
-	hi := lo + 1
-	if hi >= s.n {
-		return vLo
-	}
-	frac := h - float64(lo)
-	if frac == 0 {
-		return vLo
-	}
-	return vLo*(1-frac) + rankValue(pts, hi)*frac
-}
-
-// weightedVal is one sketch point during a quantile read-off: a value
-// standing in for w observations.
-type weightedVal struct {
-	v float64
-	w int64
-}
-
-// rankValue returns the value at integer rank r of the expanded
-// weighted multiset (pts sorted by value).
-func rankValue(pts []weightedVal, r int64) float64 {
 	var cum int64
-	for _, pt := range pts {
-		cum += pt.w
-		if r < cum {
-			return pt.v
+	k := 0
+	for k < len(ranks) {
+		best := -1
+		for i := range runs {
+			if len(runs[i].vals) > 0 && (best < 0 || runs[i].vals[0] < runs[best].vals[0]) {
+				best = i
+			}
+		}
+		v := runs[best].vals[0]
+		runs[best].vals = runs[best].vals[1:]
+		cum += runs[best].w
+		for k < len(ranks) && ranks[k] < cum {
+			out[k] = v
+			k++
 		}
 	}
-	return pts[len(pts)-1].v
+	return out
 }
 
 // QuantileSketchState is the checkpointable image of a QuantileSketch:

@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"sort"
 	"testing"
 
 	"fullweb/internal/stats"
@@ -307,5 +308,148 @@ func TestQuantileSketchConfigAndEdgeCases(t *testing.T) {
 	}
 	if got := s.Quantile(0.5); got != 4 {
 		t.Errorf("single observation quantile = %v", got)
+	}
+}
+
+// refQuantile is the sort-everything read-off Quantile replaced: expand
+// every sketch point with its weight, sort all of them, and walk the
+// cumulative weight to each rank. It is the oracle the merge-walk
+// read-off must match bit for bit.
+func refQuantile(s *QuantileSketch, p float64) float64 {
+	if s.n == 0 || math.IsNaN(p) || p < 0 || p > 1 {
+		return math.NaN()
+	}
+	type weighted struct {
+		v float64
+		w int64
+	}
+	var pts []weighted
+	for _, v := range s.buf {
+		pts = append(pts, weighted{v, 1})
+	}
+	for h, lvl := range s.levels {
+		for _, v := range lvl {
+			pts = append(pts, weighted{v, int64(1) << uint(h)})
+		}
+	}
+	sort.Slice(pts, func(i, j int) bool { return pts[i].v < pts[j].v })
+	rankValue := func(r int64) float64 {
+		var cum int64
+		for _, pt := range pts {
+			cum += pt.w
+			if r < cum {
+				return pt.v
+			}
+		}
+		return pts[len(pts)-1].v
+	}
+	h := p * float64(s.n-1)
+	lo := int64(math.Floor(h))
+	vLo := rankValue(lo)
+	if lo+1 >= s.n {
+		return vLo
+	}
+	frac := h - float64(lo)
+	if frac == 0 {
+		return vLo
+	}
+	return vLo*(1-frac) + rankValue(lo+1)*frac
+}
+
+// oracleValue draws one sketch input: heavy ties (a small pool of
+// repeated values), zeros of the given signs, and magnitudes from 1e-9
+// to 1e12.
+func oracleValue(rng *rand.Rand, pool, zeros []float64) float64 {
+	switch r := rng.Intn(10); {
+	case r < 4:
+		return pool[rng.Intn(len(pool))]
+	case r == 4:
+		return zeros[rng.Intn(len(zeros))]
+	default:
+		v := math.Pow(10, -9+21*rng.Float64())
+		if rng.Intn(8) == 0 {
+			v = -v
+		}
+		return v
+	}
+}
+
+// checkAgainstOracle compares Quantile, and Quantiles asked for every p
+// at once, with refQuantile. With mixedZeros set the sketch holds both
+// -0 and +0: they compare equal, so which one an unstable sort puts at
+// a rank is unspecified, and a zero result is checked by value only.
+// Every other result must match bit for bit.
+func checkAgainstOracle(t *testing.T, label string, s *QuantileSketch, ps []float64, mixedZeros bool) {
+	t.Helper()
+	all := s.Quantiles(ps...)
+	for i, p := range ps {
+		want := refQuantile(s, p)
+		for _, got := range []float64{s.Quantile(p), all[i]} {
+			if mixedZeros && got == 0 && want == 0 {
+				continue
+			}
+			if math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("%s n=%d p=%v: read-off %v (%#x), reference %v (%#x)",
+					label, s.N(), p, got, math.Float64bits(got), want, math.Float64bits(want))
+			}
+		}
+	}
+}
+
+// TestQuantilesMatchSortEverythingOracle: the merge-walk read-off must
+// return exactly the bits the sort-everything reference does — on
+// sequentially fed sketches through several compactions and on sketches
+// built by Merge of several parts. A third of the trials feed only +0,
+// a third only -0 (so the sign of a zero result is checked too) and a
+// third both.
+func TestQuantilesMatchSortEverythingOracle(t *testing.T) {
+	rng := rand.New(rand.NewSource(29))
+	// Out-of-range asks ride along: they read NaN without disturbing
+	// the others.
+	fixed := []float64{0, 0.5, 0.9, 0.99, 1, -0.5, 1.5, math.NaN()}
+	for trial := 0; trial < 200; trial++ {
+		capacity := 16 + 2*rng.Intn(25) // even, 16..64
+		pool := make([]float64, 1+rng.Intn(6))
+		for i := range pool {
+			pool[i] = math.Pow(10, -9+21*rng.Float64())
+		}
+		zeros := [][]float64{{0}, {math.Copysign(0, -1)}, {0, math.Copysign(0, -1)}}[trial%3]
+		mixed := len(zeros) == 2
+		ps := append([]float64(nil), fixed...)
+		for i := 0; i < 5; i++ {
+			ps = append(ps, rng.Float64())
+		}
+		s, err := NewQuantileSketch(capacity)
+		if err != nil {
+			t.Fatal(err)
+		}
+		n := 1 + rng.Intn(50*capacity)
+		for i := 0; i < n; i++ {
+			s.Observe(oracleValue(rng, pool, zeros))
+			if i%(1+n/7) == 0 {
+				checkAgainstOracle(t, "fed", s, ps, mixed)
+			}
+		}
+		checkAgainstOracle(t, "fed", s, ps, mixed)
+
+		merged, err := NewQuantileSketch(capacity)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for parts := 2 + rng.Intn(4); parts > 0; parts-- {
+			sk, err := NewQuantileSketch(capacity)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := rng.Intn(20 * capacity); i > 0; i-- {
+				sk.Observe(oracleValue(rng, pool, zeros))
+			}
+			if err := merged.Merge(sk); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if merged.N() > 0 {
+			checkAgainstOracle(t, "merged", merged, ps, mixed)
+		}
 	}
 }

@@ -114,6 +114,7 @@ func fillArrival(dst *ArrivalEstimate, est *lrd.OnlineAggVar) {
 // charSnapshotFrom reads one characteristic's (possibly merged)
 // estimators into snapshot form.
 func charSnapshotFrom(name string, m Welford, q *QuantileSketch, hill *heavytail.OnlineHill) CharSnapshot {
+	qs := q.Quantiles(0.50, 0.90, 0.99)
 	cs := CharSnapshot{
 		Name:       name,
 		N:          m.N(),
@@ -121,9 +122,9 @@ func charSnapshotFrom(name string, m Welford, q *QuantileSketch, hill *heavytail
 		StdDev:     m.StdDev(),
 		Min:        m.Min(),
 		Max:        m.Max(),
-		P50:        q.Quantile(0.50),
-		P90:        q.Quantile(0.90),
-		P99:        q.Quantile(0.99),
+		P50:        qs[0],
+		P90:        qs[1],
+		P99:        qs[2],
 		HillSample: hill.SampleLen(),
 		HillSeen:   hill.Seen(),
 	}

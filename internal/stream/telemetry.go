@@ -59,7 +59,9 @@ type RuntimeStats struct {
 	// ChunksFolded counts chunks drained into engine state — compare
 	// against the parser's chunks_parsed counter for fold lag.
 	ChunksFolded int64 `json:"chunks_folded"`
-	// Snapshots and checkpoint progress so far.
+	// Snapshots and checkpoint progress so far. Checkpoints and
+	// LastCheckpointLine count only checkpoints whose rename has
+	// committed, never one still being written.
 	Snapshots          int64 `json:"snapshots"`
 	Checkpoints        int64 `json:"checkpoints"`
 	LastCheckpointLine int64 `json:"last_checkpoint_line"`
@@ -158,10 +160,11 @@ func (e *Engine) noteChunkFolded() {
 	e.publishRuntime()
 }
 
-// noteCheckpoint records one persisted checkpoint for telemetry.
-func (e *Engine) noteCheckpoint() {
+// noteCheckpoint records one committed checkpoint, captured at raw
+// line position lines, for telemetry.
+func (e *Engine) noteCheckpoint(lines int64) {
 	e.tele.checkpoints++
-	e.tele.lastCheckpointLine = e.lines
+	e.tele.lastCheckpointLine = lines
 }
 
 // publishRuntime hands a copy-on-publish view of the live counters to

@@ -216,9 +216,11 @@ func ReadChunksCtx(ctx context.Context, r io.Reader, pool *parallel.Pool, cfg Ch
 // parseChunk parses one chunk's lines, mirroring readAll's tolerance:
 // malformed lines are collected, blank lines skipped. When
 // maxFieldBytes is positive, records with oversized host/path fields
-// are rejected as ParseErrors wrapping ErrOversized.
-//hot:path — runs once per input line; the parse loop's allocation
-// budget is the engine's throughput bound (DESIGN.md §13).
+// are rejected as ParseErrors wrapping ErrOversized. It runs once per
+// input line; the parse loop's allocation budget is the engine's
+// throughput bound (DESIGN.md §13).
+//
+//hot:path
 func parseChunk(firstLine int, lines []string, maxFieldBytes int) Chunk {
 	ch := Chunk{FirstLine: firstLine, Lines: len(lines)}
 	// Presize for the common case (every line parses) so the append

@@ -107,9 +107,11 @@ func sanitizeQuoted(s string) string {
 //
 //	host ident authuser [date] "request" status bytes
 //
-//hot:path — runs once per input line; field splitting is hand-rolled
-// (no strings.Fields/Split) to keep the per-record allocation budget
-// at the substrings the Record actually retains (DESIGN.md §13).
+// It runs once per input line: field splitting is hand-rolled (no
+// strings.Fields/Split) to keep the per-record allocation budget at
+// the substrings the Record actually retains (DESIGN.md §13).
+//
+//hot:path
 func ParseCLF(line string) (Record, error) {
 	var rec Record
 	rest := strings.TrimSpace(line)

@@ -61,7 +61,7 @@ func bindEngineFlags(fs *flag.FlagSet, cmd, resumeUsage, faultSites string) *eng
 	fs.IntVar(&e.quantileCap, "quantile-cap", stream.DefaultQuantileCap, "per-characteristic quantile sketch capacity (even, >= 16)")
 	fs.Int64Var(&e.seed, "seed", 1, "reservoir sampling seed")
 	fs.IntVar(&e.chunkLines, "chunk-lines", 0, "lines per parse chunk (0 = default)")
-	fs.IntVar(&e.chunkWindow, "chunk-window", 0, "parse chunks in flight (0 = default); bounds memory with -parallel")
+	fs.IntVar(&e.chunkWindow, "chunk-window", 0, "chunks in flight between scan and fold (0 = default); times -chunk-lines, bounds the lines held at any -parallel")
 	fs.StringVar(&e.mode, "mode", "budgeted", "ingestion mode: budgeted (count, quarantine, degrade), strict (fail on first reject) or lenient (count only)")
 	fs.StringVar(&e.quarantinePath, "quarantine", "", "append rejected raw lines to this file (budgeted/lenient modes)")
 	fs.StringVar(&e.checkpointPath, "checkpoint", "", "write a resumable engine checkpoint here at every snapshot boundary")

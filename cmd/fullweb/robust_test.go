@@ -7,6 +7,7 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 )
 
 // dirtyTestLog writes a generated trace with malformed lines
@@ -104,6 +105,61 @@ func TestStreamFaultsEnvFallback(t *testing.T) {
 	err := run([]string{"stream", "-log", log}, &out)
 	if err == nil || !strings.Contains(err.Error(), "injected fault") {
 		t.Fatalf("FULLWEB_FAULTS not honored: %v", err)
+	}
+}
+
+// TestStreamFoldFaultWithOpenInput: a fold fault while the input pipe
+// is still open and quiet ends the run with the fault. The scanner is
+// then parked in a Read on the pipe, and the run must wake it to
+// return. The pipe is read as stdin (put in blocking mode first, as a
+// shell hands it over) and through a -log path that names it.
+func TestStreamFoldFaultWithOpenInput(t *testing.T) {
+	data, err := os.ReadFile(streamTestLog(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// 150 lines: two whole 64-line chunks to fold, and a third the
+	// scanner can only wait on.
+	prefix := bytes.Join(bytes.SplitAfter(data, []byte("\n"))[:150], nil)
+	for _, via := range []string{"stdin", "path"} {
+		t.Run(via, func(t *testing.T) {
+			r, w, err := os.Pipe()
+			if err != nil {
+				t.Fatal(err)
+			}
+			// Closing the writer last ends a run the test gave up on.
+			defer r.Close()
+			defer w.Close()
+			if _, err := w.Write(prefix); err != nil {
+				t.Fatal(err)
+			}
+			logArg := "-"
+			if via == "stdin" {
+				r.Fd() // blocking mode, as an inherited stdin is
+				old := os.Stdin
+				os.Stdin = r
+				defer func() { os.Stdin = old }()
+			} else {
+				logArg = fmt.Sprintf("/dev/fd/%d", r.Fd())
+				if _, err := os.Stat(logArg); err != nil {
+					t.Skipf("no %s: %v", logArg, err)
+				}
+			}
+			done := make(chan error, 1)
+			go func() {
+				var out bytes.Buffer
+				done <- run([]string{"stream", "-log", logArg, "-chunk-lines", "64",
+					"-faults", "stream.fold=hit:2"}, &out)
+			}()
+			select {
+			case err := <-done:
+				if err == nil || !strings.Contains(err.Error(), "injected fault") {
+					t.Fatalf("run did not die on the injected fault: %v", err)
+				}
+			case <-time.After(30 * time.Second):
+				t.Fatal("run did not return after a fold fault with its input open")
+			}
+		})
 	}
 }
 

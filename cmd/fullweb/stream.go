@@ -99,6 +99,7 @@ func cmdStream(args []string, out io.Writer) (err error) {
 	// the bounded retry policy: a transiently missing rotated segment
 	// (mid-rotation rename) gets three attempts before the run fails.
 	readers := make([]io.Reader, 0, len(logs))
+	var files []*os.File
 	var closers []io.Closer
 	defer func() {
 		for _, c := range closers {
@@ -108,9 +109,12 @@ func cmdStream(args []string, out io.Writer) (err error) {
 		}
 	}()
 	for _, path := range logs {
-		var raw io.Reader
+		var raw *os.File
 		if path == "-" {
-			raw = os.Stdin
+			var c io.Closer
+			if raw, c = pollableStdin(); c != nil {
+				closers = append(closers, c)
+			}
 		} else {
 			f, ferr := weblog.OpenRetry(ctx, path, weblog.DefaultRetryPolicy(time.Sleep))
 			if ferr != nil {
@@ -119,6 +123,7 @@ func cmdStream(args []string, out io.Writer) (err error) {
 			closers = append(closers, f)
 			raw = f
 		}
+		files = append(files, raw)
 		dr, derr := weblog.MaybeDecompress(raw)
 		if derr != nil {
 			return fmt.Errorf("stream: %s: %w", path, derr)
@@ -167,7 +172,8 @@ func cmdStream(args []string, out io.Writer) (err error) {
 		return err
 	}
 	ef.writeHeader(out, "streaming", logs, cp)
-	final, perr := engine.ProcessCtx(ctx, io.MultiReader(readers...), func(s *stream.Snapshot) error {
+	in := &logInput{Reader: io.MultiReader(readers...), files: files}
+	final, perr := engine.ProcessCtx(ctx, in, func(s *stream.Snapshot) error {
 		return s.Render(out)
 	})
 	if perr == nil {

@@ -10,10 +10,10 @@ import "fmt"
 // to land the RNG on the identical internal state, so the resumed
 // sample path is bit-for-bit the uninterrupted one.
 type ReservoirState struct {
-	Cap   int       `json:"cap"`
-	Seed  int64     `json:"seed"`
-	Seen  int64     `json:"seen"`
-	Items []float64 `json:"items"`
+	Cap   int
+	Seed  int64
+	Seen  int64
+	Items []float64
 }
 
 // State captures the reservoir for checkpointing.
@@ -48,10 +48,10 @@ func RestoreReservoir(st ReservoirState) (*Reservoir, error) {
 
 // OnlineHillState is the checkpointable image of an OnlineHill.
 type OnlineHillState struct {
-	Res          ReservoirState `json:"res"`
-	TailFraction float64        `json:"tail_fraction"`
-	RelTol       float64        `json:"rel_tol"`
-	Dropped      int64          `json:"dropped"`
+	Res          ReservoirState
+	TailFraction float64
+	RelTol       float64
+	Dropped      int64
 }
 
 // State captures the estimator for checkpointing.

@@ -5,18 +5,18 @@ import "fmt"
 // AggVarState is the checkpointable image of an OnlineAggVar: every
 // dyadic level's partially filled block and Welford moments, verbatim.
 type AggVarState struct {
-	Levels []AggLevelState `json:"levels"`
-	N      int64           `json:"n"`
+	Levels []AggLevelState
+	N      int64
 }
 
 // AggLevelState is one dyadic aggregation level.
 type AggLevelState struct {
-	Width   int64   `json:"width"`
-	Partial float64 `json:"partial"`
-	Filled  int64   `json:"filled"`
-	Blocks  int64   `json:"blocks"`
-	Mean    float64 `json:"mean"`
-	M2      float64 `json:"m2"`
+	Width   int64
+	Partial float64
+	Filled  int64
+	Blocks  int64
+	Mean    float64
+	M2      float64
 }
 
 // State captures the estimator for checkpointing.

@@ -90,7 +90,7 @@ type source struct {
 func (s *source) buffered() int64 { return int64(len(s.buf) - s.off) }
 
 // intake is the bounded multi-source buffer feeding the engine. One
-// goroutine (the engine fold loop) reads; any number of connection
+// goroutine (the engine's scanner) reads; any number of connection
 // goroutines append. Implements io.Reader: Read serves the active
 // source's bytes in order, advances to the next source when the active
 // one completes and drains, and returns io.EOF once every source is
@@ -106,6 +106,9 @@ type intake struct {
 	clock    obs.Clock
 	holder   *telemetry.Holder
 	draining bool
+	// interrupted is set once the engine abandons its scan: a Read that
+	// would wait for more input fails instead.
+	interrupted bool
 	// walWant is set when the server is configured with a journal; wal
 	// is attached by Run once the journal is open and replayed. Between
 	// listener bind and attach, deliveries are refused with
@@ -296,10 +299,26 @@ func (in *intake) drain() {
 	in.cond.Broadcast()
 }
 
-// Read implements io.Reader for the engine's fold loop: it serves the
+// errInterrupted is what a Read waiting for input returns once the
+// engine has abandoned its scan.
+var errInterrupted = errors.New("serve: intake read interrupted: the engine stopped folding")
+
+// Interrupt wakes a Read blocked waiting for input and makes every
+// later wait fail with errInterrupted. The engine calls it when it
+// abandons its scan (a fold error), so its scanning goroutine can be
+// joined while sources are still open.
+func (in *intake) Interrupt() {
+	in.mu.Lock()
+	defer in.mu.Unlock()
+	in.interrupted = true
+	in.cond.Broadcast()
+}
+
+// Read implements io.Reader for the engine's scanner: it serves the
 // active source's buffered bytes, advances past completed-and-empty
 // sources in declared order, blocks while the active source is open
-// but empty, and returns io.EOF once every source is drained.
+// but empty (until Interrupt), and returns io.EOF once every source is
+// drained.
 func (in *intake) Read(p []byte) (int, error) {
 	in.mu.Lock()
 	defer in.mu.Unlock()
@@ -340,6 +359,9 @@ func (in *intake) Read(p []byte) (int, error) {
 			in.active++
 			in.publishLocked()
 			continue
+		}
+		if in.interrupted {
+			return 0, errInterrupted
 		}
 		in.cond.Wait()
 	}

@@ -517,6 +517,38 @@ func TestServeDrain(t *testing.T) {
 	}
 }
 
+// TestServeFoldFaultWithOpenSources: a fold error while every source is
+// still open ends Run with that error. The engine's scanner is then
+// blocked waiting for input, and the intake must wake it so the engine
+// can join it and return.
+func TestServeFoldFaultWithOpenSources(t *testing.T) {
+	// 150 lines: two whole 64-line chunks to fold, and a third the
+	// scanner can only wait on.
+	lines := bytes.SplitAfter(fixtureBytes(t), []byte("\n"))
+	prefix := bytes.Join(lines[:150], nil)
+	cfg := engineConfig()
+	cfg.Chunk.Lines = 64
+	set, err := faultpoint.Parse("stream.fold=hit:2")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, base, _, ch := startServer(t, faultpoint.With(context.Background(), set), serve.Config{
+		Sources: []string{"a", "b"},
+		Engine:  cfg,
+	})
+	if code := postIngest(t, base, "a", prefix, false, false); code != http.StatusOK {
+		t.Fatalf("delivery: status %d", code)
+	}
+	select {
+	case res := <-ch:
+		if res.err == nil || !faultpoint.IsFault(res.err) {
+			t.Fatalf("run did not die on the injected fault: %v", res.err)
+		}
+	case <-time.After(30 * time.Second):
+		t.Fatal("Run did not return after a fold fault with open sources")
+	}
+}
+
 // TestWhatIfMatchesOffline: the /whatif answer must agree exactly with
 // recomputing the fluid, M/M/c and Erlang-B models offline from the
 // same published arrival series and snapshot — the copy-on-publish

@@ -14,20 +14,20 @@ import (
 // with a different internal layout would be semantically equivalent
 // but not byte-identical on resume.
 type StreamerState struct {
-	Threshold  time.Duration `json:"threshold"`
-	Active     []Session     `json:"active"`
-	Expiry     []ExpiryState `json:"expiry"`
-	LastTime   time.Time     `json:"last_time"`
-	SawAny     bool          `json:"saw_any"`
-	Opened     int64         `json:"opened"`
-	PeakActive int           `json:"peak_active"`
-	Clamped    int64         `json:"clamped"`
+	Threshold  time.Duration
+	Active     []Session
+	Expiry     []ExpiryState
+	LastTime   time.Time
+	SawAny     bool
+	Opened     int64
+	PeakActive int
+	Clamped    int64
 }
 
 // ExpiryState is one scheduled expiry check in heap-slice order.
 type ExpiryState struct {
-	At   time.Time `json:"at"`
-	Host string    `json:"host"`
+	At   time.Time
+	Host string
 }
 
 // State captures the streamer for checkpointing.

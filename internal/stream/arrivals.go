@@ -153,10 +153,10 @@ func (r *arrivalRing) series() *ArrivalSeries {
 // arrivalState is the checkpointable image of an arrivalRing: the
 // window in chronological order, exactly what series() reads off.
 type arrivalState struct {
-	Last     int64     `json:"last"`
-	Started  bool      `json:"started"`
-	Requests []float64 `json:"requests"`
-	Sessions []float64 `json:"sessions"`
+	Last     int64
+	Started  bool
+	Requests []float64
+	Sessions []float64
 }
 
 func (r *arrivalRing) state() arrivalState {

@@ -1,21 +1,22 @@
 // Checkpoint/resume for the streaming engine: a versioned, checksummed
-// serialization of the full online state — per-shard sessionizer heaps,
-// Welford moments, quantile-sketch ladders, dyadic aggregated-variance
-// levels, reservoir Hill state (with RNG replay), totals and ingest
-// accounting — written atomically at snapshot cadence. A resumed engine
-// continues from the exact raw-line boundary the checkpoint recorded
-// and produces output byte-identical to an uninterrupted run
-// (DESIGN.md §11). Checkpoints of a sharded run carry every shard's
-// state verbatim; merged sketches are never persisted (DESIGN.md §12).
+// binary serialization (ckptcodec.go) of the full online state —
+// per-shard sessionizer heaps, Welford moments, quantile-sketch
+// ladders, dyadic aggregated-variance levels, reservoir Hill state
+// (with RNG replay), totals and ingest accounting — written atomically
+// at snapshot cadence. A resumed engine continues from the exact
+// raw-line boundary the checkpoint recorded and produces output
+// byte-identical to an uninterrupted run (DESIGN.md §11). Checkpoints
+// of a sharded run carry every shard's state verbatim; merged sketches
+// are never persisted (DESIGN.md §12).
 
 package stream
 
 import (
+	"bufio"
 	"bytes"
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
-	"encoding/json"
 	"fmt"
 	"io"
 	"os"
@@ -37,9 +38,12 @@ import (
 //
 // v3: the optional arrival-ring state (Arrivals) and the ArrivalWindow
 // fingerprint field behind the serve-mode what-if layer.
+//
+// v4: the same fields in a binary payload instead of JSON. v3 files are
+// rejected, not converted: a checkpoint is crash-recovery state.
 const (
 	checkpointMagic   = "fullweb-checkpoint"
-	checkpointVersion = 3
+	checkpointVersion = 4
 )
 
 // ConfigFingerprint is the engine-config fingerprint embedded in
@@ -96,11 +100,11 @@ func fingerprint(cfg Config) ConfigFingerprint {
 
 // secondState is the checkpointable image of a secondTracker.
 type secondState struct {
-	Est     lrd.AggVarState `json:"est"`
-	Cur     int64           `json:"cur"`
-	Count   float64         `json:"count"`
-	Started bool            `json:"started"`
-	Flushed bool            `json:"flushed"`
+	Est     lrd.AggVarState
+	Cur     int64
+	Count   float64
+	Started bool
+	Flushed bool
 }
 
 func (t *secondTracker) state() secondState {
@@ -123,43 +127,43 @@ func (t *secondTracker) restore(st secondState) error {
 // charCheckpoint is the checkpointable image of one characteristic's
 // estimators within one shard.
 type charCheckpoint struct {
-	Name    string                    `json:"name"`
-	Moments WelfordState              `json:"moments"`
-	Quant   QuantileSketchState       `json:"quant"`
-	Hill    heavytail.OnlineHillState `json:"hill"`
+	Name    string
+	Moments WelfordState
+	Quant   QuantileSketchState
+	Hill    heavytail.OnlineHillState
 }
 
 // shardCheckpoint is the checkpointable image of one hash partition:
 // its sessionizer, totals, per-partition arrival trackers and
 // characteristic sketches.
 type shardCheckpoint struct {
-	Streamer session.StreamerState `json:"streamer"`
-	Closed   int64                 `json:"closed"`
-	Records  int64                 `json:"records"`
-	Bytes    int64                 `json:"bytes"`
-	ReqArr   secondState           `json:"req_arr"`
-	SessArr  secondState           `json:"sess_arr"`
-	Chars    []charCheckpoint      `json:"chars"`
+	Streamer session.StreamerState
+	Closed   int64
+	Records  int64
+	Bytes    int64
+	ReqArr   secondState
+	SessArr  secondState
+	Chars    []charCheckpoint
 }
 
 // engineState is the full serialized engine: the global clocks, totals
 // and arrival estimators, plus every shard verbatim.
 type engineState struct {
-	Config           ConfigFingerprint `json:"config"`
-	Lines            int64             `json:"lines"`
-	QuarantineOffset int64             `json:"quarantine_offset"`
-	Records          int64             `json:"records"`
-	Bytes            int64             `json:"bytes"`
-	Started          bool              `json:"started"`
-	FirstTime        time.Time         `json:"first_time"`
-	LastTime         time.Time         `json:"last_time"`
-	NextSnapshot     time.Time         `json:"next_snapshot"`
-	Snapshots        int64             `json:"snapshots"`
-	Ingest           IngestStats       `json:"ingest"`
-	ReqArr           secondState       `json:"req_arr"`
-	SessArr          secondState       `json:"sess_arr"`
-	Arrivals         *arrivalState     `json:"arrivals,omitempty"`
-	Shards           []shardCheckpoint `json:"shards"`
+	Config           ConfigFingerprint
+	Lines            int64
+	QuarantineOffset int64
+	Records          int64
+	Bytes            int64
+	Started          bool
+	FirstTime        time.Time
+	LastTime         time.Time
+	NextSnapshot     time.Time
+	Snapshots        int64
+	Ingest           IngestStats
+	ReqArr           secondState
+	SessArr          secondState
+	Arrivals         *arrivalState
+	Shards           []shardCheckpoint
 }
 
 // Checkpoint is a loaded, checksum-verified engine checkpoint.
@@ -222,7 +226,7 @@ func (e *Engine) state() engineState {
 }
 
 // WriteCheckpoint serializes the engine: a one-line header binding the
-// format version and the payload's SHA-256, then the JSON payload.
+// format version and the payload's SHA-256, then the binary payload.
 func (e *Engine) WriteCheckpoint(w io.Writer) error {
 	st := e.state()
 	var payload bytes.Buffer
@@ -243,27 +247,19 @@ func checkpointHeader(sum [sha256.Size]byte) string {
 	return fmt.Sprintf("%s v%d sha256=%s\n", checkpointMagic, checkpointVersion, hex.EncodeToString(sum[:]))
 }
 
-// encodePayload writes the JSON payload of a captured state to w and
+// payloadBuffer is the encode buffer between the codec and the
+// destination plus hash.
+const payloadBuffer = 64 << 10
+
+// encodePayload writes the payload of a captured state to w and
 // returns its SHA-256.
 func encodePayload(w io.Writer, st *engineState) (sum [sha256.Size]byte, err error) {
 	h := sha256.New()
-	if err := json.NewEncoder(payloadWriter{io.MultiWriter(w, h)}).Encode(st); err != nil {
+	if err := encodeState(bufio.NewWriterSize(io.MultiWriter(w, h), payloadBuffer), st); err != nil {
 		return sum, fmt.Errorf("stream: encoding checkpoint: %w", err)
 	}
 	h.Sum(sum[:0])
 	return sum, nil
-}
-
-// payloadWriter drops the newline json.Encoder ends a document with,
-// which the payload format does not have. Compact JSON holds no other
-// raw newline.
-type payloadWriter struct{ w io.Writer }
-
-func (p payloadWriter) Write(b []byte) (int, error) {
-	if _, err := p.w.Write(bytes.TrimSuffix(b, []byte("\n"))); err != nil {
-		return 0, err
-	}
-	return len(b), nil
 }
 
 // SaveCheckpoint writes the checkpoint atomically: a temp file in the
@@ -469,8 +465,8 @@ func ReadCheckpoint(r io.Reader) (*Checkpoint, error) {
 	if hex.EncodeToString(sum[:]) != sumHex {
 		return nil, fmt.Errorf("stream: checkpoint checksum mismatch (corrupt or truncated file)")
 	}
-	var st engineState
-	if err := json.Unmarshal(payload, &st); err != nil {
+	st, err := decodeState(payload)
+	if err != nil {
 		return nil, fmt.Errorf("stream: decoding checkpoint: %w", err)
 	}
 	return &Checkpoint{state: st}, nil

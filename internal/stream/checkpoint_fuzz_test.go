@@ -6,7 +6,6 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
-	"regexp"
 	"strings"
 	"testing"
 
@@ -30,31 +29,70 @@ func fuzzCheckpointConfig() stream.Config {
 
 // reseal replaces a checkpoint's header with one whose SHA-256 matches
 // the payload, so a mutated payload gets past the checksum and reaches
-// the JSON decoder and the restore validation behind it.
+// the binary decoder and the restore validation behind it.
 func reseal(data []byte) []byte {
 	_, payload, _ := bytes.Cut(data, []byte("\n"))
 	sum := sha256.Sum256(payload)
-	header := fmt.Sprintf("fullweb-checkpoint v3 sha256=%s\n", hex.EncodeToString(sum[:]))
+	header := fmt.Sprintf("fullweb-checkpoint v4 sha256=%s\n", hex.EncodeToString(sum[:]))
 	return append([]byte(header), payload...)
 }
 
-// checkpointMutations are payload edits that keep the JSON well formed
-// but put values where a restore must refuse or tolerate them.
-var checkpointMutations = []struct{ re, repl string }{
-	{`"lines":\d+`, `"lines":-1`},
-	{`"n":\d+`, `"n":-5`},
-	{`"n":\d+`, `"n":9223372036854775807`},
-	{`"shards":\[`, `"shards":[{},`},
-	{`"name":"[^"]*"`, `"name":"bogus"`},
-	{`"cap":\d+`, `"cap":7`},
-	{`"cap":16`, `"cap":1000000000000000000`},
-	{`"seen":\d+`, `"seen":9000000000000000000`},
-	{`"buf":\[[^\]]*\]`, `"buf":[3,1,2]`},
-	{`"levels":\[\[`, `"levels":[[1],[`},
-	{`"width":\d+`, `"width":0`},
-	{`"last":\d+`, `"last":-1`},
-	{`"requests":\[`, `"requests":[-1,`},
-	{`"mean":-?\d+\.\d+(e[+-]?\d+)?`, `"mean":1e308`},
+// checkpointMutations overwrite one payload byte, at a fraction of the
+// payload's length, with a value that turns a length, count, tag or
+// bool into an out-of-range one or cuts a varint short. They reach the
+// decoder's own checks; stream.CheckpointEdits reach the restore's.
+var checkpointMutations = []struct {
+	at   float64
+	with byte
+}{
+	{0.01, 0xff}, {0.05, 0x7f}, {0.1, 0x80}, {0.2, 0x02}, {0.3, 0xff},
+	{0.4, 0x00}, {0.5, 0x7f}, {0.6, 0x80}, {0.7, 0xff}, {0.8, 0x03},
+	{0.9, 0x7f}, {0.99, 0x80}, {0.15, 0x00}, {0.95, 0xff},
+}
+
+// midTraceCheckpoint is a real checkpoint taken under
+// fuzzCheckpointConfig after the first few hundred fixture lines, which
+// leave full reservoirs, compacted quantile levels and a populated
+// ring.
+func midTraceCheckpoint(tb testing.TB) []byte {
+	tb.Helper()
+	lines := strings.SplitAfter(string(fixtureBytes(tb)), "\n")
+	eng, err := stream.NewEngine(fuzzCheckpointConfig())
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if _, err := eng.ProcessCtx(context.Background(), strings.NewReader(strings.Join(lines[:400], "")), nil); err != nil {
+		tb.Fatal(err)
+	}
+	var real bytes.Buffer
+	if err := eng.WriteCheckpoint(&real); err != nil {
+		tb.Fatal(err)
+	}
+	return real.Bytes()
+}
+
+// TestResumeRejectsCheckpointEdits: each semantic edit of a real
+// checkpoint, behind a valid checksum, is refused by the restore check
+// it aims at, or resumes when it names none.
+func TestResumeRejectsCheckpointEdits(t *testing.T) {
+	real := midTraceCheckpoint(t)
+	for _, ed := range stream.CheckpointEdits {
+		data, err := ed.Apply(real)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cp, err := stream.ReadCheckpoint(bytes.NewReader(data))
+		if err != nil {
+			t.Fatalf("%s: edited checkpoint does not read: %v", ed.Name, err)
+		}
+		_, err = stream.ResumeEngine(fuzzCheckpointConfig(), cp)
+		switch {
+		case ed.Want == "" && err != nil:
+			t.Fatalf("%s: resume failed: %v", ed.Name, err)
+		case ed.Want != "" && (err == nil || !strings.Contains(err.Error(), ed.Want)):
+			t.Fatalf("%s: resume error %v, want one containing %q", ed.Name, err, ed.Want)
+		}
+	}
 }
 
 // FuzzCheckpointDecode: arbitrary checkpoint bytes either fail in
@@ -74,25 +112,21 @@ func FuzzCheckpointDecode(f *testing.F) {
 	}
 	f.Add(empty.Bytes(), false)
 
-	// A real mid-trace checkpoint: the first few hundred fixture lines
-	// leave full reservoirs, compacted quantile levels and a populated
-	// ring.
-	lines := strings.SplitAfter(string(fixtureBytes(f)), "\n")
-	eng, err := stream.NewEngine(cfg)
-	if err != nil {
-		f.Fatal(err)
+	real := midTraceCheckpoint(f)
+	f.Add(real, false)
+	f.Add(real[:len(real)/2], true)
+	for _, ed := range stream.CheckpointEdits {
+		data, err := ed.Apply(real)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(data, false)
 	}
-	if _, err := eng.ProcessCtx(context.Background(), strings.NewReader(strings.Join(lines[:400], "")), nil); err != nil {
-		f.Fatal(err)
-	}
-	var real bytes.Buffer
-	if err := eng.WriteCheckpoint(&real); err != nil {
-		f.Fatal(err)
-	}
-	f.Add(real.Bytes(), false)
-	f.Add(real.Bytes()[:real.Len()/2], true)
+	header, _, _ := bytes.Cut(real, []byte("\n"))
 	for _, m := range checkpointMutations {
-		mutated := regexp.MustCompile(m.re).ReplaceAll(real.Bytes(), []byte(m.repl))
+		mutated := bytes.Clone(real)
+		payload := mutated[len(header)+1:]
+		payload[int(m.at*float64(len(payload)))] = m.with
 		f.Add(reseal(mutated), false)
 	}
 

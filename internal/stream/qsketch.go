@@ -284,11 +284,11 @@ func (s *QuantileSketch) valuesAt(ranks []int64) []float64 {
 // the compaction parities — enough to make a restored sketch
 // byte-identical to the live one.
 type QuantileSketchState struct {
-	Cap    int         `json:"cap"`
-	N      int64       `json:"n"`
-	Buf    []float64   `json:"buf,omitempty"`
-	Levels [][]float64 `json:"levels,omitempty"`
-	Flips  []bool      `json:"flips,omitempty"`
+	Cap    int
+	N      int64
+	Buf    []float64
+	Levels [][]float64
+	Flips  []bool
 }
 
 // State captures the sketch for checkpointing.

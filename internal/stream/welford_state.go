@@ -2,11 +2,11 @@ package stream
 
 // WelfordState is the checkpointable image of a Welford accumulator.
 type WelfordState struct {
-	N    int64   `json:"n"`
-	Mean float64 `json:"mean"`
-	M2   float64 `json:"m2"`
-	Min  float64 `json:"min"`
-	Max  float64 `json:"max"`
+	N    int64
+	Mean float64
+	M2   float64
+	Min  float64
+	Max  float64
 }
 
 // State captures the accumulator for checkpointing.

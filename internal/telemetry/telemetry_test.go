@@ -1,7 +1,9 @@
 package telemetry_test
 
 import (
+	"context"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -10,8 +12,10 @@ import (
 	"time"
 
 	"fullweb/internal/obs"
+	"fullweb/internal/parallel"
 	"fullweb/internal/stream"
 	"fullweb/internal/telemetry"
+	"fullweb/internal/weblog"
 )
 
 // setClock is a settable obs.Clock: unlike obs.ManualClock it does not
@@ -291,6 +295,67 @@ func TestHealthFoldLagAndBackpressure(t *testing.T) {
 	// on the rule, not the report).
 	if strings.Contains(r.Status, "fail") {
 		t.Errorf("backpressure must never fail: %q", r.Status)
+	}
+}
+
+// TestHealthReadsPipelineLag runs the real chunked reader with a slow
+// emit that counts stream.chunks_folded the way the engine does: the
+// workers parse ahead until the fold lag reaches the window and never
+// pass it, and the backpressure and fold-lag rules read that state.
+func TestHealthReadsPipelineLag(t *testing.T) {
+	const window = 4
+	reg := obs.NewRegistry()
+	clock := newSetClock(epoch)
+	holder := telemetry.NewHolder(clock)
+	h := telemetry.NewHealth(telemetry.HealthConfig{ChunkWindow: window}, holder, reg, clock)
+	tight := telemetry.NewHealth(telemetry.HealthConfig{ChunkWindow: window, MaxFoldLag: window - 1}, holder, reg, clock)
+	parsed := reg.Counter("weblog.chunks_parsed")
+	folded := reg.Counter("stream.chunks_folded")
+	inFlight := reg.Gauge("weblog.chunks_in_flight")
+
+	var log strings.Builder
+	for i := 0; i < 40; i++ {
+		fmt.Fprintf(&log, "h%d - - [12/Jan/2004:10:%02d:00 -0500] \"GET /a HTTP/1.0\" 200 100\n", i%3, i)
+	}
+	first := true
+	emit := func(weblog.Chunk) error {
+		if lag := parsed.Value() - folded.Value(); lag > window || inFlight.Value() > window {
+			t.Fatalf("fold lag %d, chunks in flight %d: past the window %d", lag, inFlight.Value(), window)
+		}
+		if first {
+			first = false
+			deadline := time.Now().Add(10 * time.Second)
+			for parsed.Value()-folded.Value() < window {
+				if time.Now().After(deadline) {
+					t.Fatalf("fold lag stuck at %d with the fold stalled, want %d", parsed.Value()-folded.Value(), window)
+				}
+				time.Sleep(time.Millisecond)
+			}
+			if r := ruleByName(t, h.Evaluate(), "backpressure"); r.Status != "warn" {
+				t.Errorf("stalled fold: backpressure %q (%s), want warn", r.Status, r.Detail)
+			}
+			if r := ruleByName(t, h.Evaluate(), "fold-lag"); r.Status != "ok" {
+				t.Errorf("lag at the window: fold-lag %q (%s), want ok", r.Status, r.Detail)
+			}
+			if r := ruleByName(t, tight.Evaluate(), "fold-lag"); r.Status != "warn" {
+				t.Errorf("lag past a tighter bound: fold-lag %q (%s), want warn", r.Status, r.Detail)
+			}
+		}
+		folded.Inc()
+		return nil
+	}
+	ctx := obs.WithMetrics(context.Background(), reg)
+	if err := weblog.ReadChunksCtx(ctx, strings.NewReader(log.String()), parallel.NewPool(3), weblog.ChunkConfig{Lines: 2, Window: window}, emit); err != nil {
+		t.Fatal(err)
+	}
+	if parsed.Value() != 20 || folded.Value() != 20 {
+		t.Errorf("%d chunks parsed, %d folded, want 20 each", parsed.Value(), folded.Value())
+	}
+	if inFlight.Value() != 0 || inFlight.Max() != window {
+		t.Errorf("chunks in flight %d (max %d) after the scan, want 0 (max %d)", inFlight.Value(), inFlight.Max(), window)
+	}
+	if r := ruleByName(t, h.Evaluate(), "backpressure"); r.Status != "ok" {
+		t.Errorf("drained pipeline: backpressure %q (%s)", r.Status, r.Detail)
 	}
 }
 

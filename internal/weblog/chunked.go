@@ -64,9 +64,11 @@ type Chunk struct {
 type ChunkConfig struct {
 	// Lines is the number of input lines per chunk (default 4096).
 	Lines int
-	// Window is the number of chunks parsed concurrently per round —
-	// the backpressure bound: at most Window*Lines lines (plus their
-	// records) are in flight, independent of trace length. Default 8.
+	// Window is the number of chunks in flight — the backpressure
+	// bound: at most Window chunks sit between the start of their scan
+	// and the return of their emit, so at most Window*Lines lines (plus
+	// their records) are held, independent of trace length and of the
+	// pool size. Default 8.
 	Window int
 	// SkipLines discards this many raw input lines before chunking
 	// begins, preserving global line numbering — how a resumed run
@@ -97,17 +99,34 @@ func (c ChunkConfig) withDefaults() ChunkConfig {
 	return c
 }
 
+// Interrupter is implemented by readers whose Read can block
+// indefinitely waiting for more input, such as a live intake.
+// ReadChunksCtx calls Interrupt when it abandons the scan (an emit or
+// parse error, or the cancellation of ctx) so that a blocked Read
+// returns and the scanning goroutine can be joined.
+type Interrupter interface {
+	Interrupt()
+}
+
+// rawChunk is one scanned, not yet parsed chunk of input lines.
+type rawChunk struct {
+	firstLine int
+	lines     []string
+}
+
 // ReadChunksCtx scans CLF lines from r in bounded-memory chunks and
-// hands them to emit in input order. Within each round, up to
-// cfg.Window chunks of raw lines are read sequentially and parsed
-// concurrently on pool (parsing dominates scanning); emit then receives
-// the parsed chunks strictly in input order, so downstream state
-// machines see exactly the sequence a sequential parse would produce —
-// parallelism changes when lines are parsed, never what emit observes.
-// Unlike ReadAllCtx, no full-trace slice ever exists: peak memory is
-// bounded by the chunk window, not the log length.
+// hands them to emit in input order. One goroutine scans chunks, the
+// pool's workers parse them concurrently, and emit runs on the calling
+// goroutine while later chunks are scanned and parsed — an ordered
+// pipeline (parallel.Ordered) whose window, cfg.Window chunks, is the
+// memory bound. emit receives the parsed chunks strictly in input
+// order, so downstream state machines see exactly the sequence a
+// sequential parse would produce: parallelism changes when lines are
+// parsed, never what emit observes. Unlike ReadAllCtx, no full-trace
+// slice ever exists.
 //
-// emit returning an error aborts the scan with that error.
+// emit returning an error aborts the scan with that error. A read
+// error surfaces after every chunk scanned before it has been emitted.
 func ReadChunksCtx(ctx context.Context, r io.Reader, pool *parallel.Pool, cfg ChunkConfig, emit func(Chunk) error) error {
 	cfg = cfg.withDefaults()
 	ctx, sp := obs.StartSpan(ctx, "weblog.read_chunks")
@@ -118,15 +137,10 @@ func ReadChunksCtx(ctx context.Context, r io.Reader, pool *parallel.Pool, cfg Ch
 	}
 	scanner := bufio.NewScanner(dr)
 	scanner.Buffer(make([]byte, 0, 64*1024), 1024*1024)
-	var (
-		records   int64
-		parseErrs int64
-		chunks    int64
-	)
 	// Live counters move at chunk granularity so a telemetry scraper
-	// watches parse progress mid-run; chunks_in_flight is the
-	// backpressure queue depth — parsed chunks not yet drained by emit,
-	// bounded by cfg.Window.
+	// watches parse progress mid-run: the parse counters tick as each
+	// worker finishes a chunk, and chunks_in_flight counts chunks
+	// scanned but not yet through emit — at most cfg.Window.
 	reg := obs.MetricsFrom(ctx)
 	recordsC := reg.Counter("weblog.records_parsed")
 	parseErrsC := reg.Counter("weblog.parse_errors")
@@ -142,19 +156,14 @@ func ReadChunksCtx(ctx context.Context, r io.Reader, pool *parallel.Pool, cfg Ch
 		}
 		lineNo++
 	}
-	eof := false
-	// raw rounds: read Window chunks of lines, fan the parse out, emit
-	// in order, repeat.
-	type rawChunk struct {
-		firstLine int
-		lines     []string
-	}
-	for !eof {
-		if err := ctx.Err(); err != nil {
-			return err
+	// scanned is the producer's count, emitted the caller's; both are
+	// read only after parallel.Ordered has joined the producer.
+	var scanned, emitted, records, parseErrs int64
+	produce := func(ctx context.Context, yield func(rawChunk) bool) error {
+		if ir, ok := r.(Interrupter); ok {
+			defer context.AfterFunc(ctx, ir.Interrupt)()
 		}
-		raws := make([]rawChunk, 0, cfg.Window)
-		for len(raws) < cfg.Window {
+		for eof := false; !eof; {
 			if err := fpRead.Check(ctx); err != nil {
 				return &ReadError{Line: lineNo, Err: err}
 			}
@@ -167,47 +176,48 @@ func ReadChunksCtx(ctx context.Context, r io.Reader, pool *parallel.Pool, cfg Ch
 				lineNo++
 				raw.lines = append(raw.lines, scanner.Text())
 			}
-			if len(raw.lines) > 0 {
-				raws = append(raws, raw)
-			}
-			if eof {
+			if len(raw.lines) == 0 {
 				break
 			}
-		}
-		if len(raws) == 0 {
-			break
-		}
-		parsed, err := parallel.Map(ctx, pool, len(raws), func(ctx context.Context, i int) (Chunk, error) {
-			if err := fpParse.Check(ctx); err != nil {
-				return Chunk{}, fmt.Errorf("weblog: parsing chunk at line %d: %w", raws[i].firstLine, err)
+			scanned++
+			inFlight.Add(1)
+			if !yield(raw) {
+				return nil
 			}
-			return parseChunk(raws[i].firstLine, raws[i].lines, cfg.MaxFieldBytes), nil
-		})
-		if err != nil {
-			return err
 		}
-		inFlight.Set(int64(len(parsed)))
-		for _, ch := range parsed {
-			records += int64(len(ch.Records))
-			parseErrs += int64(len(ch.Errs))
-			chunks++
-			recordsC.Add(int64(len(ch.Records)))
-			parseErrsC.Add(int64(len(ch.Errs)))
-			chunksC.Inc()
-			if err := emit(ch); err != nil {
-				return err
-			}
-			inFlight.Add(-1)
+		if err := scanner.Err(); err != nil {
+			// A mid-stream failure (truncated gzip member, disk fault)
+			// is positioned at the last line that scanned cleanly, so
+			// strict mode can report exactly where the input broke and
+			// budgeted mode can account for what was lost.
+			return &ReadError{Line: lineNo, Err: err}
 		}
+		return nil
 	}
-	if err := scanner.Err(); err != nil {
-		// A mid-stream failure (truncated gzip member, disk fault) is
-		// positioned at the last line that scanned cleanly, so strict
-		// mode can report exactly where the input broke and budgeted
-		// mode can account for what was lost.
-		return &ReadError{Line: lineNo, Err: err}
+	parse := func(ctx context.Context, raw rawChunk) (Chunk, error) {
+		if err := fpParse.Check(ctx); err != nil {
+			return Chunk{}, fmt.Errorf("weblog: parsing chunk at line %d: %w", raw.firstLine, err)
+		}
+		ch := parseChunk(raw.firstLine, raw.lines, cfg.MaxFieldBytes)
+		recordsC.Add(int64(len(ch.Records)))
+		parseErrsC.Add(int64(len(ch.Errs)))
+		chunksC.Inc()
+		return ch, nil
 	}
-	sp.SetInt("chunks", chunks)
+	err = parallel.Ordered(ctx, pool, cfg.Window, produce, parse, func(ch Chunk) error {
+		records += int64(len(ch.Records))
+		parseErrs += int64(len(ch.Errs))
+		err := emit(ch)
+		emitted++
+		inFlight.Add(-1)
+		return err
+	})
+	// Chunks scanned but abandoned unemitted leave the gauge too.
+	inFlight.Add(emitted - scanned)
+	if err != nil {
+		return err
+	}
+	sp.SetInt("chunks", emitted)
 	sp.SetInt("records", records)
 	sp.SetInt("errors", parseErrs)
 	return nil

@@ -73,7 +73,7 @@ func TestReadChunksMatchesReadAll(t *testing.T) {
 	if len(wantRecs) != 5 || len(wantErrs) != 2 {
 		t.Fatalf("sample expectations drifted: %d records, %d errors", len(wantRecs), len(wantErrs))
 	}
-	// Tiny chunks force multiple rounds; every worker count must see the
+	// Tiny chunks keep the window full; every worker count must see the
 	// identical sequence (parallelism changes when, never what).
 	for _, workers := range []int{1, 4} {
 		for _, cfg := range []ChunkConfig{{}, {Lines: 1, Window: 1}, {Lines: 2, Window: 2}, {Lines: 3, Window: 8}} {

@@ -5,6 +5,7 @@ import (
 	"compress/gzip"
 	"context"
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -14,9 +15,12 @@ import (
 // FuzzChunkedIngest feeds arbitrary bytes — including truncated and
 // corrupt gzip members — through the chunked reader and asserts the
 // hardened-ingestion contract: never a panic; every failure is either
-// a positioned *ReadError or a gzip header error; and on success the
-// parse outcome (record/error counts, error positions, ErrRecIndex
-// interleaving invariants) is identical across chunk geometries.
+// a positioned *ReadError or a gzip header error; the parse outcome
+// (record/error counts, error positions, ErrRecIndex interleaving
+// invariants) is identical across chunk geometries; and at one
+// geometry the full emitted sequence — chunk positions, records, error
+// positions — and the error are identical at every pool size and
+// window, on failure as on success.
 func FuzzChunkedIngest(f *testing.F) {
 	gz := func(s string) []byte {
 		var buf bytes.Buffer
@@ -59,6 +63,47 @@ func FuzzChunkedIngest(f *testing.F) {
 			})
 			return out, err
 		}
+		type emitted struct {
+			chunks []string
+			err    string
+		}
+		sequence := func(workers int, cfg ChunkConfig) emitted {
+			var out emitted
+			err := ReadChunksCtx(context.Background(), bytes.NewReader(data), parallel.NewPool(workers), cfg, func(ch Chunk) error {
+				var b strings.Builder
+				fmt.Fprintf(&b, "first %d lines %d", ch.FirstLine, ch.Lines)
+				for _, rec := range ch.Records {
+					fmt.Fprintf(&b, "\n%s", rec.FormatCLF())
+				}
+				for k, pe := range ch.Errs {
+					fmt.Fprintf(&b, "\nreject line %d after %d records", pe.LineNumber, ch.ErrRecIndex[k])
+				}
+				out.chunks = append(out.chunks, b.String())
+				return nil
+			})
+			if err != nil {
+				out.err = err.Error()
+			}
+			return out
+		}
+		want := sequence(1, ChunkConfig{Lines: 3, Window: 1, MaxFieldBytes: 256})
+		for _, workers := range []int{1, 3} {
+			for _, window := range []int{1, 2, 8} {
+				got := sequence(workers, ChunkConfig{Lines: 3, Window: window, MaxFieldBytes: 256})
+				if got.err != want.err {
+					t.Fatalf("pool %d window %d: error %q, want %q", workers, window, got.err, want.err)
+				}
+				if len(got.chunks) != len(want.chunks) {
+					t.Fatalf("pool %d window %d: emitted %d chunks, want %d", workers, window, len(got.chunks), len(want.chunks))
+				}
+				for i := range got.chunks {
+					if got.chunks[i] != want.chunks[i] {
+						t.Fatalf("pool %d window %d: chunk %d is\n%s\nwant\n%s", workers, window, i, got.chunks[i], want.chunks[i])
+					}
+				}
+			}
+		}
+
 		a, errA := run(ChunkConfig{Lines: 3, Window: 2, MaxFieldBytes: 256})
 		b, errB := run(ChunkConfig{Lines: 64, Window: 1, MaxFieldBytes: 256})
 		if (errA == nil) != (errB == nil) {

@@ -23,8 +23,8 @@ import (
 // internal/faultpoint and the faultguard lint rule):
 //
 //	weblog.open   — transient file-open failure (exercises OpenRetry)
-//	weblog.read   — mid-stream I/O fault between chunk rounds
-//	weblog.parse  — crash inside a concurrent chunk-parse task
+//	weblog.read   — mid-stream I/O fault before a chunk is scanned
+//	weblog.parse  — crash inside a concurrent chunk parse
 var (
 	fpOpen  = faultpoint.NewSite("weblog.open")
 	fpRead  = faultpoint.NewSite("weblog.read")

@@ -28,7 +28,6 @@ type engineFlags struct {
 	threshold      time.Duration
 	snapshotEvery  time.Duration
 	workers        int
-	shards         int
 	reservoir      int
 	quantileCap    int
 	seed           int64
@@ -56,7 +55,6 @@ func bindEngineFlags(fs *flag.FlagSet, cmd, resumeUsage, faultSites string) *eng
 	fs.DurationVar(&e.threshold, "threshold", session.DefaultThreshold, "session inactivity threshold")
 	fs.DurationVar(&e.snapshotEvery, "snapshot", 6*time.Hour, "trace-time between snapshots (0 = final only)")
 	fs.IntVar(&e.workers, "parallel", 0, "parse worker pool size (0 = all CPUs, 1 = sequential); snapshots are identical at any setting")
-	fs.IntVar(&e.shards, "shards", 1, "hash-partition engine state by host into N mergeable shards; snapshots are the deterministic shard merge")
 	fs.IntVar(&e.reservoir, "reservoir", 8192, "per-characteristic Hill reservoir capacity")
 	fs.IntVar(&e.quantileCap, "quantile-cap", stream.DefaultQuantileCap, "per-characteristic quantile sketch capacity (even, >= 16)")
 	fs.Int64Var(&e.seed, "seed", 1, "reservoir sampling seed")
@@ -86,9 +84,6 @@ func (e *engineFlags) validate() error {
 		if f.v < 0 {
 			return fmt.Errorf("%s: -%s must be >= 0, got %d", e.cmd, f.name, f.v)
 		}
-	}
-	if e.shards < 1 {
-		return fmt.Errorf("%s: -shards must be >= 1, got %d", e.cmd, e.shards)
 	}
 	mode, err := stream.ParseMode(e.mode)
 	if err != nil {
@@ -133,7 +128,6 @@ func (e *engineFlags) engineConfig(cp *stream.Checkpoint, metrics *obs.Registry)
 	cfg.Threshold = e.threshold
 	cfg.SnapshotEvery = e.snapshotEvery
 	cfg.Workers = e.workers
-	cfg.Shards = e.shards
 	cfg.ReservoirCap = e.reservoir
 	cfg.QuantileCap = e.quantileCap
 	cfg.Seed = e.seed
@@ -177,17 +171,10 @@ func (e *engineFlags) healthConfig() telemetry.HealthConfig {
 }
 
 // writeHeader prints the run's header line, the resume note when
-// resuming from cp, and the blank line before the first snapshot. The
-// shard count is appended only when sharding is on, so the
-// single-shard header — and with it the whole report — stays
-// byte-identical to every earlier release.
+// resuming from cp, and the blank line before the first snapshot.
 func (e *engineFlags) writeHeader(out io.Writer, verb string, inputs []string, cp *stream.Checkpoint) {
-	shardNote := ""
-	if e.shards > 1 {
-		shardNote = fmt.Sprintf(", %d shards", e.shards)
-	}
-	fmt.Fprintf(out, "%s %s (threshold %v, %s, %s mode%s)\n",
-		verb, strings.Join(inputs, ", "), e.threshold, snapshotLabel(e.snapshotEvery), e.ingestMode, shardNote)
+	fmt.Fprintf(out, "%s %s (threshold %v, %s, %s mode)\n",
+		verb, strings.Join(inputs, ", "), e.threshold, snapshotLabel(e.snapshotEvery), e.ingestMode)
 	if cp != nil {
 		fmt.Fprintf(out, "resumed from %s (skipping %d already-processed lines)\n", e.checkpointPath, cp.SkipLines())
 	}

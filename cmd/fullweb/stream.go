@@ -42,7 +42,6 @@ func cmdStream(args []string, out io.Writer) (err error) {
 	ef := bindEngineFlags(fs, "stream",
 		"resume from the -checkpoint file instead of starting fresh",
 		"stream.fold=hit:3;weblog.read=rate:0.01,seed:7")
-	shardDetail := fs.Bool("shard-detail", false, "after the final snapshot, print the per-shard breakdown and pooled per-shard Hurst estimates (requires -shards > 1)")
 	listen := fs.String("listen", "", "serve read-only live telemetry (/metrics, /snapshot, /healthz, /readyz) on this address for the run's lifetime (e.g. 127.0.0.1:9090; ':0' picks a free port)")
 	listenAddrFile := fs.String("listen-addr-file", "", "write the telemetry listener's bound address to this file (useful with -listen :0)")
 	reportPath := fs.String("report", "", "write the end-of-run JSON run report to this file")
@@ -60,9 +59,6 @@ func cmdStream(args []string, out io.Writer) (err error) {
 	}
 	if ef.resume && ef.checkpointPath == "" {
 		return fmt.Errorf("stream: -resume requires -checkpoint")
-	}
-	if *shardDetail && ef.shards == 1 {
-		return fmt.Errorf("stream: -shard-detail requires -shards > 1")
 	}
 	if *listenAddrFile != "" && *listen == "" {
 		return fmt.Errorf("stream: -listen-addr-file requires -listen")
@@ -178,12 +174,6 @@ func cmdStream(args []string, out io.Writer) (err error) {
 	})
 	if perr == nil {
 		perr = final.Render(out)
-	}
-	if perr == nil && *shardDetail {
-		var detail *stream.ShardDetail
-		if detail, perr = engine.ShardDetail(); perr == nil {
-			perr = detail.RenderShardDetail(out)
-		}
 	}
 	ef.writeFaultSummary(out)
 	if perr == nil && *reportPath != "" {

@@ -170,33 +170,7 @@ func TestStreamUsageErrors(t *testing.T) {
 	if err := run([]string{"stream", "-log", log, "-reservoir", "4"}, &out); err == nil {
 		t.Error("tiny reservoir should be rejected by the engine")
 	}
-	if err := run([]string{"stream", "-log", log, "-shards", "0"}, &out); err == nil {
-		t.Error("-shards 0 should be rejected")
-	}
-	if err := run([]string{"stream", "-log", log, "-shard-detail"}, &out); err == nil {
-		t.Error("-shard-detail without -shards > 1 should be rejected")
-	}
 	if err := run([]string{"stream", "-log", log, "-quantile-cap", "17"}, &out); err == nil {
 		t.Error("odd -quantile-cap should be rejected by the engine")
-	}
-}
-
-// TestStreamShardedEquivalenceAndDetail is the CLI half of the
-// shard-count-independence gate: everything after the header (which
-// names the shard count) is byte-identical at -shards 1 and -shards 4,
-// and -shard-detail appends the per-shard block after the report.
-func TestStreamShardedEquivalenceAndDetail(t *testing.T) {
-	log := streamTestLog(t)
-	single := afterHeader(t, runStream(t, "-log", log, "-snapshot", "6h"))
-	sharded := afterHeader(t, runStream(t, "-log", log, "-snapshot", "6h", "-shards", "4"))
-	if sharded != single {
-		t.Fatalf("-shards 4 output differs from single-shard:\n--- single ---\n%s--- sharded ---\n%s", single, sharded)
-	}
-	detail := runStream(t, "-log", log, "-shards", "4", "-shard-detail")
-	if !strings.Contains(detail, "-- shards (4) --") || !strings.Contains(detail, "pooled request arrivals") {
-		t.Fatalf("-shard-detail block missing:\n%s", detail)
-	}
-	if !strings.Contains(detail, ", 4 shards)") {
-		t.Fatalf("header does not name the shard count:\n%s", detail)
 	}
 }

@@ -77,12 +77,12 @@ func scrape(t *testing.T, addrFile string, stop <-chan struct{}) (rounds *int64,
 	return &n, &last, &wg
 }
 
-// TestStreamListenEquivalence is the PR's acceptance gate: a sharded
-// run with the telemetry service up and a concurrent scraper hammering
+// TestStreamListenEquivalence is the telemetry acceptance gate: a run with
+// the telemetry service up and a concurrent scraper hammering
 // it produces stdout byte-identical to the same run with -listen off.
 func TestStreamListenEquivalence(t *testing.T) {
 	log := streamTestLog(t)
-	baseline := runStream(t, "-log", log, "-shards", "4")
+	baseline := runStream(t, "-log", log)
 
 	dir := t.TempDir()
 	addrFile := filepath.Join(dir, "addr.txt")
@@ -91,7 +91,7 @@ func TestStreamListenEquivalence(t *testing.T) {
 
 	// -linger holds the service up briefly after the run so the scraper
 	// is guaranteed to observe the final published state.
-	listened := runStream(t, "-log", log, "-shards", "4",
+	listened := runStream(t, "-log", log,
 		"-listen", "127.0.0.1:0", "-listen-addr-file", addrFile,
 		"-linger", "1s")
 	close(stop)
@@ -137,7 +137,7 @@ func TestStreamRunReport(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "report.json")
 	// A never-firing fault site proves hit accounting lands in the
 	// report without perturbing the run.
-	runStream(t, "-log", log, "-shards", "2", "-report", path,
+	runStream(t, "-log", log, "-reservoir", "512", "-report", path,
 		"-faults", "stream.fold=hit:999999999")
 
 	rep := readReport(t, path)
@@ -168,8 +168,8 @@ func TestStreamRunReport(t *testing.T) {
 	if !ok {
 		t.Fatalf("config is %T, want object", rep.Config)
 	}
-	if cfg["shards"] != float64(2) {
-		t.Errorf("config shards = %v, want 2", cfg["shards"])
+	if cfg["reservoir_cap"] != float64(512) {
+		t.Errorf("config reservoir_cap = %v, want 512", cfg["reservoir_cap"])
 	}
 	if len(rep.Faults) != 1 || rep.Faults[0].Site != "stream.fold" || rep.Faults[0].Hits == 0 || rep.Faults[0].Fires != 0 {
 		t.Errorf("fault stats %+v", rep.Faults)

@@ -149,7 +149,7 @@ func TestMergeReservoirsErrors(t *testing.T) {
 	}
 }
 
-// TestMergeOnlineHillsExactUnderCapacity: with every shard stream
+// TestMergeOnlineHillsExactUnderCapacity: with every part's stream
 // inside its reservoir the merged estimator sees the exact union, so
 // its estimate equals the batch estimate on the concatenated data.
 func TestMergeOnlineHillsExactUnderCapacity(t *testing.T) {

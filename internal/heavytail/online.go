@@ -64,7 +64,7 @@ func (r *Reservoir) Sample() []float64 {
 	return out
 }
 
-// MergeReservoirs combines shard reservoirs of equal capacity into one
+// MergeReservoirs combines reservoirs of equal capacity into one
 // sample of their concatenated streams, deterministically. While the
 // parts' samples together fit the capacity — which holds exactly when
 // every part still retains its full stream — the merge is their
@@ -78,8 +78,8 @@ func (r *Reservoir) Sample() []float64 {
 //
 // The merged reservoir is a snapshot-time value: estimate from it, but
 // do not checkpoint it — its RNG-replay state describes the derived
-// seed, not any shard's observation history. Checkpoints carry the
-// per-shard reservoirs instead.
+// seed, not any part's observation history. Checkpoints carry the
+// observed reservoirs instead.
 func MergeReservoirs(seed int64, parts ...*Reservoir) (*Reservoir, error) {
 	if len(parts) == 0 {
 		return nil, fmt.Errorf("%w: merging zero reservoirs", ErrBadParam)
@@ -213,7 +213,7 @@ func (h *OnlineHill) Estimate() (HillResult, error) {
 	return EstimateHill(h.res.items, h.tailFraction, h.relTol)
 }
 
-// MergeOnlineHills combines shard Hill estimators into one covering
+// MergeOnlineHills combines Hill estimators into one covering
 // their concatenated streams: the reservoirs merge via MergeReservoirs
 // (exact while the union fits capacity, seeded weighted draw beyond)
 // and the dropped counts add. All parts must share the read-off

@@ -101,9 +101,9 @@ func (l *aggLevel) complete(m float64) {
 // block's partial sum, so the only sequential arithmetic left is the
 // Welford fold at each block completion: O(k/width) work per level,
 // ~2k operations total across the dyadic levels instead of k*levels.
-// Idle gaps in sparse traces are exactly such zero runs, and with
-// per-shard trackers the naive per-second loop is the dominant fold
-// cost (EXPERIMENTS.md, sharded-intake collapse).
+// Idle gaps in sparse traces are exactly such zero runs, where the
+// naive per-second loop would dominate the fold cost (EXPERIMENTS.md,
+// sharded-intake collapse).
 func (o *OnlineAggVar) AddZeros(k int64) {
 	if k <= 0 {
 		return
@@ -150,11 +150,11 @@ func (o *OnlineAggVar) N() int64 { return o.n }
 // block width the block means are identical and the merge is exact up
 // to floating-point association; elsewhere blocks realign and at most
 // one partial block per level per operand is lost (tolerance in
-// DESIGN.md §12). Merging estimators fed DIFFERENT series (per-shard
-// arrival processes) pools their block-mean populations — the
-// per-partition aggregate view that the Rolls (2010) reduced-LRD
-// comparison reads against the true summed-series estimate, not a
-// substitute for it. The merge is associative and commutative up to
+// DESIGN.md §12). Merging estimators fed DIFFERENT series (say, two
+// servers' arrival processes) pools their block-mean populations — a
+// per-partition aggregate view like the one the Rolls (2010)
+// reduced-LRD comparison reads against the summed-series estimate, not
+// a substitute for it. The merge is associative and commutative up to
 // floating-point association, minus the discarded partials.
 func (o *OnlineAggVar) Merge(other *OnlineAggVar) error {
 	if len(o.levels) != len(other.levels) {

@@ -10,8 +10,9 @@ import (
 // snapshot — the /metrics endpoint of `fullweb stream -listen`.
 //
 // The registry's flat name space maps onto Prometheus families by
-// parsing the LabeledName suffix back apart: `stream.shard.records{shard="0"}`
-// becomes family fullweb_stream_shard_records with label shard="0".
+// parsing the LabeledName suffix back apart:
+// `telemetry.http_requests{path="/metrics"}` becomes family
+// fullweb_telemetry_http_requests with label path="/metrics".
 // Output ordering is a contract: families appear in the snapshot's
 // canonical (name-sorted) order, samples within a family in canonical
 // label order, so consecutive scrapes of an idle registry are

@@ -2,7 +2,7 @@
 // CLF log lines arrive from many concurrent sources over HTTP (POST
 // /ingest, chunked and gzip bodies) and a raw line-oriented TCP
 // listener, flow through the bounded multi-source intake queue into
-// the sharded stream engine, and the what-if query layer (GET
+// the stream engine, and the what-if query layer (GET
 // /whatif) feeds the engine's published arrival series into the
 // queueing and admission models — online capacity answers that never
 // touch live engine state (DESIGN.md §15).

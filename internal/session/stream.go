@@ -194,23 +194,6 @@ func (s *Streamer) Observe(r weblog.Record) ([]Session, error) {
 	return closed, nil
 }
 
-// Advance moves the eviction frontier to now without observing a
-// record, closing every session whose inactivity window provably ended
-// (expiry strictly before now), in the same deterministic heap order
-// Observe would close them. The stream clock is untouched, so records
-// timestamped between the streamer's own last observation and now
-// remain acceptable afterwards.
-//
-// This is how a sharded analysis keeps host-partitioned streamers
-// synchronized: a shard only sees its own hosts' records, so its clock
-// lags the global stream, and sessions a single global streamer would
-// already have closed still look active. Advancing every shard to the
-// global clock at a snapshot boundary makes the merged session
-// accounting independent of the partition (DESIGN.md §12).
-func (s *Streamer) Advance(now time.Time) []Session {
-	return s.evict(now)
-}
-
 // evict closes every session whose inactivity window ended strictly
 // before now.
 //

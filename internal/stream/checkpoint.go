@@ -1,13 +1,11 @@
 // Checkpoint/resume for the streaming engine: a versioned, checksummed
 // binary serialization (ckptcodec.go) of the full online state —
-// per-shard sessionizer heaps, Welford moments, quantile-sketch
-// ladders, dyadic aggregated-variance levels, reservoir Hill state
-// (with RNG replay), totals and ingest accounting — written atomically
-// at snapshot cadence. A resumed engine continues from the exact
-// raw-line boundary the checkpoint recorded and produces output
-// byte-identical to an uninterrupted run (DESIGN.md §11). Checkpoints
-// of a sharded run carry every shard's state verbatim; merged sketches
-// are never persisted (DESIGN.md §12).
+// the sessionizer heap, Welford moments, quantile-sketch ladders,
+// dyadic aggregated-variance levels, reservoir Hill state (with RNG
+// replay), totals and ingest accounting — written atomically at
+// snapshot cadence. A resumed engine continues from the exact raw-line
+// boundary the checkpoint recorded and produces output byte-identical
+// to an uninterrupted run (DESIGN.md §11).
 
 package stream
 
@@ -41,22 +39,24 @@ import (
 //
 // v4: the same fields in a binary payload instead of JSON. v3 files are
 // rejected, not converted: a checkpoint is crash-recovery state.
+//
+// v5: one unpartitioned state. The shard list and the Shards
+// fingerprint field are gone; the sessionizer, closed-session count
+// and characteristics sit at the end of the payload.
 const (
 	checkpointMagic   = "fullweb-checkpoint"
-	checkpointVersion = 4
+	checkpointVersion = 5
 )
 
 // ConfigFingerprint is the engine-config fingerprint embedded in
 // every checkpoint and in run reports. Resume requires an exact
-// match: these are the parameters that shape the online state itself. Workers and chunk geometry are
-// deliberately absent — the determinism contract makes results
-// identical across them, so a run may resume with a different pool
-// size or chunk shape. Shards, by contrast, shapes the partitioned
-// state and must match.
+// match: these are the parameters that shape the online state itself.
+// Workers and chunk geometry are deliberately absent — the determinism
+// contract makes results identical across them, so a run may resume
+// with a different pool size or chunk shape.
 type ConfigFingerprint struct {
 	Threshold        time.Duration `json:"threshold"`
 	SnapshotEvery    time.Duration `json:"snapshot_every"`
-	Shards           int           `json:"shards"`
 	ReservoirCap     int           `json:"reservoir_cap"`
 	QuantileCap      int           `json:"quantile_cap"`
 	Seed             int64         `json:"seed"`
@@ -84,7 +84,6 @@ func fingerprint(cfg Config) ConfigFingerprint {
 	return ConfigFingerprint{
 		Threshold:        cfg.Threshold,
 		SnapshotEvery:    cfg.SnapshotEvery,
-		Shards:           normalizeShards(cfg.Shards),
 		ReservoirCap:     cfg.ReservoirCap,
 		QuantileCap:      normalizeQuantileCap(cfg.QuantileCap),
 		Seed:             cfg.Seed,
@@ -125,7 +124,7 @@ func (t *secondTracker) restore(st secondState) error {
 }
 
 // charCheckpoint is the checkpointable image of one characteristic's
-// estimators within one shard.
+// estimators.
 type charCheckpoint struct {
 	Name    string
 	Moments WelfordState
@@ -133,21 +132,8 @@ type charCheckpoint struct {
 	Hill    heavytail.OnlineHillState
 }
 
-// shardCheckpoint is the checkpointable image of one hash partition:
-// its sessionizer, totals, per-partition arrival trackers and
-// characteristic sketches.
-type shardCheckpoint struct {
-	Streamer session.StreamerState
-	Closed   int64
-	Records  int64
-	Bytes    int64
-	ReqArr   secondState
-	SessArr  secondState
-	Chars    []charCheckpoint
-}
-
-// engineState is the full serialized engine: the global clocks, totals
-// and arrival estimators, plus every shard verbatim.
+// engineState is the full serialized engine: the clocks, totals and
+// arrival estimators, the sessionizer and the characteristic sketches.
 type engineState struct {
 	Config           ConfigFingerprint
 	Lines            int64
@@ -163,7 +149,9 @@ type engineState struct {
 	ReqArr           secondState
 	SessArr          secondState
 	Arrivals         *arrivalState
-	Shards           []shardCheckpoint
+	Streamer         session.StreamerState
+	Closed           int64
+	Chars            []charCheckpoint
 }
 
 // Checkpoint is a loaded, checksum-verified engine checkpoint.
@@ -195,6 +183,9 @@ func (e *Engine) state() engineState {
 		Ingest:       e.ingest.detached(),
 		ReqArr:       e.reqArr.state(),
 		SessArr:      e.sessArr.state(),
+		Streamer:     e.streamer.State(),
+		Closed:       e.closed,
+		Chars:        make([]charCheckpoint, 0, len(e.chars)),
 	}
 	if e.arrivals != nil {
 		ast := e.arrivals.state()
@@ -203,24 +194,13 @@ func (e *Engine) state() engineState {
 	if e.quar != nil {
 		st.QuarantineOffset = e.quar.N
 	}
-	for _, sh := range e.shards {
-		sc := shardCheckpoint{
-			Streamer: sh.streamer.State(),
-			Closed:   sh.closed,
-			Records:  sh.records,
-			Bytes:    sh.bytes,
-			ReqArr:   sh.reqArr.state(),
-			SessArr:  sh.sessArr.state(),
-		}
-		for _, c := range sh.chars {
-			sc.Chars = append(sc.Chars, charCheckpoint{
-				Name:    c.name,
-				Moments: c.moments.State(),
-				Quant:   c.quant.State(),
-				Hill:    c.hill.State(),
-			})
-		}
-		st.Shards = append(st.Shards, sc)
+	for _, c := range e.chars {
+		st.Chars = append(st.Chars, charCheckpoint{
+			Name:    c.name,
+			Moments: c.moments.State(),
+			Quant:   c.quant.State(),
+			Hill:    c.hill.State(),
+		})
 	}
 	return st
 }
@@ -497,9 +477,6 @@ func ResumeEngine(cfg Config, cp *Checkpoint) (*Engine, error) {
 		return nil, err
 	}
 	st := cp.state
-	if len(st.Shards) != len(e.shards) {
-		return nil, fmt.Errorf("stream: checkpoint holds %d shards, engine has %d", len(st.Shards), len(e.shards))
-	}
 	if err := e.reqArr.restore(st.ReqArr); err != nil {
 		return nil, fmt.Errorf("stream: restoring request arrivals: %w", err)
 	}
@@ -513,49 +490,36 @@ func ResumeEngine(cfg Config, cp *Checkpoint) (*Engine, error) {
 			return nil, err
 		}
 	}
-	for si, sc := range st.Shards {
-		sh := e.shards[si]
-		streamer, err := session.RestoreStreamer(sc.Streamer)
-		if err != nil {
-			return nil, fmt.Errorf("stream: restoring shard %d sessionizer: %w", si, err)
+	if e.streamer, err = session.RestoreStreamer(st.Streamer); err != nil {
+		return nil, fmt.Errorf("stream: restoring sessionizer: %w", err)
+	}
+	e.closed = st.Closed
+	if len(st.Chars) != len(e.chars) {
+		return nil, fmt.Errorf("stream: checkpoint holds %d characteristics, engine has %d", len(st.Chars), len(e.chars))
+	}
+	for i, cc := range st.Chars {
+		c := e.chars[i]
+		if cc.Name != c.name {
+			return nil, fmt.Errorf("stream: characteristic %d is %q in checkpoint, %q in engine", i, cc.Name, c.name)
 		}
-		sh.streamer = streamer
-		sh.closed = sc.Closed
-		sh.records = sc.Records
-		sh.bytes = sc.Bytes
-		if err := sh.reqArr.restore(sc.ReqArr); err != nil {
-			return nil, fmt.Errorf("stream: restoring shard %d request arrivals: %w", si, err)
+		// The sketches must have the geometry this engine builds and
+		// have seen exactly the closed sessions: capacities size
+		// allocations and the Hill count sets the length of the
+		// reservoir's RNG replay, so neither is taken on trust.
+		fresh := c.hill.State()
+		if cc.Quant.Cap != c.quant.Cap() || cc.Hill.Res.Cap != fresh.Res.Cap || cc.Hill.Res.Seed != fresh.Res.Seed ||
+			cc.Hill.TailFraction != fresh.TailFraction || cc.Hill.RelTol != fresh.RelTol {
+			return nil, fmt.Errorf("stream: %s sketch geometry does not match the engine config", c.name)
 		}
-		if err := sh.sessArr.restore(sc.SessArr); err != nil {
-			return nil, fmt.Errorf("stream: restoring shard %d session arrivals: %w", si, err)
+		if cc.Moments.N != st.Closed || cc.Quant.N != st.Closed || cc.Hill.Dropped < 0 || cc.Hill.Res.Seen+cc.Hill.Dropped != st.Closed {
+			return nil, fmt.Errorf("stream: %s sketch counts disagree with the %d closed sessions", c.name, st.Closed)
 		}
-		if len(sc.Chars) != len(sh.chars) {
-			return nil, fmt.Errorf("stream: checkpoint shard %d holds %d characteristics, engine has %d", si, len(sc.Chars), len(sh.chars))
+		c.moments = RestoreWelford(cc.Moments)
+		if c.quant, err = RestoreQuantileSketch(cc.Quant); err != nil {
+			return nil, fmt.Errorf("stream: restoring %s quantiles: %w", c.name, err)
 		}
-		for i, cc := range sc.Chars {
-			c := sh.chars[i]
-			if cc.Name != c.name {
-				return nil, fmt.Errorf("stream: characteristic %d is %q in checkpoint, %q in engine", i, cc.Name, c.name)
-			}
-			// The sketches must have the geometry this engine builds and
-			// have seen exactly the shard's closed sessions: capacities
-			// size allocations and the Hill count sets the length of the
-			// reservoir's RNG replay, so neither is taken on trust.
-			fresh := c.hill.State()
-			if cc.Quant.Cap != c.quant.Cap() || cc.Hill.Res.Cap != fresh.Res.Cap || cc.Hill.Res.Seed != fresh.Res.Seed ||
-				cc.Hill.TailFraction != fresh.TailFraction || cc.Hill.RelTol != fresh.RelTol {
-				return nil, fmt.Errorf("stream: shard %d %s sketch geometry does not match the engine config", si, c.name)
-			}
-			if cc.Moments.N != sc.Closed || cc.Quant.N != sc.Closed || cc.Hill.Dropped < 0 || cc.Hill.Res.Seen+cc.Hill.Dropped != sc.Closed {
-				return nil, fmt.Errorf("stream: shard %d %s sketch counts disagree with its %d closed sessions", si, c.name, sc.Closed)
-			}
-			c.moments = RestoreWelford(cc.Moments)
-			if c.quant, err = RestoreQuantileSketch(cc.Quant); err != nil {
-				return nil, fmt.Errorf("stream: restoring shard %d %s quantiles: %w", si, c.name, err)
-			}
-			if c.hill, err = heavytail.RestoreOnlineHill(cc.Hill); err != nil {
-				return nil, err
-			}
+		if c.hill, err = heavytail.RestoreOnlineHill(cc.Hill); err != nil {
+			return nil, err
 		}
 	}
 	e.lines = st.Lines

@@ -18,23 +18,17 @@ type CheckpointEdit struct {
 	edit func(*engineState)
 }
 
-// eachChar applies fn to every characteristic of every shard.
+// eachChar applies fn to every characteristic.
 func eachChar(st *engineState, fn func(*charCheckpoint)) {
-	for i := range st.Shards {
-		for j := range st.Shards[i].Chars {
-			fn(&st.Shards[i].Chars[j])
-		}
+	for i := range st.Chars {
+		fn(&st.Chars[i])
 	}
 }
 
-// eachSecond applies fn to every arrival tracker, global and per shard.
+// eachSecond applies fn to both arrival trackers.
 func eachSecond(st *engineState, fn func(*secondState)) {
 	fn(&st.ReqArr)
 	fn(&st.SessArr)
-	for i := range st.Shards {
-		fn(&st.Shards[i].ReqArr)
-		fn(&st.Shards[i].SessArr)
-	}
 }
 
 // setCounts sets every sketch and aggregated-variance count to n.
@@ -58,8 +52,8 @@ var CheckpointEdits = []CheckpointEdit{
 	{"negative line count", "", func(st *engineState) { st.Lines = -1 }},
 	{"negative counts", "sketch counts disagree", setCounts(-5)},
 	{"maximal counts", "sketch counts disagree", setCounts(math.MaxInt64)},
-	{"extra empty shard", "holds 3 shards", func(st *engineState) {
-		st.Shards = append([]shardCheckpoint{{}}, st.Shards...)
+	{"extra characteristic", "holds 4 characteristics", func(st *engineState) {
+		st.Chars = append([]charCheckpoint{{}}, st.Chars...)
 	}},
 	{"bogus characteristic name", `is "bogus" in checkpoint`, func(st *engineState) {
 		eachChar(st, func(c *charCheckpoint) { c.Name = "bogus" })
@@ -75,7 +69,7 @@ var CheckpointEdits = []CheckpointEdit{
 	}},
 	{"short quantile level", "quantile sketch level 0 holds 1", func(st *engineState) {
 		eachChar(st, func(c *charCheckpoint) {
-			if len(c.Quant.Levels) > 0 && c.Quant.Levels[0] != nil {
+			if len(c.Quant.Levels) > 0 {
 				c.Quant.Levels = append([][]float64{{1}}, c.Quant.Levels...)
 				c.Quant.Flips = append([]bool{false}, c.Quant.Flips...)
 			}

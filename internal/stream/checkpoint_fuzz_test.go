@@ -13,13 +13,11 @@ import (
 )
 
 // fuzzCheckpointConfig is the engine config every fuzzed checkpoint is
-// resumed under: two shards and an arrival ring, so the decoder's
-// per-shard and what-if restore paths are both reachable, with every
-// sketch at its smallest size so seeds stay a few KiB and the fuzzer's
-// minimizer stays fast.
+// resumed under: an arrival ring, so the decoder's what-if restore
+// path is reachable, with every sketch at its smallest size so seeds
+// stay a few KiB and the fuzzer's minimizer stays fast.
 func fuzzCheckpointConfig() stream.Config {
 	cfg := stream.DefaultConfig()
-	cfg.Shards = 2
 	cfg.ArrivalWindow = 8
 	cfg.AggVarLevels = 4
 	cfg.ReservoirCap = 16
@@ -33,7 +31,7 @@ func fuzzCheckpointConfig() stream.Config {
 func reseal(data []byte) []byte {
 	_, payload, _ := bytes.Cut(data, []byte("\n"))
 	sum := sha256.Sum256(payload)
-	header := fmt.Sprintf("fullweb-checkpoint v4 sha256=%s\n", hex.EncodeToString(sum[:]))
+	header := fmt.Sprintf("fullweb-checkpoint v5 sha256=%s\n", hex.EncodeToString(sum[:]))
 	return append([]byte(header), payload...)
 }
 

@@ -232,7 +232,7 @@ func TestCheckpointValidation(t *testing.T) {
 	if _, err := stream.ReadCheckpoint(strings.NewReader("not a checkpoint\n{}")); err == nil {
 		t.Fatal("bad magic accepted")
 	}
-	futured := bytes.Replace(good, []byte(" v4 "), []byte(" v9 "), 1)
+	futured := bytes.Replace(good, []byte(" v5 "), []byte(" v9 "), 1)
 	if _, err := stream.ReadCheckpoint(bytes.NewReader(futured)); err == nil || !strings.Contains(err.Error(), "version") {
 		t.Fatalf("future version accepted: %v", err)
 	}

@@ -1,4 +1,4 @@
-// The v4 checkpoint payload codec: engineState's fields in a fixed
+// The v5 checkpoint payload codec: engineState's fields in a fixed
 // order, with no field names and no reflection. Ints and lengths are
 // varints, bools one byte, strings length-prefixed, times their
 // MarshalBinary form (seconds, nanoseconds and zone offset) behind a
@@ -330,13 +330,14 @@ func (c *ckptCodec) state(st *engineState) {
 		c.floats(&a.Requests)
 		c.floats(&a.Sessions)
 	}
-	codecSlice(c, &st.Shards, 1, c.shard)
+	c.streamer(&st.Streamer)
+	c.i64(&st.Closed)
+	codecSlice(c, &st.Chars, 1, c.char)
 }
 
 func (c *ckptCodec) fingerprint(f *ConfigFingerprint) {
 	c.dur(&f.Threshold)
 	c.dur(&f.SnapshotEvery)
-	c.intv(&f.Shards)
 	c.intv(&f.ReservoirCap)
 	c.intv(&f.QuantileCap)
 	c.i64(&f.Seed)
@@ -376,16 +377,6 @@ func (c *ckptCodec) second(st *secondState) {
 	c.f64(&st.Count)
 	c.flag(&st.Started)
 	c.flag(&st.Flushed)
-}
-
-func (c *ckptCodec) shard(sc *shardCheckpoint) {
-	c.streamer(&sc.Streamer)
-	c.i64(&sc.Closed)
-	c.i64(&sc.Records)
-	c.i64(&sc.Bytes)
-	c.second(&sc.ReqArr)
-	c.second(&sc.SessArr)
-	codecSlice(c, &sc.Chars, 1, c.char)
 }
 
 func (c *ckptCodec) streamer(st *session.StreamerState) {

@@ -14,6 +14,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"fullweb/internal/session"
 )
 
 // roundTripFloats encodes fs as one float slice and decodes it back,
@@ -98,7 +100,7 @@ func TestCheckpointFloatsBitExact(t *testing.T) {
 	}
 }
 
-// resealed frames a payload with a valid v4 header.
+// resealed frames a payload with a valid v5 header.
 func resealed(payload []byte) []byte {
 	return append([]byte(checkpointHeader(sha256.Sum256(payload))), payload...)
 }
@@ -112,23 +114,23 @@ func TestCheckpointHugeLengthsRejected(t *testing.T) {
 		t.Fatal(err)
 	}
 	st := eng.state()
-	st.Shards = nil
+	st.Chars = nil
 	var buf bytes.Buffer
 	if _, err := encodePayload(&buf, &st); err != nil {
 		t.Fatal(err)
 	}
-	// The shard count is the payload's last field, and 0 here.
+	// The characteristic count is the payload's last field, and 0 here.
 	payload := buf.Bytes()
 	if payload[len(payload)-1] != 0 {
-		t.Fatalf("payload does not end in an empty shard list: %x", payload[len(payload)-8:])
+		t.Fatalf("payload does not end in an empty characteristic list: %x", payload[len(payload)-8:])
 	}
 	crafted := resealed(binary.AppendUvarint(bytes.Clone(payload[:len(payload)-1]), 1<<62))
 	grew := allocatedBy(func() { _, err = ReadCheckpoint(bytes.NewReader(crafted)) })
 	if err == nil || !strings.Contains(err.Error(), "exceeds") {
-		t.Fatalf("huge shard count accepted: %v", err)
+		t.Fatalf("huge characteristic count accepted: %v", err)
 	}
 	if grew > 1<<20 {
-		t.Errorf("rejecting a huge shard count allocated %d bytes", grew)
+		t.Errorf("rejecting a huge characteristic count allocated %d bytes", grew)
 	}
 
 	huge := binary.AppendUvarint(nil, 1<<40)
@@ -142,7 +144,7 @@ func TestCheckpointHugeLengthsRejected(t *testing.T) {
 		{"string", huge, func(d *ckptCodec) { var s string; d.str(&s) }},
 		// Four zero counters and a false bool, then the sample count.
 		{"strings", append(make([]byte, 5), huge...), func(d *ckptCodec) { var in IngestStats; d.ingest(&in) }},
-		{"sessions", append([]byte{0}, huge...), func(d *ckptCodec) { var sc shardCheckpoint; d.shard(&sc) }},
+		{"sessions", append([]byte{0}, huge...), func(d *ckptCodec) { var ss session.StreamerState; d.streamer(&ss) }},
 		{"levels", huge, func(d *ckptCodec) { var st secondState; d.second(&st) }},
 	} {
 		d := &ckptCodec{b: c.in}
@@ -186,15 +188,18 @@ func TestCheckpointTrailingBytesRejected(t *testing.T) {
 	}
 }
 
-// TestCheckpointV3Rejected: a v3 (JSON) checkpoint with a valid
-// checksum is refused with an error that names both versions.
+// TestCheckpointV3Rejected: a v3 (JSON) or v4 (sharded binary)
+// checkpoint with a valid checksum is refused with an error that names
+// both versions.
 func TestCheckpointV3Rejected(t *testing.T) {
 	payload := []byte(`{"config":{"threshold":1800000000000},"lines":42}`)
 	sum := sha256.Sum256(payload)
-	data := fmt.Sprintf("%s v3 sha256=%s\n%s", checkpointMagic, hex.EncodeToString(sum[:]), payload)
-	_, err := ReadCheckpoint(strings.NewReader(data))
-	if err == nil || !strings.Contains(err.Error(), "version v3, this build reads v4") {
-		t.Fatalf("v3 checkpoint: %v", err)
+	for _, v := range []int{3, 4} {
+		data := fmt.Sprintf("%s v%d sha256=%s\n%s", checkpointMagic, v, hex.EncodeToString(sum[:]), payload)
+		_, err := ReadCheckpoint(strings.NewReader(data))
+		if want := fmt.Sprintf("version v%d, this build reads v5", v); err == nil || !strings.Contains(err.Error(), want) {
+			t.Fatalf("v%d checkpoint: %v", v, err)
+		}
 	}
 }
 

@@ -37,9 +37,6 @@ var (
 	fpCheckpoint = faultpoint.NewSite("stream.checkpoint")
 )
 
-// MaxShards bounds the host-hash partition width.
-const MaxShards = 1024
-
 // Config tunes the streaming engine. The zero value is not valid; use
 // DefaultConfig.
 type Config struct {
@@ -57,14 +54,6 @@ type Config struct {
 	// Chunks are parsed concurrently but folded into the engine state
 	// strictly in input order, so results are identical at any setting.
 	Workers int
-	// Shards hash-partitions the engine state by host into this many
-	// independent mergeable shards (sessionization is per-host, so it
-	// stays exact per shard). 0 and 1 both mean a single shard.
-	// Snapshots are always the deterministic merge of the shard states;
-	// counts, session totals and arrival estimates are identical at any
-	// shard count, and the sketch estimates are identical while the
-	// sketches are inside their exact regimes (DESIGN.md §12).
-	Shards int
 	// ReservoirCap bounds each characteristic's Hill reservoir. While a
 	// stream has fewer sessions than this, the streaming Hill estimate
 	// is exactly the batch estimate.
@@ -74,8 +63,7 @@ type Config struct {
 	// batch quantiles. 0 means DefaultQuantileCap.
 	QuantileCap int
 	// Seed derives the reservoir sampling streams (one sub-seed per
-	// shard and characteristic), making snapshots reproducible run to
-	// run.
+	// characteristic), making snapshots reproducible run to run.
 	Seed int64
 	// HillTailFraction and HillRelTol configure the Hill read-off,
 	// exactly as in the batch pipeline.
@@ -123,7 +111,6 @@ func DefaultConfig() Config {
 	return Config{
 		Threshold:        session.DefaultThreshold,
 		SnapshotEvery:    6 * time.Hour,
-		Shards:           1,
 		ReservoirCap:     8192,
 		QuantileCap:      DefaultQuantileCap,
 		Seed:             1,
@@ -132,10 +119,9 @@ func DefaultConfig() Config {
 	}
 }
 
-// charState holds the online estimators of one characteristic within
-// one shard: Welford moments, the mergeable quantile sketch and the
-// reservoir Hill estimator. Each is a mergeable sketch, which is what
-// lets shard states combine into one deterministic snapshot.
+// charState holds the online estimators of one characteristic:
+// Welford moments, the mergeable quantile sketch and the reservoir Hill
+// estimator.
 type charState struct {
 	name    string
 	moments Welford
@@ -177,7 +163,7 @@ func (t *secondTracker) observe(sec int64) {
 	t.est.Add(t.count)
 	// Idle gaps are zero runs; AddZeros is bit-identical to per-second
 	// Add(0) but costs O(gap/width) per level, which is what keeps
-	// sparse traces with per-shard trackers affordable (EXPERIMENTS.md).
+	// sparse traces affordable (EXPERIMENTS.md).
 	t.est.AddZeros(sec - t.cur - 1)
 	t.cur = sec
 	t.count = 1
@@ -191,53 +177,23 @@ func (t *secondTracker) flush() {
 	}
 }
 
-// engineShard is one hash partition of the engine state: the
-// incremental sessionizer for its hosts, the per-characteristic
-// sketches over its finalized sessions, and its own view of the two
-// arrival processes (the per-partition series the Rolls reduced-LRD
-// comparison reads). Everything in a shard is a pure function of the
-// subsequence of records whose hosts hash to it. The per-shard arrival
-// trackers are maintained only when the engine has more than one
-// shard — at one shard the global pair is the identical series.
-type engineShard struct {
-	streamer *session.Streamer
-	chars    []*charState
-	closed   int64
-	records  int64
-	bytes    int64
-	reqArr   secondTracker
-	sessArr  secondTracker
-}
-
-// noteClosed folds one finalized session into the shard's
-// per-characteristic sketches.
-func (sh *engineShard) noteClosed(s session.Session) {
-	sh.closed++
-	for _, c := range sh.chars {
-		c.observe(core.CharacteristicValue(c.name, s))
-	}
-}
-
 // Engine is the streaming analysis pipeline: one instance processes one
 // log stream. Not safe for concurrent use. The chunk parser fans out
 // internally; state is folded on a single goroutine, beside which one
 // checkpoint writer goroutine persists the states the fold captures
 // (only when a checkpoint path is configured, and joined before
 // ProcessCtx returns).
-//
-// With Shards > 1 the engine keeps N independent host-partitioned
-// shard states and dispatches each record to its host's shard; the
-// global totals, clamping clock, snapshot cadence and the two global
-// arrival-process estimators stay with the engine, so snapshots are
-// identical at any shard count wherever the merge is exact.
 type Engine struct {
 	cfg  Config
 	pool *parallel.Pool
 
-	shards []*engineShard
-	// reqArr and sessArr track the global arrival processes — the true
-	// summed-series estimators, fed at dispatch time in input order, so
-	// they are bitwise independent of the shard partition.
+	// streamer sessionizes the input; chars holds the per-characteristic
+	// sketches over its finalized sessions, closed their count.
+	streamer *session.Streamer
+	chars    []*charState
+	closed   int64
+	// reqArr and sessArr track the request and session arrival
+	// processes, fed in input order.
 	reqArr  secondTracker
 	sessArr secondTracker
 
@@ -278,23 +234,9 @@ type Engine struct {
 	ckptReq atomic.Bool
 }
 
-// shardSeedStride and charSeedStride derive the per-shard,
-// per-characteristic reservoir sub-seeds from the configured base
-// seed: seed + shard*shardSeedStride + char*charSeedStride. Shard 0
-// of a single-shard engine therefore draws exactly the historical
-// sampling streams.
-const (
-	shardSeedStride = 15485863 // the 1e6-th prime
-	charSeedStride  = 7919     // the 1e3-th prime
-)
-
-// normalizeShards maps the two spellings of "unsharded" to 1.
-func normalizeShards(n int) int {
-	if n <= 0 {
-		return 1
-	}
-	return n
-}
+// charSeedStride derives the per-characteristic reservoir sub-seeds
+// from the configured base seed: seed + char*charSeedStride.
+const charSeedStride = 7919 // the 1e3-th prime
 
 // normalizeQuantileCap applies the default capacity.
 func normalizeQuantileCap(n int) int {
@@ -318,17 +260,12 @@ func NewEngine(cfg Config) (*Engine, error) {
 	if cfg.Workers < 0 {
 		return nil, fmt.Errorf("%w: negative worker count %d", ErrBadConfig, cfg.Workers)
 	}
-	if cfg.Shards > MaxShards {
-		return nil, fmt.Errorf("%w: %d shards (max %d)", ErrBadConfig, cfg.Shards, MaxShards)
-	}
 	if err := cfg.Budget.validate(); err != nil {
 		return nil, err
 	}
 	if cfg.ArrivalWindow < 0 {
 		return nil, fmt.Errorf("%w: arrival window %d", ErrBadConfig, cfg.ArrivalWindow)
 	}
-	nshards := normalizeShards(cfg.Shards)
-	qcap := normalizeQuantileCap(cfg.QuantileCap)
 	e := &Engine{cfg: cfg, pool: parallel.NewPool(cfg.Workers)}
 	if cfg.Quarantine != nil {
 		e.quar = &weblog.CountingWriter{W: cfg.Quarantine}
@@ -337,41 +274,22 @@ func NewEngine(cfg Config) (*Engine, error) {
 		e.arrivals = newArrivalRing(cfg.ArrivalWindow)
 		e.arrPub, _ = cfg.Telemetry.(ArrivalPublisher)
 	}
-	e.tele = newEngineTelemetry(cfg.Metrics, nshards)
+	e.tele = newEngineTelemetry(cfg.Metrics)
 	e.pool.Instrument(cfg.Metrics)
 	var err error
+	if e.streamer, err = session.NewStreamer(cfg.Threshold); err != nil {
+		return nil, err
+	}
 	if e.reqArr.est, err = lrd.NewOnlineAggVar(cfg.AggVarLevels); err != nil {
 		return nil, err
 	}
 	if e.sessArr.est, err = lrd.NewOnlineAggVar(cfg.AggVarLevels); err != nil {
 		return nil, err
 	}
-	for s := 0; s < nshards; s++ {
-		sh, err := e.newShard(s, qcap)
-		if err != nil {
-			return nil, err
-		}
-		e.shards = append(e.shards, sh)
-	}
-	return e, nil
-}
-
-// newShard builds one hash partition's state with its derived seeds.
-func (e *Engine) newShard(index, qcap int) (*engineShard, error) {
-	streamer, err := session.NewStreamer(e.cfg.Threshold)
-	if err != nil {
-		return nil, err
-	}
-	sh := &engineShard{streamer: streamer}
-	if sh.reqArr.est, err = lrd.NewOnlineAggVar(e.cfg.AggVarLevels); err != nil {
-		return nil, err
-	}
-	if sh.sessArr.est, err = lrd.NewOnlineAggVar(e.cfg.AggVarLevels); err != nil {
-		return nil, err
-	}
+	qcap := normalizeQuantileCap(cfg.QuantileCap)
 	for i, name := range core.AllCharacteristics() {
-		seed := e.cfg.Seed + int64(index)*shardSeedStride + int64(i)*charSeedStride
-		hill, err := heavytail.NewOnlineHill(e.cfg.ReservoirCap, seed, e.cfg.HillTailFraction, e.cfg.HillRelTol)
+		seed := cfg.Seed + int64(i)*charSeedStride
+		hill, err := heavytail.NewOnlineHill(cfg.ReservoirCap, seed, cfg.HillTailFraction, cfg.HillRelTol)
 		if err != nil {
 			return nil, err
 		}
@@ -379,36 +297,10 @@ func (e *Engine) newShard(index, qcap int) (*engineShard, error) {
 		if err != nil {
 			return nil, err
 		}
-		sh.chars = append(sh.chars, &charState{name: name, quant: quant, hill: hill})
+		e.chars = append(e.chars, &charState{name: name, quant: quant, hill: hill})
 	}
-	return sh, nil
+	return e, nil
 }
-
-// FNV-1a 64-bit parameters (the same constants hash/fnv uses); the
-// hash is inlined in shardFor because fnv.New64a heap-allocates its
-// state, which is one allocation per record on the sharded hot path.
-const (
-	fnvOffset64 = 14695981039346656037
-	fnvPrime64  = 1099511628211
-)
-
-// shardFor maps a host to its partition: FNV-1a over the host bytes,
-// reduced mod the shard count — stable across runs, platforms and
-// shard-state restorations.
-func (e *Engine) shardFor(host string) *engineShard {
-	if len(e.shards) == 1 {
-		return e.shards[0]
-	}
-	h := uint64(fnvOffset64)
-	for i := 0; i < len(host); i++ {
-		h ^= uint64(host[i])
-		h *= fnvPrime64
-	}
-	return e.shards[h%uint64(len(e.shards))]
-}
-
-// Shards returns the number of hash partitions.
-func (e *Engine) Shards() int { return len(e.shards) }
 
 // Snapshots returns the number of snapshots emitted so far (periodic
 // plus, after ProcessCtx returns, the final one).
@@ -426,55 +318,16 @@ func (e *Engine) Snapshots() int64 { return e.snapshots }
 // crash-replay by journal growth.
 func (e *Engine) RequestCheckpoint() { e.ckptReq.Store(true) }
 
-// PeakActiveSessions returns the summed sessionizer live-state
-// high-water marks — the quantity that bounds the engine's memory.
-func (e *Engine) PeakActiveSessions() int {
-	total := 0
-	for _, sh := range e.shards {
-		total += sh.streamer.PeakActiveSessions()
-	}
-	return total
-}
+// PeakActiveSessions returns the sessionizer's live-state high-water
+// mark — the quantity that bounds the engine's memory.
+func (e *Engine) PeakActiveSessions() int { return e.streamer.PeakActiveSessions() }
 
-// activeSessions is the current live-session count across shards.
-func (e *Engine) activeSessions() int {
-	total := 0
-	for _, sh := range e.shards {
-		total += sh.streamer.ActiveSessions()
-	}
-	return total
-}
-
-// closedSessions is the finalized-session count across shards.
-func (e *Engine) closedSessions() int64 {
-	var total int64
-	for _, sh := range e.shards {
-		total += sh.closed
-	}
-	return total
-}
-
-// openedSessions is the opened-session count across shards.
-func (e *Engine) openedSessions() int64 {
-	var total int64
-	for _, sh := range e.shards {
-		total += sh.streamer.OpenedTotal()
-	}
-	return total
-}
-
-// advanceShards drives every shard's eviction frontier to the global
-// stream clock, folding the sessions that provably closed. A shard
-// only advances its clock on its own hosts' records, so without this a
-// lagging partition would hold sessions open — and out of the merged
-// estimators — that a single global engine had already closed. Called
-// at every snapshot boundary; for a single shard it is a no-op (the
-// sole shard's eviction already ran at the global clock).
-func (e *Engine) advanceShards(now time.Time) {
-	for _, sh := range e.shards {
-		for _, s := range sh.streamer.Advance(now) {
-			sh.noteClosed(s)
-		}
+// noteClosed folds one finalized session into the per-characteristic
+// sketches.
+func (e *Engine) noteClosed(s session.Session) {
+	e.closed++
+	for _, c := range e.chars {
+		c.observe(core.CharacteristicValue(c.name, s))
 	}
 }
 
@@ -534,7 +387,7 @@ func (e *Engine) ProcessCtx(ctx context.Context, r io.Reader, emit func(*Snapsho
 			}
 		}
 		e.lines += int64(ch.Lines)
-		reg.Gauge("stream.active_sessions").Set(int64(e.activeSessions()))
+		reg.Gauge("stream.active_sessions").Set(int64(e.streamer.ActiveSessions()))
 		if err := e.checkpointAtChunk(ctx, ckpt, e.snapshots > snapsBefore); err != nil {
 			return err
 		}
@@ -562,45 +415,34 @@ func (e *Engine) ProcessCtx(ctx context.Context, r io.Reader, emit func(*Snapsho
 		return nil, ErrNoRecords
 	}
 	// End of stream: close every still-open session and the open
-	// seconds in shard order, then build the final snapshot.
-	for _, sh := range e.shards {
-		for _, s := range sh.streamer.Flush() {
-			sh.noteClosed(s)
-		}
-		if len(e.shards) > 1 {
-			sh.reqArr.flush()
-			sh.sessArr.flush()
-		}
+	// seconds, then build the final snapshot.
+	for _, s := range e.streamer.Flush() {
+		e.noteClosed(s)
 	}
 	e.reqArr.flush()
 	e.sessArr.flush()
-	final, err := e.snapshot(e.lastTime, true)
-	if err != nil {
-		return nil, err
-	}
+	final := e.snapshot(e.lastTime, true)
 	e.snapshots++
 	e.publishSnapshot(final)
 	e.publishArrivals(true)
 	e.publishRuntime()
-	closed := e.closedSessions()
 	sp.SetInt("records", e.records)
-	sp.SetInt("sessions", closed)
+	sp.SetInt("sessions", e.closed)
 	sp.SetInt("snapshots", e.snapshots)
 	reg.Counter("stream.records").Add(e.records)
 	reg.Counter("stream.parse_errors").Add(e.ingest.Rejected)
 	reg.Counter("stream.oversized_rejects").Add(e.ingest.Oversized)
 	reg.Counter("stream.clamped_timestamps").Add(e.ingest.Clamped)
-	reg.Counter("stream.sessions_closed").Add(closed)
+	reg.Counter("stream.sessions_closed").Add(e.closed)
 	reg.Counter("stream.snapshots").Add(e.snapshots)
 	return final, nil
 }
 
 // observe folds one record into the engine state, emitting any
 // snapshot whose trace-time boundary the record crosses. Backwards
-// timestamps are clamped to the global stream clock before anything
+// timestamps are clamped to the stream clock before anything
 // else sees the record (the per-second trackers would corrupt on
-// reversed time, and per-shard clamping would depend on the
-// partition), or rejected outright in strict mode.
+// reversed time), or rejected outright in strict mode.
 //
 // This is the engine's per-record fold: every allocation here is
 // multiplied by the trace length (DESIGN.md §13).
@@ -628,11 +470,7 @@ func (e *Engine) observe(ctx context.Context, rec weblog.Record, emit func(*Snap
 		if err := fpSnapshot.Check(ctx); err != nil {
 			return fmt.Errorf("stream: snapshot at %v: %w", e.nextSnapshot, err)
 		}
-		e.advanceShards(e.lastTime)
-		snap, err := e.snapshot(e.nextSnapshot, false)
-		if err != nil {
-			return err
-		}
+		snap := e.snapshot(e.nextSnapshot, false)
 		e.snapshots++
 		e.publishSnapshot(snap)
 		for !rec.Time.Before(e.nextSnapshot) {
@@ -644,39 +482,25 @@ func (e *Engine) observe(ctx context.Context, rec weblog.Record, emit func(*Snap
 			}
 		}
 	}
-	sh := e.shardFor(rec.Host)
-	openedBefore := sh.streamer.OpenedTotal()
-	closed, err := sh.streamer.ObserveClamped(rec)
+	openedBefore := e.streamer.OpenedTotal()
+	closed, err := e.streamer.ObserveClamped(rec)
 	if err != nil {
 		return err
 	}
 	for _, s := range closed {
-		sh.noteClosed(s)
+		e.noteClosed(s)
 	}
-	// Per-shard arrival trackers exist only in sharded runs: the single
-	// shard's partition is the whole stream, so the global pair already
-	// is its per-partition view, and zero-filling a duplicate per-second
-	// series would double the tracker cost of every unsharded run.
-	multi := len(e.shards) > 1
 	sec := rec.Time.Unix()
-	opened := sh.streamer.OpenedTotal() > openedBefore
+	opened := e.streamer.OpenedTotal() > openedBefore
 	if opened {
 		e.sessArr.observe(sec)
-		if multi {
-			sh.sessArr.observe(sec)
-		}
 	}
 	e.reqArr.observe(sec)
-	if multi {
-		sh.reqArr.observe(sec)
-	}
 	if e.arrivals != nil {
 		e.arrivals.observe(sec, opened)
 	}
 	e.records++
 	e.bytes += rec.Bytes
-	sh.records++
-	sh.bytes += rec.Bytes
 	e.lastTime = rec.Time
 	return nil
 }

@@ -15,6 +15,7 @@ import (
 	"fullweb/internal/heavytail"
 	"fullweb/internal/lrd"
 	"fullweb/internal/session"
+	"fullweb/internal/stats"
 	"fullweb/internal/stream"
 	"fullweb/internal/weblog"
 	"fullweb/internal/workload"
@@ -368,11 +369,64 @@ func TestEngineBoundedMemory(t *testing.T) {
 	}
 }
 
+// TestEngineQuantilesExactUnderCapacity: on a trace whose session
+// count sits inside the sketch capacity, the final snapshot's
+// quantiles equal the batch stats.Quantile values bit for bit.
+func TestEngineQuantilesExactUnderCapacity(t *testing.T) {
+	text := fixtureBytes(t)
+	recs, _, err := weblog.ReadAll(bytes.NewReader(text))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sessions, err := session.Sessionize(recs, session.DefaultThreshold)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := stream.DefaultConfig()
+	final, _ := runEngine(t, cfg, text)
+	for i, name := range core.AllCharacteristics() {
+		values := core.CharacteristicValues(name, sessions)
+		if len(values) >= cfg.QuantileCap {
+			t.Fatalf("fixture outgrew the sketch capacity; shrink the trace or raise the cap")
+		}
+		cs := final.Chars[i]
+		for _, q := range []struct {
+			p    float64
+			got  float64
+			what string
+		}{{0.50, cs.P50, "p50"}, {0.90, cs.P90, "p90"}, {0.99, cs.P99, "p99"}} {
+			want, err := stats.Quantile(values, q.p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if q.got != want {
+				t.Errorf("%s %s: streaming %v, batch %v", name, q.what, q.got, want)
+			}
+		}
+	}
+}
+
 func TestEngineParseErrorsCounted(t *testing.T) {
 	text := []byte("garbage line\n" + string(fixtureBytes(t)) + "more garbage\n")
 	final, _ := runEngine(t, stream.DefaultConfig(), text)
 	if final.ParseErrors != 2 {
 		t.Errorf("parse errors %d, want 2", final.ParseErrors)
+	}
+}
+
+// TestShardedConfigValidation pins the quantile-sketch capacity checks.
+// The name predates the single-engine layout; the shard-count cases
+// went with Config.Shards, and the capacity cases remain.
+func TestShardedConfigValidation(t *testing.T) {
+	cfg := stream.DefaultConfig()
+	cfg.QuantileCap = 17
+	if _, err := stream.NewEngine(cfg); !errors.Is(err, stream.ErrBadConfig) {
+		t.Errorf("odd quantile capacity accepted: %v", err)
+	}
+	cfg = stream.DefaultConfig()
+	cfg.QuantileCap = 4
+	if _, err := stream.NewEngine(cfg); !errors.Is(err, stream.ErrBadConfig) {
+		t.Errorf("quantile capacity below MinQuantileCap accepted: %v", err)
 	}
 }
 

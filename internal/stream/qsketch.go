@@ -28,14 +28,15 @@ const DefaultQuantileCap = 8192
 // has happened and every quantile is exact, computed with the same
 // interpolation convention as stats.Quantile — so below capacity the
 // streaming quantiles coincide with the batch pipeline's exactly, and
-// merging shard sketches is both exact and partition-independent.
+// merging sketches of a split stream is both exact and independent of
+// the split.
 // Beyond that the rank error of a query is bounded by roughly
 // log2(n/capacity)/(2·capacity) of the stream length per compacted
 // level; the engine-facing tolerance is documented in DESIGN.md §12.
 //
 // Unlike the P² estimator it replaced, the sketch has an
-// associative Merge, which is what makes sharded and map-reduce
-// analysis possible. Not safe for concurrent use.
+// associative Merge, so sketches of separate streams or checkpoints
+// combine into one (DESIGN.md §12). Not safe for concurrent use.
 type QuantileSketch struct {
 	cap    int
 	n      int64

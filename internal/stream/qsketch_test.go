@@ -64,7 +64,7 @@ func TestQuantileSketchToleranceOverCapacity(t *testing.T) {
 // TestQuantileSketchMergeExactUnderCapacity: while the union stays
 // under 2×capacity the merge is multiset-exact, so the merged quantiles
 // equal the single-sketch quantiles bit for bit regardless of how the
-// stream was partitioned — the shard-count-independence contract.
+// stream was partitioned.
 func TestQuantileSketchMergeExactUnderCapacity(t *testing.T) {
 	const capacity = 32
 	rng := rand.New(rand.NewSource(11))

@@ -5,7 +5,6 @@ import (
 	"io"
 	"time"
 
-	"fullweb/internal/heavytail"
 	"fullweb/internal/lrd"
 	"fullweb/internal/report"
 )
@@ -56,9 +55,7 @@ type CharSnapshot struct {
 // Snapshot is one deterministic report of the engine state: everything
 // is derived from the records before the snapshot's trace-time
 // boundary, never from the wall clock, so the same input produces
-// byte-identical snapshots run to run. A sharded engine's snapshot is
-// the deterministic merge of its shard states and renders identically
-// at any shard count wherever the merges are exact (DESIGN.md §12).
+// byte-identical snapshots run to run.
 type Snapshot struct {
 	// At is the trace-time boundary (for periodic snapshots) or the last
 	// record's timestamp (final).
@@ -82,9 +79,8 @@ type Snapshot struct {
 	// including the DegradedInput verdict when the stream breached its
 	// error budget.
 	Ingest IngestStats `json:"ingest"`
-	// Arrival-process LRD state, from the engine's global estimators
-	// (fed in input order at dispatch, so independent of the shard
-	// partition).
+	// Arrival-process LRD state, from the engine's estimators (fed in
+	// input order).
 	RequestArrivals ArrivalEstimate `json:"request_arrivals"`
 	SessionArrivals ArrivalEstimate `json:"session_arrivals"`
 	// Chars holds the per-characteristic summaries in the fixed
@@ -92,11 +88,6 @@ type Snapshot struct {
 	// depends on map iteration order).
 	Chars []CharSnapshot `json:"chars"`
 }
-
-// mergeSeedStride offsets the sub-seed of snapshot-time reservoir
-// merges away from every per-shard observation seed, so a merged draw
-// never replays a shard's own sampling stream.
-const mergeSeedStride = 32452843 // the 2e6-th prime
 
 // fillArrival reads one streaming LRD estimator into snapshot form.
 func fillArrival(dst *ArrivalEstimate, est *lrd.OnlineAggVar) {
@@ -111,24 +102,24 @@ func fillArrival(dst *ArrivalEstimate, est *lrd.OnlineAggVar) {
 	dst.R2 = e.R2
 }
 
-// charSnapshotFrom reads one characteristic's (possibly merged)
-// estimators into snapshot form.
-func charSnapshotFrom(name string, m Welford, q *QuantileSketch, hill *heavytail.OnlineHill) CharSnapshot {
-	qs := q.Quantiles(0.50, 0.90, 0.99)
+// snapshot reads one characteristic's estimators into snapshot
+// form.
+func (c *charState) snapshot() CharSnapshot {
+	qs := c.quant.Quantiles(0.50, 0.90, 0.99)
 	cs := CharSnapshot{
-		Name:       name,
-		N:          m.N(),
-		Mean:       m.Mean(),
-		StdDev:     m.StdDev(),
-		Min:        m.Min(),
-		Max:        m.Max(),
+		Name:       c.name,
+		N:          c.moments.N(),
+		Mean:       c.moments.Mean(),
+		StdDev:     c.moments.StdDev(),
+		Min:        c.moments.Min(),
+		Max:        c.moments.Max(),
 		P50:        qs[0],
 		P90:        qs[1],
 		P99:        qs[2],
-		HillSample: hill.SampleLen(),
-		HillSeen:   hill.Seen(),
+		HillSample: c.hill.SampleLen(),
+		HillSeen:   c.hill.Seen(),
 	}
-	if est, err := hill.Estimate(); err == nil {
+	if est, err := c.hill.Estimate(); err == nil {
 		cs.HillOK = true
 		cs.HillStable = est.Stable
 		cs.HillAlpha = est.Alpha
@@ -136,50 +127,8 @@ func charSnapshotFrom(name string, m Welford, q *QuantileSketch, hill *heavytail
 	return cs
 }
 
-// mergedChars assembles the per-characteristic summaries across shards.
-// A single-shard engine reads its estimators directly (no copies, no
-// merge cost — the historical fast path, bit-identical to the unsharded
-// engine). A sharded engine folds the shard sketches in ascending shard
-// order: Welford moments and quantile sketches merge pairwise, Hill
-// reservoirs through MergeOnlineHills under a derived merge seed. The
-// merged sketches are snapshot-transient — checkpoints always carry the
-// per-shard states.
-func (e *Engine) mergedChars() ([]CharSnapshot, error) {
-	out := make([]CharSnapshot, 0, len(e.shards[0].chars))
-	if len(e.shards) == 1 {
-		for _, c := range e.shards[0].chars {
-			out = append(out, charSnapshotFrom(c.name, c.moments, c.quant, c.hill))
-		}
-		return out, nil
-	}
-	for i, c0 := range e.shards[0].chars {
-		var moments Welford
-		quant, err := NewQuantileSketch(c0.quant.Cap())
-		if err != nil {
-			return nil, err
-		}
-		hills := make([]*heavytail.OnlineHill, 0, len(e.shards))
-		for _, sh := range e.shards {
-			c := sh.chars[i]
-			moments.Merge(c.moments)
-			if err := quant.Merge(c.quant); err != nil {
-				return nil, err
-			}
-			hills = append(hills, c.hill)
-		}
-		mergeSeed := e.cfg.Seed + mergeSeedStride + int64(i)*charSeedStride
-		hill, err := heavytail.MergeOnlineHills(mergeSeed, hills...)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, charSnapshotFrom(c0.name, moments, quant, hill))
-	}
-	return out, nil
-}
-
-// snapshot assembles the current engine state, merging shard states
-// deterministically (ascending shard order).
-func (e *Engine) snapshot(at time.Time, final bool) (*Snapshot, error) {
+// snapshot assembles the current engine state.
+func (e *Engine) snapshot(at time.Time, final bool) *Snapshot {
 	s := &Snapshot{
 		At:             at,
 		Final:          final,
@@ -187,150 +136,21 @@ func (e *Engine) snapshot(at time.Time, final bool) (*Snapshot, error) {
 		ParseErrors:    e.ingest.Rejected,
 		Bytes:          e.bytes,
 		Span:           at.Sub(e.firstTime),
-		SessionsClosed: e.closedSessions(),
-		SessionsActive: int64(e.activeSessions()),
-		SessionsOpened: e.openedSessions(),
+		SessionsClosed: e.closed,
+		SessionsActive: int64(e.streamer.ActiveSessions()),
+		SessionsOpened: e.streamer.OpenedTotal(),
 		// Detached: the image must not share the sample/reason slices
 		// with the engine's still-appending live stats.
 		Ingest: e.ingest.detached(),
+		Chars:  make([]CharSnapshot, 0, len(e.chars)),
 	}
 	s.Ingest.Evaluate(e.cfg.Mode, e.cfg.Budget, e.records)
 	fillArrival(&s.RequestArrivals, e.reqArr.est)
 	fillArrival(&s.SessionArrivals, e.sessArr.est)
-	chars, err := e.mergedChars()
-	if err != nil {
-		return nil, err
+	for _, c := range e.chars {
+		s.Chars = append(s.Chars, c.snapshot())
 	}
-	s.Chars = chars
-	return s, nil
-}
-
-// ShardInfo is one shard's view in a ShardDetail report.
-type ShardInfo struct {
-	Records int64
-	Bytes   int64
-	Closed  int64
-	Active  int
-	Opened  int64
-	// Per-shard arrival-process estimates — each shard's own slice of
-	// the traffic, the "per-server" view.
-	RequestArrivals ArrivalEstimate
-	SessionArrivals ArrivalEstimate
-}
-
-// ShardDetail is the optional per-shard breakdown of a sharded run:
-// each partition's totals and arrival estimates, plus the pooled
-// (merged) per-shard LRD estimators. The pooled estimate aggregates the
-// block-mean populations of the per-shard series — the per-partition
-// view that Rolls et al. observed can carry weaker LRD than the summed
-// series — and is deliberately distinct from the snapshot's global
-// estimate, which always comes from the unsplit input-order stream.
-type ShardDetail struct {
-	Shards         []ShardInfo
-	PooledRequests ArrivalEstimate
-	PooledSessions ArrivalEstimate
-}
-
-// ShardDetail reports the per-shard breakdown. The per-shard estimators
-// are deep-copied before pooling, so calling this never perturbs the
-// engine state.
-func (e *Engine) ShardDetail() (*ShardDetail, error) {
-	d := &ShardDetail{}
-	pooledReq, pooledSess, err := e.pooledPair()
-	if err != nil {
-		return nil, err
-	}
-	fillArrival(&d.PooledRequests, pooledReq)
-	fillArrival(&d.PooledSessions, pooledSess)
-	for _, sh := range e.shards {
-		info := ShardInfo{
-			Records: sh.records,
-			Bytes:   sh.bytes,
-			Closed:  sh.closed,
-			Active:  sh.streamer.ActiveSessions(),
-			Opened:  sh.streamer.OpenedTotal(),
-		}
-		reqEst, sessEst := sh.reqArr.est, sh.sessArr.est
-		if len(e.shards) == 1 {
-			// An unsharded engine does not duplicate the global arrival
-			// trackers into its single shard; the global pair is that
-			// shard's per-partition view.
-			reqEst, sessEst = e.reqArr.est, e.sessArr.est
-		}
-		fillArrival(&info.RequestArrivals, reqEst)
-		fillArrival(&info.SessionArrivals, sessEst)
-		d.Shards = append(d.Shards, info)
-	}
-	return d, nil
-}
-
-// pooledPair merges deep copies of the per-shard arrival estimators in
-// ascending shard order.
-func (e *Engine) pooledPair() (req, sess *lrd.OnlineAggVar, err error) {
-	copyOf := func(est *lrd.OnlineAggVar) (*lrd.OnlineAggVar, error) {
-		return lrd.RestoreOnlineAggVar(est.State())
-	}
-	if len(e.shards) == 1 {
-		if req, err = copyOf(e.reqArr.est); err != nil {
-			return nil, nil, err
-		}
-		if sess, err = copyOf(e.sessArr.est); err != nil {
-			return nil, nil, err
-		}
-		return req, sess, nil
-	}
-	if req, err = copyOf(e.shards[0].reqArr.est); err != nil {
-		return nil, nil, err
-	}
-	if sess, err = copyOf(e.shards[0].sessArr.est); err != nil {
-		return nil, nil, err
-	}
-	for _, sh := range e.shards[1:] {
-		if err = req.Merge(sh.reqArr.est); err != nil {
-			return nil, nil, err
-		}
-		if err = sess.Merge(sh.sessArr.est); err != nil {
-			return nil, nil, err
-		}
-	}
-	return req, sess, nil
-}
-
-// RenderShardDetail writes the per-shard breakdown. It is never part of
-// Snapshot.Render — the snapshot report stays byte-identical at every
-// shard count; this block is opt-in (fullweb stream -shard-detail).
-func (d *ShardDetail) RenderShardDetail(w io.Writer) error {
-	if _, err := fmt.Fprintf(w, "-- shards (%d) --\n", len(d.Shards)); err != nil {
-		return err
-	}
-	tb := report.NewTable("shard", "records", "bytes", "closed", "active", "opened", "H_req", "H_sess")
-	hcell := func(a ArrivalEstimate) string {
-		if !a.OK {
-			return "-"
-		}
-		return report.F(a.H)
-	}
-	for i, sh := range d.Shards {
-		tb.AddRow(fmt.Sprintf("%d", i), report.Count(sh.Records), report.Count(sh.Bytes),
-			report.Count(sh.Closed), report.Count(int64(sh.Active)), report.Count(sh.Opened),
-			hcell(sh.RequestArrivals), hcell(sh.SessionArrivals))
-	}
-	if _, err := io.WriteString(w, tb.String()); err != nil {
-		return err
-	}
-	renderPooled := func(name string, a ArrivalEstimate) {
-		if a.OK {
-			fmt.Fprintf(w, "  pooled %s arrivals (per-shard): H=%s (R^2 %s, %d levels, %s s)\n",
-				name, report.F(a.H), report.F2(a.R2), a.Levels, report.Count(a.Seconds))
-		} else {
-			fmt.Fprintf(w, "  pooled %s arrivals (per-shard): H=- (warming up: %d levels, %s s)\n",
-				name, a.Levels, report.Count(a.Seconds))
-		}
-	}
-	renderPooled("request", d.PooledRequests)
-	renderPooled("session", d.PooledSessions)
-	_, err := fmt.Fprintln(w)
-	return err
+	return s
 }
 
 // Render writes the snapshot as the fullweb stream report block. The

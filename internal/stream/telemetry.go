@@ -1,7 +1,6 @@
 package stream
 
 import (
-	"strconv"
 	"time"
 
 	"fullweb/internal/obs"
@@ -27,25 +26,6 @@ type Telemetry interface {
 	PublishSnapshot(*Snapshot)
 }
 
-// ShardRuntime is one shard's live counters in a RuntimeStats
-// publication.
-type ShardRuntime struct {
-	// Records and Bytes are the totals folded into this shard.
-	Records int64 `json:"records"`
-	Bytes   int64 `json:"bytes"`
-	// ActiveSessions is the shard's currently open session count;
-	// SessionsClosed its finalized count.
-	ActiveSessions int64 `json:"active_sessions"`
-	SessionsClosed int64 `json:"sessions_closed"`
-	// SketchItems is the summed live footprint of the shard's
-	// estimator sketches (quantile ladder items + Hill reservoir
-	// samples) — the bounded-memory story, observable.
-	SketchItems int64 `json:"sketch_items"`
-	// NextExpiry is the shard sessionizer's eviction frontier (zero
-	// when no expiry is scheduled).
-	NextExpiry time.Time `json:"next_expiry"`
-}
-
 // RuntimeStats is one copy-on-publish view of the engine's live
 // counters, published at chunk-fold granularity. Everything is a value
 // snapshot: readers on other goroutines never touch live engine state.
@@ -65,7 +45,7 @@ type RuntimeStats struct {
 	Snapshots          int64 `json:"snapshots"`
 	Checkpoints        int64 `json:"checkpoints"`
 	LastCheckpointLine int64 `json:"last_checkpoint_line"`
-	// Session accounting across shards.
+	// Session accounting.
 	SessionsActive int64 `json:"sessions_active"`
 	SessionsOpened int64 `json:"sessions_opened"`
 	SessionsClosed int64 `json:"sessions_closed"`
@@ -81,14 +61,19 @@ type RuntimeStats struct {
 	Started   bool      `json:"started"`
 	FirstTime time.Time `json:"first_time"`
 	LastTime  time.Time `json:"last_time"`
-	// Shards holds the per-shard live counters in shard order.
-	Shards []ShardRuntime `json:"shards"`
+	// SketchItems is the summed live footprint of the estimator
+	// sketches (quantile ladder items + Hill reservoir samples) — the
+	// bounded-memory story, observable.
+	SketchItems int64 `json:"sketch_items"`
+	// NextExpiry is the sessionizer's eviction frontier (zero when no
+	// expiry is scheduled).
+	NextExpiry time.Time `json:"next_expiry"`
 }
 
 // engineTelemetry carries the engine's live-instrument handles and
-// fold/checkpoint accounting. The labeled per-shard gauge handles are
-// precomputed at construction so the per-chunk update path does no
-// name formatting; on a nil registry every handle is the obs no-op.
+// fold/checkpoint accounting. The gauge handles are looked up at
+// construction so the per-chunk update path does no registry lookups;
+// on a nil registry every handle is the obs no-op.
 // Transient observability state: deliberately not checkpointed — a
 // resumed run re-counts folds and checkpoints from its resume point.
 type engineTelemetry struct {
@@ -101,17 +86,15 @@ type engineTelemetry struct {
 	arrPubLast int64
 	arrPubbed  bool
 
-	foldedC      *obs.Counter
-	quarBytes    *obs.Gauge
-	shardRecords []*obs.Gauge
-	shardActive  []*obs.Gauge
-	shardSketch  []*obs.Gauge
+	foldedC     *obs.Counter
+	quarBytes   *obs.Gauge
+	records     *obs.Gauge
+	sketchItems *obs.Gauge
 }
 
-// newEngineTelemetry builds the engine's telemetry state, precomputing
-// one labeled gauge handle per shard and quantity.
-func newEngineTelemetry(reg *obs.Registry, shards int) *engineTelemetry {
-	t := &engineTelemetry{
+// newEngineTelemetry builds the engine's telemetry state.
+func newEngineTelemetry(reg *obs.Registry) *engineTelemetry {
+	return &engineTelemetry{
 		chunksFolded:       0,
 		checkpoints:        0,
 		lastCheckpointLine: 0,
@@ -119,39 +102,30 @@ func newEngineTelemetry(reg *obs.Registry, shards int) *engineTelemetry {
 		arrPubbed:          false,
 		foldedC:            reg.Counter("stream.chunks_folded"),
 		quarBytes:          reg.Gauge("stream.quarantine_bytes"),
+		records:            reg.Gauge("stream.records_folded"),
+		sketchItems:        reg.Gauge("stream.sketch_items"),
 	}
-	for i := 0; i < shards; i++ {
-		shard := strconv.Itoa(i)
-		t.shardRecords = append(t.shardRecords, reg.Gauge(obs.LabeledName("stream.shard.records", "shard", shard)))
-		t.shardActive = append(t.shardActive, reg.Gauge(obs.LabeledName("stream.shard.active_sessions", "shard", shard)))
-		t.shardSketch = append(t.shardSketch, reg.Gauge(obs.LabeledName("stream.shard.sketch_items", "shard", shard)))
-	}
-	return t
 }
 
-// sketchItems sums the live footprint of the shard's estimator
-// sketches.
-func (sh *engineShard) sketchItems() int64 {
+// sketchItems sums the live footprint of the estimator sketches.
+func (e *Engine) sketchItems() int64 {
 	var total int64
-	for _, c := range sh.chars {
+	for _, c := range e.chars {
 		total += int64(c.quant.Stored()) + int64(c.hill.SampleLen())
 	}
 	return total
 }
 
 // noteChunkFolded runs the per-chunk telemetry work: fold accounting,
-// the per-shard registry gauges, and a runtime publication. Called
-// from the fold callback after a chunk is fully drained — chunk
-// granularity, so none of this rides the per-record hot path.
+// the registry gauges, and a runtime publication. Called from the fold
+// callback after a chunk is fully drained — chunk granularity, so none
+// of this rides the per-record hot path.
 func (e *Engine) noteChunkFolded() {
 	e.tele.chunksFolded++
 	e.tele.foldedC.Inc()
 	if e.cfg.Metrics != nil {
-		for i, sh := range e.shards {
-			e.tele.shardRecords[i].Set(sh.records)
-			e.tele.shardActive[i].Set(int64(sh.streamer.ActiveSessions()))
-			e.tele.shardSketch[i].Set(sh.sketchItems())
-		}
+		e.tele.records.Set(e.records)
+		e.tele.sketchItems.Set(e.sketchItems())
 		if e.quar != nil {
 			e.tele.quarBytes.Set(e.quar.N)
 		}
@@ -214,30 +188,20 @@ func (e *Engine) runtimeStats() RuntimeStats {
 		Snapshots:          e.snapshots,
 		Checkpoints:        e.tele.checkpoints,
 		LastCheckpointLine: e.tele.lastCheckpointLine,
-		SessionsActive:     int64(e.activeSessions()),
-		SessionsOpened:     e.openedSessions(),
-		SessionsClosed:     e.closedSessions(),
+		SessionsActive:     int64(e.streamer.ActiveSessions()),
+		SessionsOpened:     e.streamer.OpenedTotal(),
+		SessionsClosed:     e.closed,
 		Ingest:             e.ingest.detached(),
 		Started:            e.started,
 		FirstTime:          e.firstTime,
 		LastTime:           e.lastTime,
-		Shards:             make([]ShardRuntime, 0, len(e.shards)),
+		SketchItems:        e.sketchItems(),
 	}
 	if e.quar != nil {
 		rt.QuarantineBytes = e.quar.N
 	}
-	for _, sh := range e.shards {
-		sr := ShardRuntime{
-			Records:        sh.records,
-			Bytes:          sh.bytes,
-			ActiveSessions: int64(sh.streamer.ActiveSessions()),
-			SessionsClosed: sh.closed,
-			SketchItems:    sh.sketchItems(),
-		}
-		if at, ok := sh.streamer.NextExpiry(); ok {
-			sr.NextExpiry = at
-		}
-		rt.Shards = append(rt.Shards, sr)
+	if at, ok := e.streamer.NextExpiry(); ok {
+		rt.NextExpiry = at
 	}
 	return rt
 }

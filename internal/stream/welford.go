@@ -6,10 +6,9 @@
 // Hurst estimator and a reservoir-fed Hill tail estimator — so
 // arbitrarily long logs are characterized with memory bounded by live
 // sessions and fixed-size sketches, not trace length. Every estimator
-// supports an associative Merge, so the engine can hash-partition its
-// state by host into independent shards and report the deterministic
-// merge (DESIGN.md §12). Same input always yields byte-identical
-// snapshots (DESIGN.md §10).
+// supports an associative Merge, so states built over separate streams
+// combine deterministically (DESIGN.md §12). Same input always yields
+// byte-identical snapshots (DESIGN.md §10).
 package stream
 
 import "math"

@@ -61,8 +61,14 @@ fuzz-smoke:
 	$(GO) test -fuzz=FuzzStreamerBatchEquivalence -fuzztime=3s ./internal/session/
 	$(GO) test -fuzz=FuzzCheckpointDecode -fuzztime=5s -fuzzminimizetime=0 ./internal/stream/
 
-# Longer fuzz pass over the log-parser targets; starts warm from the
-# minimized seed corpora in internal/weblog/testdata/fuzz/.
+# Longer fuzz pass over every fuzz-smoke target: the log parsers
+# (with the timestamp decoder's differential check), chunked ingest,
+# streamer/batch equivalence and the checkpoint decoder. It starts warm
+# from the seed corpora under testdata/fuzz/; as in fuzz-smoke, the
+# checkpoint target runs with minimization off.
 fuzz:
 	$(GO) test -fuzz=FuzzParseCLF -fuzztime=30s ./internal/weblog/
 	$(GO) test -fuzz=FuzzParseCombined -fuzztime=30s ./internal/weblog/
+	$(GO) test -fuzz=FuzzChunkedIngest -fuzztime=30s ./internal/weblog/
+	$(GO) test -fuzz=FuzzStreamerBatchEquivalence -fuzztime=30s ./internal/session/
+	$(GO) test -fuzz=FuzzCheckpointDecode -fuzztime=30s -fuzzminimizetime=0 ./internal/stream/

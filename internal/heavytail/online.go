@@ -3,23 +3,30 @@ package heavytail
 import (
 	"fmt"
 	"math"
-	"math/rand"
+	"math/rand/v2"
 )
 
 // Reservoir maintains a uniform random sample of a stream (Vitter's
-// Algorithm R) with a fixed capacity and an explicit seeded generator,
-// so the sample — and everything estimated from it — is a deterministic
-// function of the input stream and the seed. While the stream is no
-// longer than the capacity the reservoir holds every observation, so
-// downstream estimators coincide exactly with their batch versions;
-// beyond that each observation is retained with probability k/n.
+// Algorithm R) with a fixed capacity and an explicit seeded PCG
+// generator, so the sample — and everything estimated from it — is a
+// deterministic function of the input stream and the seed. While the
+// stream is no longer than the capacity the reservoir holds every
+// observation, so downstream estimators coincide exactly with their
+// batch versions; beyond that each observation is retained with
+// probability k/n.
 type Reservoir struct {
 	items []float64
 	cap   int
-	seed  int64
 	seen  int64
-	rng   *rand.Rand
+	// pcg is the generator's state, serialized by State; rng draws
+	// from it.
+	pcg *rand.PCG
+	rng *rand.Rand
 }
+
+// pcgStream is the second PCG seed word: the seed picks the state, this
+// constant (the 64-bit golden ratio) fills the other word.
+const pcgStream = 0x9e3779b97f4a7c15
 
 // NewReservoir returns a reservoir of the given capacity seeded
 // deterministically.
@@ -27,11 +34,12 @@ func NewReservoir(capacity int, seed int64) (*Reservoir, error) {
 	if capacity < 1 {
 		return nil, fmt.Errorf("%w: reservoir capacity %d", ErrBadParam, capacity)
 	}
+	pcg := rand.NewPCG(uint64(seed), pcgStream)
 	return &Reservoir{
 		items: make([]float64, 0, capacity),
 		cap:   capacity,
-		seed:  seed,
-		rng:   rand.New(rand.NewSource(seed)),
+		pcg:   pcg,
+		rng:   rand.New(pcg),
 	}, nil
 }
 
@@ -42,7 +50,7 @@ func (r *Reservoir) Observe(v float64) {
 		r.items = append(r.items, v)
 		return
 	}
-	if j := r.rng.Int63n(r.seen); j < int64(r.cap) {
+	if j := r.rng.Int64N(r.seen); j < int64(r.cap) {
 		r.items[j] = v
 	}
 }
@@ -77,8 +85,8 @@ func (r *Reservoir) Sample() []float64 {
 // §12). The parts are not modified.
 //
 // The merged reservoir is a snapshot-time value: estimate from it, but
-// do not checkpoint it — its RNG-replay state describes the derived
-// seed, not any part's observation history. Checkpoints carry the
+// do not checkpoint it — its RNG state comes from the merge seed, not
+// from any part's observation history. Checkpoints carry the
 // observed reservoirs instead.
 func MergeReservoirs(seed int64, parts ...*Reservoir) (*Reservoir, error) {
 	if len(parts) == 0 {
@@ -140,7 +148,7 @@ func MergeReservoirs(seed int64, parts ...*Reservoir) (*Reservoir, error) {
 			x -= srcs[i].mass
 		}
 		s := &srcs[pick]
-		j := out.rng.Intn(len(s.items))
+		j := out.rng.IntN(len(s.items))
 		out.items = append(out.items, s.items[j])
 		s.items[j] = s.items[len(s.items)-1]
 		s.items = s.items[:len(s.items)-1]

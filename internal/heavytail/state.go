@@ -2,17 +2,14 @@ package heavytail
 
 import "fmt"
 
-// ReservoirState is the checkpointable image of a Reservoir. The RNG
-// itself is not serialized: math/rand state has no stable encoding.
-// Instead the state records the seed and the observation count, and
-// RestoreReservoir replays the generator — one Int63n draw per
-// post-capacity observation, exactly the sequence Observe consumed —
-// to land the RNG on the identical internal state, so the resumed
-// sample path is bit-for-bit the uninterrupted one.
+// ReservoirState is the checkpointable image of a Reservoir. RNG is
+// the PCG generator's MarshalBinary state, so restoring is O(capacity)
+// whatever the observation count, and the resumed sample path is
+// bit-for-bit the uninterrupted one.
 type ReservoirState struct {
 	Cap   int
-	Seed  int64
 	Seen  int64
+	RNG   []byte
 	Items []float64
 }
 
@@ -20,17 +17,17 @@ type ReservoirState struct {
 func (r *Reservoir) State() ReservoirState {
 	items := make([]float64, len(r.items))
 	copy(items, r.items)
-	return ReservoirState{Cap: r.cap, Seed: r.seed, Seen: r.seen, Items: items}
+	rng, err := r.pcg.MarshalBinary()
+	if err != nil {
+		panic(err) // PCG marshalling cannot fail
+	}
+	return ReservoirState{Cap: r.cap, Seen: r.seen, RNG: rng, Items: items}
 }
 
 // RestoreReservoir rebuilds a reservoir from a checkpointed state,
-// replaying the RNG to its exact position. Replay is O(seen) with a
-// tiny constant (one Int63n per observation beyond capacity).
+// rejecting an item count that disagrees with the observation count
+// and a generator state PCG does not accept.
 func RestoreReservoir(st ReservoirState) (*Reservoir, error) {
-	r, err := NewReservoir(st.Cap, st.Seed)
-	if err != nil {
-		return nil, err
-	}
 	want := st.Seen
 	if want > int64(st.Cap) {
 		want = int64(st.Cap)
@@ -38,8 +35,12 @@ func RestoreReservoir(st ReservoirState) (*Reservoir, error) {
 	if st.Seen < 0 || int64(len(st.Items)) != want {
 		return nil, fmt.Errorf("%w: reservoir state holds %d items for %d seen (cap %d)", ErrBadParam, len(st.Items), st.Seen, st.Cap)
 	}
-	for n := int64(st.Cap) + 1; n <= st.Seen; n++ {
-		r.rng.Int63n(n)
+	r, err := NewReservoir(st.Cap, 0)
+	if err != nil {
+		return nil, err
+	}
+	if err := r.pcg.UnmarshalBinary(st.RNG); err != nil {
+		return nil, fmt.Errorf("%w: reservoir RNG state: %v", ErrBadParam, err)
 	}
 	r.seen = st.Seen
 	r.items = append(r.items, st.Items...)
@@ -66,7 +67,7 @@ func (h *OnlineHill) State() OnlineHillState {
 
 // RestoreOnlineHill rebuilds an OnlineHill from a checkpointed state.
 func RestoreOnlineHill(st OnlineHillState) (*OnlineHill, error) {
-	h, err := NewOnlineHill(st.Res.Cap, st.Res.Seed, st.TailFraction, st.RelTol)
+	h, err := NewOnlineHill(st.Res.Cap, 0, st.TailFraction, st.RelTol)
 	if err != nil {
 		return nil, err
 	}

@@ -59,9 +59,10 @@ b - - [12/Jan/2004:12:00:00 -0500] "GET /4 HTTP/1.0" 200 40`)
 		if len(streamed) != len(batch) {
 			t.Fatalf("streamed %d sessions, batch %d", len(streamed), len(batch))
 		}
-		// Session contains time.Time; normalize to a comparable key (the
-		// parser builds a fresh FixedZone per record, so == on Session
-		// would compare locations, not instants).
+		// Session contains time.Time; normalize to a comparable key (a
+		// timestamp time.Parse decodes carries a fresh FixedZone when
+		// its offset is off the hour, so == on Session would compare
+		// locations, not instants).
 		type key struct {
 			host       string
 			start, end int64

@@ -2,21 +2,20 @@ package session
 
 import (
 	"fmt"
-	"sort"
+	"slices"
+	"strings"
 	"time"
 )
 
 // StreamerState is the checkpointable image of a Streamer. Active
-// sessions are stored in host order; the expiry heap is stored
-// verbatim (its exact slice layout), because the pop order of
-// equal-time entries decides session-close order and therefore the
-// floating-point fold order of downstream estimators — a rebuilt heap
-// with a different internal layout would be semantically equivalent
-// but not byte-identical on resume.
+// sessions are stored in host order. The last-touch list is not
+// stored: close order is canonical (closeOrder), so RestoreStreamer
+// rebuilds the list by sorting the active sessions into that order and
+// the resumed streamer closes every session exactly when and in the
+// order the uninterrupted one would.
 type StreamerState struct {
 	Threshold  time.Duration
 	Active     []Session
-	Expiry     []ExpiryState
 	LastTime   time.Time
 	SawAny     bool
 	Opened     int64
@@ -24,51 +23,54 @@ type StreamerState struct {
 	Clamped    int64
 }
 
-// ExpiryState is one scheduled expiry check in heap-slice order.
-type ExpiryState struct {
-	At   time.Time
-	Host string
-}
-
 // State captures the streamer for checkpointing.
 func (s *Streamer) State() StreamerState {
 	st := StreamerState{
 		Threshold:  s.threshold,
 		Active:     make([]Session, 0, len(s.active)),
-		Expiry:     make([]ExpiryState, len(s.expiry)),
 		LastTime:   s.lastTime,
 		SawAny:     s.sawAny,
 		Opened:     s.opened,
 		PeakActive: s.peakActive,
 		Clamped:    s.clamped,
 	}
-	for _, cur := range s.active {
-		st.Active = append(st.Active, *cur)
+	for n := s.head; n != nil; n = n.next {
+		st.Active = append(st.Active, n.Session)
 	}
-	sort.Slice(st.Active, func(i, j int) bool { return st.Active[i].Host < st.Active[j].Host })
-	for i, e := range s.expiry {
-		st.Expiry[i] = ExpiryState{At: e.at, Host: e.host}
-	}
+	slices.SortFunc(st.Active, func(a, b Session) int { return strings.Compare(a.Host, b.Host) })
 	return st
 }
 
-// RestoreStreamer rebuilds a streamer from a checkpointed state,
-// reproducing the live maps and the expiry heap's exact slice layout.
+// RestoreStreamer rebuilds a streamer from a checkpointed state. It
+// refuses active sessions no uninterrupted run could hold: a duplicate
+// host, an empty session, one that ends before it starts or after the
+// stream clock, or one the clock has already carried past the
+// threshold (it would have been evicted).
 func RestoreStreamer(st StreamerState) (*Streamer, error) {
 	s, err := NewStreamer(st.Threshold)
 	if err != nil {
 		return nil, fmt.Errorf("session: restoring streamer: %w", err)
 	}
-	for i := range st.Active {
-		sess := st.Active[i]
-		if _, dup := s.active[sess.Host]; dup {
+	nodes := make([]*openSession, len(st.Active))
+	for i, sess := range st.Active {
+		switch {
+		case s.active[sess.Host] != nil:
 			return nil, fmt.Errorf("session: restoring streamer: duplicate active host %q", sess.Host)
+		case sess.Requests < 1:
+			return nil, fmt.Errorf("session: restoring streamer: host %q holds %d requests", sess.Host, sess.Requests)
+		case sess.Start.After(sess.End):
+			return nil, fmt.Errorf("session: restoring streamer: host %q starts at %v after its end %v", sess.Host, sess.Start, sess.End)
+		case sess.End.After(st.LastTime):
+			return nil, fmt.Errorf("session: restoring streamer: host %q ends at %v after the stream clock %v", sess.Host, sess.End, st.LastTime)
+		case st.LastTime.Sub(sess.End) > st.Threshold:
+			return nil, fmt.Errorf("session: restoring streamer: host %q idle since %v should have been evicted by %v", sess.Host, sess.End, st.LastTime)
 		}
-		s.active[sess.Host] = &sess
+		nodes[i] = &openSession{Session: sess}
+		s.active[sess.Host] = nodes[i]
 	}
-	s.expiry = make(expiryHeap, len(st.Expiry))
-	for i, e := range st.Expiry {
-		s.expiry[i] = expiryEntry{at: e.At, host: e.Host}
+	slices.SortFunc(nodes, func(a, b *openSession) int { return closeOrder(a.Session, b.Session) })
+	for _, n := range nodes {
+		s.pushTail(n)
 	}
 	s.lastTime = st.LastTime
 	s.sawAny = st.SawAny

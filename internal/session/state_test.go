@@ -2,6 +2,7 @@ package session
 
 import (
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -61,7 +62,7 @@ func TestObserveClamped(t *testing.T) {
 
 // TestStreamerStateRoundTrip: checkpoint mid-stream, restore, and
 // require the restored streamer to emit exactly what the original
-// emits for the remaining records — including expiry order.
+// emits for the remaining records — including close order.
 func TestStreamerStateRoundTrip(t *testing.T) {
 	t0 := time.Date(2004, 1, 12, 10, 0, 0, 0, time.UTC)
 	feed := []weblog.Record{
@@ -118,14 +119,29 @@ func TestRestoreStreamerRejectsBadState(t *testing.T) {
 	if _, err := RestoreStreamer(StreamerState{Threshold: 0}); err == nil {
 		t.Fatal("zero threshold accepted")
 	}
-	st := StreamerState{
-		Threshold: time.Second,
-		Active: []Session{
-			{Host: "a", Requests: 1},
-			{Host: "a", Requests: 2},
-		},
+	t0 := time.Date(2004, 1, 12, 10, 0, 0, 0, time.UTC)
+	sess := func(host string, start, end time.Duration, requests int) Session {
+		return Session{Host: host, Start: t0.Add(start), End: t0.Add(end), Requests: requests}
 	}
-	if _, err := RestoreStreamer(st); err == nil {
-		t.Fatal("duplicate active host accepted")
+	for _, c := range []struct {
+		name   string
+		active []Session
+		want   string
+	}{
+		{"duplicate host", []Session{sess("a", 0, 0, 1), sess("a", 0, 5*time.Second, 2)}, "duplicate active host"},
+		{"no requests", []Session{sess("a", 0, 0, 0)}, "holds 0 requests"},
+		{"start after end", []Session{sess("a", 5*time.Second, 0, 2)}, "after its end"},
+		{"end after clock", []Session{sess("a", 0, 11*time.Second, 2)}, "after the stream clock"},
+		{"overdue", []Session{sess("a", -21*time.Second, -21*time.Second, 1)}, "should have been evicted"},
+	} {
+		st := StreamerState{Threshold: 30 * time.Second, Active: c.active, LastTime: t0.Add(10 * time.Second), SawAny: true}
+		if _, err := RestoreStreamer(st); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: %v, want an error containing %q", c.name, err, c.want)
+		}
+	}
+	// A session idle for exactly the threshold is still open.
+	st := StreamerState{Threshold: 30 * time.Second, Active: []Session{sess("a", -20*time.Second, -20*time.Second, 1)}, LastTime: t0.Add(10 * time.Second), SawAny: true}
+	if _, err := RestoreStreamer(st); err != nil {
+		t.Errorf("session idle for exactly the threshold rejected: %v", err)
 	}
 }

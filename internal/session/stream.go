@@ -2,6 +2,8 @@ package session
 
 import (
 	"fmt"
+	"slices"
+	"strings"
 	"time"
 
 	"fullweb/internal/weblog"
@@ -13,13 +15,21 @@ import (
 // arbitrarily long logs can be processed with memory proportional to
 // the number of concurrently active users — the production counterpart
 // of the batch Sessionize used by the analyses.
+//
+// The open sessions sit on an intrusive doubly linked list in
+// last-touch order. Input is time-ordered, so a touched session moves
+// to the tail with the largest End, the list stays sorted by End, and
+// the sessions due to close are exactly a prefix of it: expiry is O(1)
+// per record and per closed session.
 type Streamer struct {
 	threshold time.Duration
-	active    map[string]*Session
-	expiry    expiryHeap
-	lastTime  time.Time
-	sawAny    bool
-	opened    int64
+	active    map[string]*openSession
+	// head is the least recently touched open session, tail the most
+	// recently touched.
+	head, tail *openSession
+	lastTime   time.Time
+	sawAny     bool
+	opened     int64
 	// peakActive is the high-water mark of concurrently open sessions —
 	// the quantity that bounds the streamer's live memory, tracked so
 	// bounded-memory regression tests can assert it stays flat as trace
@@ -30,69 +40,51 @@ type Streamer struct {
 	clamped int64
 }
 
-// expiryEntry schedules a host for an expiry check; lazily invalidated
-// entries (the session saw more requests since) are skipped on pop.
-type expiryEntry struct {
-	at   time.Time
-	host string
+// openSession is one open session and its links in last-touch order.
+type openSession struct {
+	Session
+	prev, next *openSession
 }
 
-// expiryHeap is a concrete min-heap on expiryEntry.at. It deliberately
-// does NOT implement container/heap.Interface: the stdlib driver boxes
-// every pushed entry and every popped result in an interface value —
-// two heap allocations per observed record on the streaming hot path.
-// The sift algorithms below are mechanical transcriptions of
-// container/heap's up/down with Less = at.Before, so the slice layout
-// after any push/pop sequence — including the tie-breaking order of
-// equal-time entries, which checkpoints store verbatim and which
-// decides session-close order — is bit-for-bit what the stdlib driver
-// would produce.
-type expiryHeap []expiryEntry
-
-func (h *expiryHeap) push(e expiryEntry) {
-	*h = append(*h, e)
-	h.up(len(*h) - 1)
-}
-
-func (h *expiryHeap) pop() expiryEntry {
-	old := *h
-	n := len(old) - 1
-	old[0], old[n] = old[n], old[0]
-	old[:n].down(0)
-	v := old[n]
-	*h = old[:n]
-	return v
-}
-
-func (h expiryHeap) up(j int) {
-	for {
-		i := (j - 1) / 2 // parent
-		if i == j || !h[j].at.Before(h[i].at) {
-			break
-		}
-		h[i], h[j] = h[j], h[i]
-		j = i
+// pushTail links n as the most recently touched session.
+func (s *Streamer) pushTail(n *openSession) {
+	n.prev, n.next = s.tail, nil
+	if s.tail != nil {
+		s.tail.next = n
+	} else {
+		s.head = n
 	}
+	s.tail = n
 }
 
-func (h expiryHeap) down(i0 int) {
-	n := len(h)
-	i := i0
-	for {
-		j1 := 2*i + 1
-		if j1 >= n || j1 < 0 { // j1 < 0 after int overflow
-			break
-		}
-		j := j1 // left child
-		if j2 := j1 + 1; j2 < n && h[j2].at.Before(h[j1].at) {
-			j = j2 // = 2*i + 2  // right child
-		}
-		if !h[j].at.Before(h[i].at) {
-			break
-		}
-		h[i], h[j] = h[j], h[i]
-		i = j
+// unlink removes n from the list.
+func (s *Streamer) unlink(n *openSession) {
+	if n.prev != nil {
+		n.prev.next = n.next
+	} else {
+		s.head = n.next
 	}
+	if n.next != nil {
+		n.next.prev = n.prev
+	} else {
+		s.tail = n.prev
+	}
+	n.prev, n.next = nil, nil
+}
+
+// closeOrder is the canonical session-close order: by End, then Start,
+// then Host. A host has at most one open session, so the order is
+// total within an eviction batch, and close order — which decides the
+// floating-point fold order of every downstream estimator — is a
+// function of the sessions alone, not of how they were stored.
+func closeOrder(a, b Session) int {
+	if c := a.End.Compare(b.End); c != 0 {
+		return c
+	}
+	if c := a.Start.Compare(b.Start); c != 0 {
+		return c
+	}
+	return strings.Compare(a.Host, b.Host)
 }
 
 // NewStreamer returns a streaming sessionizer with the given inactivity
@@ -103,7 +95,7 @@ func NewStreamer(threshold time.Duration) (*Streamer, error) {
 	}
 	return &Streamer{
 		threshold: threshold,
-		active:    make(map[string]*Session),
+		active:    make(map[string]*openSession),
 	}, nil
 }
 
@@ -121,17 +113,15 @@ func (s *Streamer) PeakActiveSessions() int { return s.peakActive }
 // known at open time rather than at close time.
 func (s *Streamer) OpenedTotal() int64 { return s.opened }
 
-// NextExpiry returns the earliest scheduled expiry check and whether
-// one is pending — the eviction frontier a live telemetry view shows
-// next to the stream clock. Entries are lazily invalidated (a session
-// that saw more requests reschedules rather than rewrites), so the
-// returned time is a lower bound on the next actual close, never an
-// exact prediction.
+// NextExpiry returns the exact eviction frontier and whether a session
+// is open: the least recently touched session closes on the first
+// record stamped after End + threshold. A live telemetry view shows it
+// next to the stream clock.
 func (s *Streamer) NextExpiry() (time.Time, bool) {
-	if len(s.expiry) == 0 {
+	if s.head == nil {
 		return time.Time{}, false
 	}
-	return s.expiry[0].at, true
+	return s.head.End.Add(s.threshold), true
 }
 
 // Clamped returns how many records ObserveClamped pulled forward to
@@ -159,11 +149,13 @@ func (s *Streamer) ObserveClamped(r weblog.Record) ([]Session, error) {
 }
 
 // Observe feeds one record. Records must arrive in non-decreasing time
-// order (access logs are written that way). It returns any sessions
-// whose inactivity window closed at or before this record's timestamp.
+// order (access logs are written that way). It returns the sessions
+// whose inactivity window closed strictly before this record's
+// timestamp, in close order (closeOrder).
 //
-// One call per record: the concrete expiry heap exists so this path
-// allocates nothing but amortized session growth (DESIGN.md §13).
+// One call per record: the intrusive list exists so this path
+// allocates nothing but the node of each opened session and the
+// batch of each eviction (DESIGN.md §13).
 //
 //hot:path
 func (s *Streamer) Observe(r weblog.Record) ([]Session, error) {
@@ -173,49 +165,42 @@ func (s *Streamer) Observe(r weblog.Record) ([]Session, error) {
 	s.lastTime = r.Time
 	s.sawAny = true
 	closed := s.evict(r.Time)
-	cur, ok := s.active[r.Host]
-	if ok && r.Time.Sub(cur.End) > s.threshold {
-		// Should have been evicted already, but guard against equal-time
-		// boundary cases.
-		closed = append(closed, *cur)
-		ok = false
-	}
-	if !ok {
-		fresh := open(r)
-		s.active[r.Host] = &fresh
-		s.opened++
-		if len(s.active) > s.peakActive {
-			s.peakActive = len(s.active)
-		}
-	} else {
+	if cur, ok := s.active[r.Host]; ok {
+		// Eviction left only sessions within the threshold of now.
 		cur.absorb(r)
+		if cur != s.tail {
+			s.unlink(cur)
+			s.pushTail(cur)
+		}
+		return closed, nil
 	}
-	s.expiry.push(expiryEntry{at: r.Time.Add(s.threshold), host: r.Host})
+	n := &openSession{Session: open(r)}
+	s.pushTail(n)
+	s.active[r.Host] = n
+	s.opened++
+	if len(s.active) > s.peakActive {
+		s.peakActive = len(s.active)
+	}
 	return closed, nil
 }
 
 // evict closes every session whose inactivity window ended strictly
-// before now.
+// before now: a prefix of the list, sorted into close order.
 //
-//hot:path — called from Observe on every record; pops must not box.
+//hot:path — called from Observe on every record.
 func (s *Streamer) evict(now time.Time) []Session {
 	var closed []Session
-	for len(s.expiry) > 0 && s.expiry[0].at.Before(now) {
-		entry := s.expiry.pop()
-		cur, ok := s.active[entry.host]
-		if !ok {
-			continue // session already closed
-		}
-		if now.Sub(cur.End) > s.threshold {
-			// Growth is per closed session, not per record: eviction
-			// bursts are bounded by the active-session count and most
-			// calls close zero or one session, so a presized buffer
-			// would be pure waste.
-			closed = append(closed, *cur) //lint:allow hotalloc amortized per closed session, not per record
-			delete(s.active, entry.host)
-		}
-		// Otherwise the session saw later requests; a fresher expiry
-		// entry exists in the heap.
+	for n := s.head; n != nil && now.Sub(n.End) > s.threshold; n = s.head {
+		// Growth is per closed session, not per record: eviction
+		// bursts are bounded by the active-session count and most
+		// calls close zero or one session, so a presized buffer
+		// would be pure waste.
+		closed = append(closed, n.Session) //lint:allow hotalloc amortized per closed session, not per record
+		s.unlink(n)
+		delete(s.active, n.Host)
+	}
+	if len(closed) > 1 {
+		slices.SortFunc(closed, closeOrder)
 	}
 	return closed
 }
@@ -224,11 +209,11 @@ func (s *Streamer) evict(now time.Time) []Session {
 // last record. The streamer is reusable afterwards.
 func (s *Streamer) Flush() []Session {
 	out := make([]Session, 0, len(s.active))
-	for _, cur := range s.active {
-		out = append(out, *cur)
+	for n := s.head; n != nil; n = n.next {
+		out = append(out, n.Session)
 	}
-	s.active = make(map[string]*Session)
-	s.expiry = s.expiry[:0]
+	s.active = make(map[string]*openSession)
+	s.head, s.tail = nil, nil
 	s.sawAny = false
 	sortSessions(out)
 	return out

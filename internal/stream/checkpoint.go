@@ -1,11 +1,11 @@
 // Checkpoint/resume for the streaming engine: a versioned, checksummed
-// binary serialization (ckptcodec.go) of the full online state —
-// the sessionizer heap, Welford moments, quantile-sketch ladders,
-// dyadic aggregated-variance levels, reservoir Hill state (with RNG
-// replay), totals and ingest accounting — written atomically at
-// snapshot cadence. A resumed engine continues from the exact raw-line
-// boundary the checkpoint recorded and produces output byte-identical
-// to an uninterrupted run (DESIGN.md §11).
+// binary serialization (ckptcodec.go) of the full online state — the
+// sessionizer's open sessions, Welford moments, quantile-sketch
+// ladders, dyadic aggregated-variance levels, reservoir Hill state
+// (with its PCG generator state), totals and ingest accounting —
+// written atomically at snapshot cadence. A resumed engine continues
+// from the exact raw-line boundary the checkpoint recorded and produces
+// output byte-identical to an uninterrupted run (DESIGN.md §11).
 
 package stream
 
@@ -43,9 +43,13 @@ import (
 // v5: one unpartitioned state. The shard list and the Shards
 // fingerprint field are gone; the sessionizer, closed-session count
 // and characteristics sit at the end of the payload.
+//
+// v6: the sessionizer's expiry list is gone (close order is canonical,
+// so restore rebuilds it from the active sessions), and each reservoir
+// carries its PCG generator state instead of a seed to replay.
 const (
 	checkpointMagic   = "fullweb-checkpoint"
-	checkpointVersion = 5
+	checkpointVersion = 6
 )
 
 // ConfigFingerprint is the engine-config fingerprint embedded in
@@ -504,10 +508,10 @@ func ResumeEngine(cfg Config, cp *Checkpoint) (*Engine, error) {
 		}
 		// The sketches must have the geometry this engine builds and
 		// have seen exactly the closed sessions: capacities size
-		// allocations and the Hill count sets the length of the
-		// reservoir's RNG replay, so neither is taken on trust.
+		// allocations and counts are cross-checked, so neither is
+		// taken on trust.
 		fresh := c.hill.State()
-		if cc.Quant.Cap != c.quant.Cap() || cc.Hill.Res.Cap != fresh.Res.Cap || cc.Hill.Res.Seed != fresh.Res.Seed ||
+		if cc.Quant.Cap != c.quant.Cap() || cc.Hill.Res.Cap != fresh.Res.Cap ||
 			cc.Hill.TailFraction != fresh.TailFraction || cc.Hill.RelTol != fresh.RelTol {
 			return nil, fmt.Errorf("stream: %s sketch geometry does not match the engine config", c.name)
 		}

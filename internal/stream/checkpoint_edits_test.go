@@ -4,6 +4,9 @@ import (
 	"bytes"
 	"fmt"
 	"math"
+	"time"
+
+	"fullweb/internal/session"
 )
 
 // CheckpointEdit is one state-level edit of a checkpoint, aimed at one
@@ -29,6 +32,15 @@ func eachChar(st *engineState, fn func(*charCheckpoint)) {
 func eachSecond(st *engineState, fn func(*secondState)) {
 	fn(&st.ReqArr)
 	fn(&st.SessArr)
+}
+
+// firstActive applies fn to the first open session.
+func firstActive(fn func(st *engineState, s *session.Session)) func(*engineState) {
+	return func(st *engineState) {
+		if len(st.Streamer.Active) > 0 {
+			fn(st, &st.Streamer.Active[0])
+		}
+	}
 }
 
 // setCounts sets every sketch and aggregated-variance count to n.
@@ -64,8 +76,14 @@ var CheckpointEdits = []CheckpointEdit{
 	{"reservoir seen 9e18", "sketch counts disagree", func(st *engineState) {
 		eachChar(st, func(c *charCheckpoint) { c.Hill.Res.Seen = 9e18 })
 	}},
-	{"unsorted quantile buffer", "quantile sketch weight", func(st *engineState) {
-		eachChar(st, func(c *charCheckpoint) { c.Quant.Buf = []float64{3, 1, 2} })
+	{"quantile buffer one short", "quantile sketch weight", func(st *engineState) {
+		eachChar(st, func(c *charCheckpoint) {
+			if n := len(c.Quant.Buf); n > 0 {
+				c.Quant.Buf = c.Quant.Buf[:n-1]
+			} else {
+				c.Quant.Buf = []float64{1}
+			}
+		})
 	}},
 	{"short quantile level", "quantile sketch level 0 holds 1", func(st *engineState) {
 		eachChar(st, func(c *charCheckpoint) {
@@ -85,6 +103,25 @@ var CheckpointEdits = []CheckpointEdit{
 	{"negative last arrival second", "", func(st *engineState) { st.Arrivals.Last = -1 }},
 	{"extra request second", "request seconds but", func(st *engineState) {
 		st.Arrivals.Requests = append([]float64{-1}, st.Arrivals.Requests...)
+	}},
+	{"active session ends before it starts", "after its end", firstActive(func(_ *engineState, s *session.Session) {
+		s.Start = s.End.Add(time.Second)
+	})},
+	{"active session ends after the clock", "after the stream clock", firstActive(func(st *engineState, s *session.Session) {
+		s.End = st.Streamer.LastTime.Add(time.Second)
+	})},
+	{"active session without requests", "holds 0 requests", firstActive(func(_ *engineState, s *session.Session) {
+		s.Requests = 0
+	})},
+	{"overdue active session", "should have been evicted", firstActive(func(st *engineState, s *session.Session) {
+		s.End = st.Streamer.LastTime.Add(-st.Streamer.Threshold - time.Second)
+		s.Start = s.End
+	})},
+	{"duplicate active host", "duplicate active host", func(st *engineState) {
+		st.Streamer.Active = append(st.Streamer.Active, st.Streamer.Active...)
+	}},
+	{"malformed reservoir RNG state", "RNG state", func(st *engineState) {
+		eachChar(st, func(c *charCheckpoint) { c.Hill.Res.RNG = c.Hill.Res.RNG[:3] })
 	}},
 	{"huge means", "", func(st *engineState) {
 		eachChar(st, func(c *charCheckpoint) { c.Moments.Mean = 1e308 })

@@ -31,7 +31,7 @@ func fuzzCheckpointConfig() stream.Config {
 func reseal(data []byte) []byte {
 	_, payload, _ := bytes.Cut(data, []byte("\n"))
 	sum := sha256.Sum256(payload)
-	header := fmt.Sprintf("fullweb-checkpoint v5 sha256=%s\n", hex.EncodeToString(sum[:]))
+	header := fmt.Sprintf("fullweb-checkpoint v6 sha256=%s\n", hex.EncodeToString(sum[:]))
 	return append([]byte(header), payload...)
 }
 
@@ -49,9 +49,9 @@ var checkpointMutations = []struct {
 }
 
 // midTraceCheckpoint is a real checkpoint taken under
-// fuzzCheckpointConfig after the first few hundred fixture lines, which
-// leave full reservoirs, compacted quantile levels and a populated
-// ring.
+// fuzzCheckpointConfig at the first periodic snapshot of the fixture,
+// a few hundred lines in: full reservoirs, compacted quantile levels,
+// a populated ring and open sessions.
 func midTraceCheckpoint(tb testing.TB) []byte {
 	tb.Helper()
 	lines := strings.SplitAfter(string(fixtureBytes(tb)), "\n")
@@ -59,12 +59,18 @@ func midTraceCheckpoint(tb testing.TB) []byte {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	if _, err := eng.ProcessCtx(context.Background(), strings.NewReader(strings.Join(lines[:400], "")), nil); err != nil {
+	var real bytes.Buffer
+	capture := func(*stream.Snapshot) error {
+		if real.Len() > 0 {
+			return nil
+		}
+		return eng.WriteCheckpoint(&real)
+	}
+	if _, err := eng.ProcessCtx(context.Background(), strings.NewReader(strings.Join(lines[:400], "")), capture); err != nil {
 		tb.Fatal(err)
 	}
-	var real bytes.Buffer
-	if err := eng.WriteCheckpoint(&real); err != nil {
-		tb.Fatal(err)
+	if real.Len() == 0 {
+		tb.Fatal("no periodic snapshot in the fixture prefix")
 	}
 	return real.Bytes()
 }

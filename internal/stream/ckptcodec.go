@@ -1,4 +1,4 @@
-// The v5 checkpoint payload codec: engineState's fields in a fixed
+// The v6 checkpoint payload codec: engineState's fields in a fixed
 // order, with no field names and no reflection. Ints and lengths are
 // varints, bools one byte, strings length-prefixed, times their
 // MarshalBinary form (seconds, nanoseconds and zone offset) behind a
@@ -13,6 +13,7 @@ package stream
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"math"
@@ -37,7 +38,6 @@ const maxExactInt = 1 << 53
 const (
 	minAggLevelBytes = 3*8 + 3
 	minSessionBytes  = 1 + 2*16 + 3
-	minExpiryBytes   = 16 + 1
 )
 
 // ckptCodec walks a state's fields in layout order. Encoding, it
@@ -178,6 +178,18 @@ func (c *ckptCodec) bytes(b []byte) []byte {
 	b = c.b[:n]
 	c.b = c.b[n:]
 	return b
+}
+
+// blob writes *p, or reads a length-prefixed byte string into a copy
+// (nil when empty).
+func (c *ckptCodec) blob(p *[]byte) {
+	b := c.bytes(*p)
+	if !c.enc {
+		*p = nil
+		if len(b) > 0 {
+			*p = bytes.Clone(b)
+		}
+	}
 }
 
 func (c *ckptCodec) str(p *string) {
@@ -389,10 +401,6 @@ func (c *ckptCodec) streamer(st *session.StreamerState) {
 		c.i64(&s.Bytes)
 		c.intv(&s.Errors)
 	})
-	codecSlice(c, &st.Expiry, minExpiryBytes, func(x *session.ExpiryState) {
-		c.when(&x.At)
-		c.str(&x.Host)
-	})
 	c.when(&st.LastTime)
 	c.flag(&st.SawAny)
 	c.i64(&st.Opened)
@@ -416,8 +424,8 @@ func (c *ckptCodec) char(ch *charCheckpoint) {
 	codecSlice(c, &q.Flips, 1, c.flag)
 	h := &ch.Hill
 	c.intv(&h.Res.Cap)
-	c.i64(&h.Res.Seed)
 	c.i64(&h.Res.Seen)
+	c.blob(&h.Res.RNG)
 	c.floats(&h.Res.Items)
 	c.f64(&h.TailFraction)
 	c.f64(&h.RelTol)

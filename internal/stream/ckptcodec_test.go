@@ -100,7 +100,7 @@ func TestCheckpointFloatsBitExact(t *testing.T) {
 	}
 }
 
-// resealed frames a payload with a valid v5 header.
+// resealed frames a payload with a valid v6 header.
 func resealed(payload []byte) []byte {
 	return append([]byte(checkpointHeader(sha256.Sum256(payload))), payload...)
 }
@@ -188,16 +188,16 @@ func TestCheckpointTrailingBytesRejected(t *testing.T) {
 	}
 }
 
-// TestCheckpointV3Rejected: a v3 (JSON) or v4 (sharded binary)
-// checkpoint with a valid checksum is refused with an error that names
-// both versions.
+// TestCheckpointV3Rejected: a v3 (JSON), v4 (sharded binary) or v5
+// (expiry list, reservoir seed) checkpoint with a valid checksum is
+// refused with an error that names both versions.
 func TestCheckpointV3Rejected(t *testing.T) {
 	payload := []byte(`{"config":{"threshold":1800000000000},"lines":42}`)
 	sum := sha256.Sum256(payload)
-	for _, v := range []int{3, 4} {
+	for _, v := range []int{3, 4, 5} {
 		data := fmt.Sprintf("%s v%d sha256=%s\n%s", checkpointMagic, v, hex.EncodeToString(sum[:]), payload)
 		_, err := ReadCheckpoint(strings.NewReader(data))
-		if want := fmt.Sprintf("version v%d, this build reads v5", v); err == nil || !strings.Contains(err.Error(), want) {
+		if want := fmt.Sprintf("version v%d, this build reads v6", v); err == nil || !strings.Contains(err.Error(), want) {
 			t.Fatalf("v%d checkpoint: %v", v, err)
 		}
 	}
@@ -221,6 +221,8 @@ func fillDistinct(t *testing.T, v reflect.Value, n *int) {
 	switch v.Kind() {
 	case reflect.Int, reflect.Int64:
 		v.SetInt(int64(*n))
+	case reflect.Uint8:
+		v.SetUint(uint64(*n % 256))
 	case reflect.Float64:
 		// Every third value is integral, so both float slice forms are
 		// exercised.

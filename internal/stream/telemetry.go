@@ -65,8 +65,9 @@ type RuntimeStats struct {
 	// sketches (quantile ladder items + Hill reservoir samples) — the
 	// bounded-memory story, observable.
 	SketchItems int64 `json:"sketch_items"`
-	// NextExpiry is the sessionizer's eviction frontier (zero when no
-	// expiry is scheduled).
+	// NextExpiry is the sessionizer's exact eviction frontier: the
+	// least recently touched open session closes on the first record
+	// stamped after it (zero when no session is open).
 	NextExpiry time.Time `json:"next_expiry"`
 }
 

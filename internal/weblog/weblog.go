@@ -109,7 +109,9 @@ func sanitizeQuoted(s string) string {
 //
 // It runs once per input line: field splitting is hand-rolled (no
 // strings.Fields/Split) to keep the per-record allocation budget at
-// the substrings the Record actually retains (DESIGN.md §13).
+// the substrings the Record actually retains, and the timestamp goes
+// through the fixed-layout decoder parseCLFTime before time.Parse
+// (DESIGN.md §13).
 //
 //hot:path
 func ParseCLF(line string) (Record, error) {
@@ -141,9 +143,12 @@ func ParseCLF(line string) (Record, error) {
 	if end < 0 {
 		return rec, fmt.Errorf("%w: unterminated timestamp", ErrMalformed)
 	}
-	ts, err := time.Parse(clfTime, rest[1:end])
-	if err != nil {
-		return rec, fmt.Errorf("%w: timestamp %q: %v", ErrMalformed, rest[1:end], err)
+	ts, ok := parseCLFTime(rest[1:end])
+	if !ok {
+		var err error
+		if ts, err = time.Parse(clfTime, rest[1:end]); err != nil {
+			return rec, fmt.Errorf("%w: timestamp %q: %v", ErrMalformed, rest[1:end], err)
+		}
 	}
 	rec.Time = ts
 	rest = strings.TrimPrefix(rest[end+1:], " ")

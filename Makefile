@@ -37,7 +37,8 @@ lint:
 # check is the tier-1 gate (see README "Testing"): everything must be
 # gofmt-clean, compile, pass vet and the custom lint suite, pass the
 # full test suite (shuffled) under the race detector, and survive a
-# short fuzz smoke over the log parsers and the checkpoint decoder.
+# short fuzz smoke over the log parsers, the checkpoint decoder and
+# journal recovery.
 check: fmt vet lint build race fuzz-smoke
 
 # bench runs the repository benchmark (bench/README.md) once for each
@@ -49,26 +50,26 @@ bench:
 	done
 
 # Short fuzz smoke (~25s total) over the checked-in corpora; part of
-# the tier-1 gate so parser, sessionizer and checkpoint-decoder
-# regressions surface immediately. The streamer/batch target is the
-# root of the PR 4 streaming-equals-batch invariant. The checkpoint
-# target runs with minimization off: its inputs are several KiB of
-# JSON, and minimizing each new one would take the whole budget.
+# the tier-1 gate so parser, sessionizer, checkpoint-decoder and
+# journal-recovery regressions surface immediately. The streamer/batch
+# target is the root of the PR 4 streaming-equals-batch invariant. The
+# checkpoint target runs with minimization off: its inputs are several
+# KiB of JSON, and minimizing each new one would take the whole budget.
 fuzz-smoke:
 	$(GO) test -fuzz=FuzzParseCLF -fuzztime=5s ./internal/weblog/
-	$(GO) test -fuzz=FuzzParseCombined -fuzztime=5s ./internal/weblog/
 	$(GO) test -fuzz=FuzzChunkedIngest -fuzztime=5s ./internal/weblog/
 	$(GO) test -fuzz=FuzzStreamerBatchEquivalence -fuzztime=3s ./internal/session/
 	$(GO) test -fuzz=FuzzCheckpointDecode -fuzztime=5s -fuzzminimizetime=0 ./internal/stream/
+	$(GO) test -fuzz=FuzzWALReplay -fuzztime=5s ./internal/serve/
 
 # Longer fuzz pass over every fuzz-smoke target: the log parsers
 # (with the timestamp decoder's differential check), chunked ingest,
-# streamer/batch equivalence and the checkpoint decoder. It starts warm
-# from the seed corpora under testdata/fuzz/; as in fuzz-smoke, the
-# checkpoint target runs with minimization off.
+# streamer/batch equivalence, the checkpoint decoder and journal
+# recovery. It starts warm from the seed corpora under testdata/fuzz/;
+# as in fuzz-smoke, the checkpoint target runs with minimization off.
 fuzz:
 	$(GO) test -fuzz=FuzzParseCLF -fuzztime=30s ./internal/weblog/
-	$(GO) test -fuzz=FuzzParseCombined -fuzztime=30s ./internal/weblog/
 	$(GO) test -fuzz=FuzzChunkedIngest -fuzztime=30s ./internal/weblog/
 	$(GO) test -fuzz=FuzzStreamerBatchEquivalence -fuzztime=30s ./internal/session/
 	$(GO) test -fuzz=FuzzCheckpointDecode -fuzztime=30s -fuzzminimizetime=0 ./internal/stream/
+	$(GO) test -fuzz=FuzzWALReplay -fuzztime=30s ./internal/serve/

@@ -1,9 +1,9 @@
 // Package dist implements the probability distributions used by the
 // workload models and statistical tests in this library: exponential,
-// Pareto, lognormal, normal, and uniform, plus Poisson event-time
-// generation. Each distribution provides its CDF, quantile function,
-// moments, random sampling from a caller-supplied source, and maximum
-// likelihood fitting where the paper requires it.
+// Pareto and lognormal, plus Poisson event-time generation. Each
+// distribution provides its CDF, quantile function, moments, random
+// sampling from a caller-supplied source, and maximum likelihood
+// fitting where the paper requires it.
 //
 // All samplers take a *rand.Rand so experiments are reproducible from
 // fixed seeds; nothing in this package touches global randomness.
@@ -80,22 +80,6 @@ func (d Exponential) Var() float64 { return 1 / (d.Lambda * d.Lambda) }
 // Sample draws one variate.
 func (d Exponential) Sample(rng *rand.Rand) float64 {
 	return rng.ExpFloat64() / d.Lambda
-}
-
-// FitExponential returns the MLE exponential distribution for the sample
-// (rate = 1/mean). All observations must be positive.
-func FitExponential(x []float64) (Exponential, error) {
-	if len(x) == 0 {
-		return Exponential{}, ErrEmpty
-	}
-	sum := 0.0
-	for _, v := range x {
-		if v <= 0 || math.IsNaN(v) {
-			return Exponential{}, fmt.Errorf("%w: exponential fit needs positive data, got %v", ErrSupport, v)
-		}
-		sum += v
-	}
-	return NewExponential(float64(len(x)) / sum)
 }
 
 // Pareto is the classical Pareto distribution with shape Alpha > 0 and
@@ -268,92 +252,4 @@ func FitLognormal(x []float64) (Lognormal, error) {
 		return Lognormal{}, fmt.Errorf("%w: lognormal fit on constant data", ErrSupport)
 	}
 	return NewLognormal(mu, sigma)
-}
-
-// Normal is the normal distribution with mean Mu and standard deviation
-// Sigma > 0.
-type Normal struct {
-	Mu    float64
-	Sigma float64
-}
-
-var _ Continuous = Normal{}
-
-// NewNormal returns a normal distribution.
-func NewNormal(mu, sigma float64) (Normal, error) {
-	if sigma <= 0 || math.IsNaN(sigma) || math.IsInf(sigma, 0) || math.IsNaN(mu) {
-		return Normal{}, fmt.Errorf("%w: normal mu=%v sigma=%v", ErrParam, mu, sigma)
-	}
-	return Normal{Mu: mu, Sigma: sigma}, nil
-}
-
-// CDF returns P[X <= x].
-func (d Normal) CDF(x float64) float64 {
-	return spec.NormalCDF((x - d.Mu) / d.Sigma)
-}
-
-// Quantile returns the p-quantile for p in (0, 1).
-func (d Normal) Quantile(p float64) (float64, error) {
-	z, err := spec.NormalQuantile(p)
-	if err != nil {
-		return 0, fmt.Errorf("dist: normal quantile: %w", err)
-	}
-	return d.Mu + d.Sigma*z, nil
-}
-
-// Mean returns mu.
-func (d Normal) Mean() float64 { return d.Mu }
-
-// Var returns sigma^2.
-func (d Normal) Var() float64 { return d.Sigma * d.Sigma }
-
-// Sample draws one variate.
-func (d Normal) Sample(rng *rand.Rand) float64 {
-	return d.Mu + d.Sigma*rng.NormFloat64()
-}
-
-// Uniform is the continuous uniform distribution on [A, B).
-type Uniform struct {
-	A, B float64
-}
-
-var _ Continuous = Uniform{}
-
-// NewUniform returns a uniform distribution on [a, b).
-func NewUniform(a, b float64) (Uniform, error) {
-	if !(a < b) || math.IsNaN(a) || math.IsNaN(b) {
-		return Uniform{}, fmt.Errorf("%w: uniform bounds [%v, %v)", ErrParam, a, b)
-	}
-	return Uniform{A: a, B: b}, nil
-}
-
-// CDF returns P[X <= x].
-func (d Uniform) CDF(x float64) float64 {
-	switch {
-	case x <= d.A:
-		return 0
-	case x >= d.B:
-		return 1
-	default:
-		return (x - d.A) / (d.B - d.A)
-	}
-}
-
-// Quantile returns the p-quantile for p in [0, 1].
-func (d Uniform) Quantile(p float64) (float64, error) {
-	if p < 0 || p > 1 || math.IsNaN(p) {
-		return 0, fmt.Errorf("%w: quantile probability %v", ErrParam, p)
-	}
-	return d.A + p*(d.B-d.A), nil
-}
-
-// Mean returns (a+b)/2.
-func (d Uniform) Mean() float64 { return (d.A + d.B) / 2 }
-
-// Var returns (b-a)^2/12.
-func (d Uniform) Var() float64 { w := d.B - d.A; return w * w / 12 }
-
-// Sample draws one variate.
-func (d Uniform) Sample(rng *rand.Rand) float64 {
-	return d.A + rng.Float64()*(d.B-d.A)
 }

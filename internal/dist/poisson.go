@@ -27,39 +27,6 @@ func PoissonProcess(rng *rand.Rand, lambda, horizon float64) ([]float64, error) 
 	}
 }
 
-// NonHomogeneousPoissonProcess generates event times of a Poisson process
-// with time-varying intensity rate(t) over [0, horizon), by thinning
-// (Lewis-Shedler). rateMax must bound rate(t) from above on the horizon.
-func NonHomogeneousPoissonProcess(rng *rand.Rand, rate func(t float64) float64, rateMax, horizon float64) ([]float64, error) {
-	if rateMax <= 0 || math.IsNaN(rateMax) || math.IsInf(rateMax, 0) {
-		return nil, fmt.Errorf("%w: poisson rate bound %v", ErrParam, rateMax)
-	}
-	if horizon <= 0 || math.IsNaN(horizon) || math.IsInf(horizon, 0) {
-		return nil, fmt.Errorf("%w: poisson horizon %v", ErrParam, horizon)
-	}
-	if rate == nil {
-		return nil, fmt.Errorf("%w: nil rate function", ErrParam)
-	}
-	times := make([]float64, 0, int(rateMax*horizon/2)+16)
-	t := 0.0
-	for {
-		t += rng.ExpFloat64() / rateMax
-		if t >= horizon {
-			return times, nil
-		}
-		r := rate(t)
-		if r < 0 {
-			return nil, fmt.Errorf("%w: negative intensity %v at t=%v", ErrParam, r, t)
-		}
-		if r > rateMax*(1+1e-9) {
-			return nil, fmt.Errorf("%w: intensity %v at t=%v exceeds bound %v", ErrParam, r, t, rateMax)
-		}
-		if rng.Float64()*rateMax < r {
-			times = append(times, t)
-		}
-	}
-}
-
 // PoissonSample draws one Poisson(mean) count. For small means it uses
 // Knuth's product method; for large means a normal approximation with
 // continuity correction, which is adequate for the binned counting series

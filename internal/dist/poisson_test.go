@@ -61,52 +61,6 @@ func TestPoissonProcessInvalid(t *testing.T) {
 	}
 }
 
-func TestNonHomogeneousPoissonProcess(t *testing.T) {
-	rng := rand.New(rand.NewSource(23))
-	// Sinusoidal intensity with mean 20, amplitude 10.
-	rate := func(tm float64) float64 { return 20 + 10*math.Sin(2*math.Pi*tm/100) }
-	times, err := NonHomogeneousPoissonProcess(rng, rate, 30, 10000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := 20.0 * 10000
-	got := float64(len(times))
-	if math.Abs(got-want) > 6*math.Sqrt(want) {
-		t.Fatalf("event count %v, want ~%v", got, want)
-	}
-	if !sort.Float64sAreSorted(times) {
-		t.Fatal("event times not sorted")
-	}
-	// Events should be denser where the intensity is high: compare the
-	// first quarter-cycle (high) with the third (low) of the first period.
-	highCount, lowCount := 0, 0
-	for _, tm := range times {
-		phase := math.Mod(tm, 100)
-		switch {
-		case phase < 25:
-			highCount++
-		case phase >= 50 && phase < 75:
-			lowCount++
-		}
-	}
-	if highCount <= lowCount {
-		t.Fatalf("thinning lost intensity modulation: high %d, low %d", highCount, lowCount)
-	}
-}
-
-func TestNonHomogeneousPoissonProcessErrors(t *testing.T) {
-	rng := rand.New(rand.NewSource(24))
-	if _, err := NonHomogeneousPoissonProcess(rng, nil, 1, 1); !errors.Is(err, ErrParam) {
-		t.Error("nil rate should error")
-	}
-	if _, err := NonHomogeneousPoissonProcess(rng, func(float64) float64 { return -1 }, 1, 100); !errors.Is(err, ErrParam) {
-		t.Error("negative intensity should error")
-	}
-	if _, err := NonHomogeneousPoissonProcess(rng, func(float64) float64 { return 10 }, 1, 100); !errors.Is(err, ErrParam) {
-		t.Error("intensity above bound should error")
-	}
-}
-
 func TestPoissonSampleMoments(t *testing.T) {
 	rng := rand.New(rand.NewSource(25))
 	for _, mean := range []float64{0.5, 3, 20, 100} {

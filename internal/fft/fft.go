@@ -166,36 +166,6 @@ func bluestein(x []complex128, inverse bool) ([]complex128, error) {
 	return out, nil
 }
 
-// Convolve computes the linear convolution of two real sequences using
-// zero-padded FFTs. The result has length len(a)+len(b)-1.
-func Convolve(a, b []float64) ([]float64, error) {
-	if len(a) == 0 || len(b) == 0 {
-		return nil, ErrEmpty
-	}
-	outLen := len(a) + len(b) - 1
-	m := NextPowerOfTwo(outLen)
-	fa := make([]complex128, m)
-	fb := make([]complex128, m)
-	for i, v := range a {
-		fa[i] = complex(v, 0)
-	}
-	for i, v := range b {
-		fb[i] = complex(v, 0)
-	}
-	radix2(fa, false)
-	radix2(fb, false)
-	for i := range fa {
-		fa[i] *= fb[i]
-	}
-	radix2(fa, true)
-	out := make([]float64, outLen)
-	inv := 1 / float64(m)
-	for i := range out {
-		out[i] = real(fa[i]) * inv
-	}
-	return out, nil
-}
-
 // Periodogram computes the one-sided periodogram of a real series at the
 // Fourier frequencies lambda_j = 2*pi*j/n for j = 1..floor(n/2):
 //

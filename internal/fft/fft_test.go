@@ -223,61 +223,6 @@ func TestNextPowerOfTwo(t *testing.T) {
 	}
 }
 
-func TestConvolve(t *testing.T) {
-	a := []float64{1, 2, 3}
-	b := []float64{4, 5}
-	got, err := Convolve(a, b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := []float64{4, 13, 22, 15}
-	if len(got) != len(want) {
-		t.Fatalf("Convolve length = %d, want %d", len(got), len(want))
-	}
-	for i := range want {
-		if math.Abs(got[i]-want[i]) > tol {
-			t.Fatalf("Convolve[%d] = %v, want %v", i, got[i], want[i])
-		}
-	}
-}
-
-func TestConvolveEmpty(t *testing.T) {
-	if _, err := Convolve(nil, []float64{1}); err != ErrEmpty {
-		t.Fatalf("Convolve(nil, x) error = %v, want ErrEmpty", err)
-	}
-	if _, err := Convolve([]float64{1}, nil); err != ErrEmpty {
-		t.Fatalf("Convolve(x, nil) error = %v, want ErrEmpty", err)
-	}
-}
-
-func TestConvolveMatchesDirect(t *testing.T) {
-	rng := rand.New(rand.NewSource(4))
-	a := make([]float64, 37)
-	b := make([]float64, 23)
-	for i := range a {
-		a[i] = rng.NormFloat64()
-	}
-	for i := range b {
-		b[i] = rng.NormFloat64()
-	}
-	got, err := Convolve(a, b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for k := 0; k < len(a)+len(b)-1; k++ {
-		direct := 0.0
-		for i := 0; i < len(a); i++ {
-			j := k - i
-			if j >= 0 && j < len(b) {
-				direct += a[i] * b[j]
-			}
-		}
-		if math.Abs(got[k]-direct) > 1e-8 {
-			t.Fatalf("Convolve[%d] = %v, want %v", k, got[k], direct)
-		}
-	}
-}
-
 func TestPeriodogramSinusoid(t *testing.T) {
 	// A pure sinusoid at Fourier frequency j0 concentrates all periodogram
 	// mass at that frequency.

@@ -107,20 +107,6 @@ func Generate(rng *rand.Rand, h float64, n int) ([]float64, error) {
 	return out, nil
 }
 
-// GenerateFBM returns n+1 samples of fractional Brownian motion on a unit
-// grid, i.e. the cumulative sum of fGn starting from 0.
-func GenerateFBM(rng *rand.Rand, h float64, n int) ([]float64, error) {
-	noise, err := Generate(rng, h, n)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]float64, n+1)
-	for i, v := range noise {
-		out[i+1] = out[i] + v
-	}
-	return out, nil
-}
-
 // OnOffConfig configures the aggregate ON/OFF traffic generator.
 type OnOffConfig struct {
 	// Sources is the number of independent ON/OFF sources to superpose.

@@ -171,20 +171,6 @@ func TestGenerateAggregationVarianceScaling(t *testing.T) {
 	}
 }
 
-func TestGenerateFBM(t *testing.T) {
-	rng := rand.New(rand.NewSource(6))
-	b, err := GenerateFBM(rng, 0.7, 1000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(b) != 1001 {
-		t.Fatalf("fBm length %d, want 1001", len(b))
-	}
-	if b[0] != 0 {
-		t.Fatalf("fBm must start at 0, got %v", b[0])
-	}
-}
-
 // Property: generation is deterministic given the seed, and different
 // seeds give different paths.
 func TestGenerateDeterministicProperty(t *testing.T) {

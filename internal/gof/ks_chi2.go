@@ -6,7 +6,6 @@ import (
 	"sort"
 
 	"fullweb/internal/spec"
-	"fullweb/internal/stats"
 )
 
 // The paper justifies Anderson-Darling by noting it is "generally much
@@ -159,47 +158,4 @@ func chiSquareUpperTail(x, dof float64) (float64, error) {
 		return 1, nil
 	}
 	return spec.GammaQ(dof/2, x/2)
-}
-
-// LjungBoxResult is the outcome of a Ljung-Box portmanteau test for
-// autocorrelation.
-type LjungBoxResult struct {
-	// Statistic is Q = n(n+2) sum_{k=1}^{lags} r_k^2 / (n-k).
-	Statistic float64
-	Lags      int
-	PValue    float64
-	// Reject reports rejection of the "no autocorrelation" null at 5%.
-	Reject bool
-}
-
-// LjungBox tests the null hypothesis that the first lags
-// autocorrelations of x are jointly zero — a portmanteau complement to
-// the paper's per-interval lag-one test.
-func LjungBox(x []float64, lags int) (LjungBoxResult, error) {
-	n := len(x)
-	if lags < 1 {
-		return LjungBoxResult{}, fmt.Errorf("%w: lags %d", ErrBadParam, lags)
-	}
-	if n < lags+10 {
-		return LjungBoxResult{}, fmt.Errorf("%w: %d observations for %d lags", ErrTooFew, n, lags)
-	}
-	acf, err := stats.AutocorrelationFFT(x, lags)
-	if err != nil {
-		return LjungBoxResult{}, fmt.Errorf("gof: ljung-box acf: %w", err)
-	}
-	q := 0.0
-	for k := 1; k <= lags; k++ {
-		q += acf[k] * acf[k] / float64(n-k)
-	}
-	q *= float64(n) * float64(n+2)
-	p, err := chiSquareUpperTail(q, float64(lags))
-	if err != nil {
-		return LjungBoxResult{}, fmt.Errorf("gof: ljung-box p-value: %w", err)
-	}
-	return LjungBoxResult{
-		Statistic: q,
-		Lags:      lags,
-		PValue:    p,
-		Reject:    p < 0.05,
-	}, nil
 }

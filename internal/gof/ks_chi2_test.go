@@ -163,52 +163,6 @@ func TestPowerComparisonADBeatsKSAndChi2(t *testing.T) {
 	}
 }
 
-func TestLjungBoxWhiteNoise(t *testing.T) {
-	rejections := 0
-	const reps = 40
-	for r := 0; r < reps; r++ {
-		rng := rand.New(rand.NewSource(int64(r + 900)))
-		x := make([]float64, 1000)
-		for i := range x {
-			x[i] = rng.NormFloat64()
-		}
-		res, err := LjungBox(x, 20)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res.Reject {
-			rejections++
-		}
-	}
-	if rejections > 8 {
-		t.Fatalf("Ljung-Box rejected white noise %d/%d times", rejections, reps)
-	}
-}
-
-func TestLjungBoxAR1Rejected(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	x := make([]float64, 2000)
-	for i := 1; i < len(x); i++ {
-		x[i] = 0.4*x[i-1] + rng.NormFloat64()
-	}
-	res, err := LjungBox(x, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Reject {
-		t.Fatalf("Ljung-Box accepted AR(1): p = %v", res.PValue)
-	}
-}
-
-func TestLjungBoxErrors(t *testing.T) {
-	if _, err := LjungBox(make([]float64, 100), 0); !errors.Is(err, ErrBadParam) {
-		t.Error("zero lags should return ErrBadParam")
-	}
-	if _, err := LjungBox(make([]float64, 15), 10); !errors.Is(err, ErrTooFew) {
-		t.Error("short series should return ErrTooFew")
-	}
-}
-
 func TestChiSquareUpperTail(t *testing.T) {
 	// Chi-square with 2 dof is exponential(1/2): P[X >= x] = exp(-x/2).
 	for _, x := range []float64{0.5, 1, 2, 5} {

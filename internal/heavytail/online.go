@@ -72,98 +72,6 @@ func (r *Reservoir) Sample() []float64 {
 	return out
 }
 
-// MergeReservoirs combines reservoirs of equal capacity into one
-// sample of their concatenated streams, deterministically. While the
-// parts' samples together fit the capacity — which holds exactly when
-// every part still retains its full stream — the merge is their
-// concatenation in argument order: an exact, partition-independent
-// sample of the union (as a multiset). Beyond capacity the merge draws
-// the capacity items without replacement from the parts, each part
-// weighted by the stream count its sample represents, using a fresh
-// generator seeded with seed — deterministic given the seed and the
-// argument order, with the documented sampling tolerance (DESIGN.md
-// §12). The parts are not modified.
-//
-// The merged reservoir is a snapshot-time value: estimate from it, but
-// do not checkpoint it — its RNG state comes from the merge seed, not
-// from any part's observation history. Checkpoints carry the
-// observed reservoirs instead.
-func MergeReservoirs(seed int64, parts ...*Reservoir) (*Reservoir, error) {
-	if len(parts) == 0 {
-		return nil, fmt.Errorf("%w: merging zero reservoirs", ErrBadParam)
-	}
-	capacity := parts[0].cap
-	totalItems := 0
-	var totalSeen int64
-	for _, p := range parts {
-		if p.cap != capacity {
-			return nil, fmt.Errorf("%w: merging reservoirs with capacities %d and %d", ErrBadParam, capacity, p.cap)
-		}
-		totalItems += len(p.items)
-		totalSeen += p.seen
-	}
-	out, err := NewReservoir(capacity, seed)
-	if err != nil {
-		return nil, err
-	}
-	if totalItems <= capacity {
-		for _, p := range parts {
-			out.items = append(out.items, p.items...)
-		}
-		out.seen = totalSeen
-		return out, nil
-	}
-	// Weighted draw: each part's items stand in for seen/len(items)
-	// stream observations apiece; pick the source part proportionally
-	// to the stream mass it still represents, then a uniform item
-	// within it (swap-removed so the draw is without replacement).
-	type src struct {
-		items []float64
-		mass  float64 // remaining represented stream count
-		per   float64 // represented count per item
-	}
-	srcs := make([]src, 0, len(parts))
-	for _, p := range parts {
-		if len(p.items) == 0 {
-			continue
-		}
-		srcs = append(srcs, src{
-			items: append([]float64(nil), p.items...),
-			mass:  float64(p.seen),
-			per:   float64(p.seen) / float64(len(p.items)),
-		})
-	}
-	for len(out.items) < capacity {
-		var total float64
-		for i := range srcs {
-			total += srcs[i].mass
-		}
-		x := out.rng.Float64() * total
-		pick := len(srcs) - 1
-		for i := range srcs {
-			if x < srcs[i].mass {
-				pick = i
-				break
-			}
-			x -= srcs[i].mass
-		}
-		s := &srcs[pick]
-		j := out.rng.IntN(len(s.items))
-		out.items = append(out.items, s.items[j])
-		s.items[j] = s.items[len(s.items)-1]
-		s.items = s.items[:len(s.items)-1]
-		s.mass -= s.per
-		if s.mass < 0 {
-			s.mass = 0
-		}
-		if len(s.items) == 0 {
-			srcs = append(srcs[:pick], srcs[pick+1:]...)
-		}
-	}
-	out.seen = totalSeen
-	return out, nil
-}
-
 // OnlineHill is the streaming variant of EstimateHill: a seeded
 // reservoir collects the positive observations of an unbounded stream
 // and the Hill plot with stability detection runs over the sample at
@@ -219,35 +127,4 @@ func (h *OnlineHill) SampleLen() int { return h.res.Len() }
 // live sample is passed without another copy.
 func (h *OnlineHill) Estimate() (HillResult, error) {
 	return EstimateHill(h.res.items, h.tailFraction, h.relTol)
-}
-
-// MergeOnlineHills combines Hill estimators into one covering
-// their concatenated streams: the reservoirs merge via MergeReservoirs
-// (exact while the union fits capacity, seeded weighted draw beyond)
-// and the dropped counts add. All parts must share the read-off
-// parameters. Like a merged reservoir, the result is for snapshot-time
-// estimation, not for checkpointing; the parts are not modified.
-func MergeOnlineHills(seed int64, parts ...*OnlineHill) (*OnlineHill, error) {
-	if len(parts) == 0 {
-		return nil, fmt.Errorf("%w: merging zero Hill estimators", ErrBadParam)
-	}
-	reservoirs := make([]*Reservoir, len(parts))
-	var dropped int64
-	for i, p := range parts {
-		if p.tailFraction != parts[0].tailFraction || p.relTol != parts[0].relTol {
-			return nil, fmt.Errorf("%w: merging Hill estimators with different read-off parameters", ErrBadParam)
-		}
-		reservoirs[i] = p.res
-		dropped += p.dropped
-	}
-	res, err := MergeReservoirs(seed, reservoirs...)
-	if err != nil {
-		return nil, err
-	}
-	return &OnlineHill{
-		res:          res,
-		tailFraction: parts[0].tailFraction,
-		relTol:       parts[0].relTol,
-		dropped:      dropped,
-	}, nil
 }

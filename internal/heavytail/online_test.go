@@ -3,6 +3,8 @@ package heavytail
 import (
 	"errors"
 	"math"
+	"reflect"
+	"sort"
 	"testing"
 )
 
@@ -166,5 +168,27 @@ func TestOnlineHillErrors(t *testing.T) {
 	}
 	if _, err := oh.Estimate(); err == nil {
 		t.Error("empty reservoir produced an estimate")
+	}
+}
+
+// TestReservoirSampleDefensiveCopy: Sample's contract is a copy —
+// mutating the returned slice (as snapshot estimators do when they
+// sort it) must not perturb the sketch state behind it.
+func TestReservoirSampleDefensiveCopy(t *testing.T) {
+	r, err := NewReservoir(8, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 6; i++ {
+		r.Observe(float64(10 - i))
+	}
+	want := r.Sample()
+	got := r.Sample()
+	for i := range got {
+		got[i] = -999
+	}
+	sort.Float64s(got)
+	if after := r.Sample(); !reflect.DeepEqual(after, want) {
+		t.Fatalf("mutating a returned sample changed the reservoir: %v, want %v", after, want)
 	}
 }

@@ -51,20 +51,6 @@ func (b *BatteryResult) ByMethod(m Method) (Estimate, bool) {
 	return Estimate{}, false
 }
 
-// AllIndicateLRD reports whether every computed estimate indicates
-// long-range dependence (0.5 < H < 1).
-func (b *BatteryResult) AllIndicateLRD() bool {
-	if len(b.Estimates) == 0 {
-		return false
-	}
-	for _, e := range b.Estimates {
-		if !e.Indicates() {
-			return false
-		}
-	}
-	return true
-}
-
 // RunBattery applies all five Hurst estimators to x. Estimators that fail
 // on this particular series (too short, degenerate) are skipped; the
 // error is non-nil only when every estimator fails. Non-finite values in

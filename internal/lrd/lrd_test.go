@@ -220,11 +220,10 @@ func TestRunBattery(t *testing.T) {
 	if len(res.Estimates) != 5 {
 		t.Fatalf("battery produced %d estimates, want 5", len(res.Estimates))
 	}
-	if !res.AllIndicateLRD() {
-		for _, e := range res.Estimates {
-			t.Logf("%v: H=%v", e.Method, e.H)
+	for _, e := range res.Estimates {
+		if !e.Indicates() {
+			t.Errorf("%v: H=%v does not indicate LRD on fGn with H=0.8", e.Method, e.H)
 		}
-		t.Fatal("all estimators should indicate LRD on fGn with H=0.8")
 	}
 	w, ok := res.ByMethod(Whittle)
 	if !ok {

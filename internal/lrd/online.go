@@ -137,45 +137,6 @@ func (o *OnlineAggVar) AddZeros(k int64) {
 // N returns the number of observations folded in so far.
 func (o *OnlineAggVar) N() int64 { return o.n }
 
-// Merge folds another estimator's dyadic levels into o, pairwise by
-// level: the Welford moments of the completed block means combine with
-// Chan's parallel merge, the observation counts add, and — the
-// documented tail rule — the operand's partially filled tail block at
-// every level is discarded (the receiver keeps its own partial). Both
-// estimators must have the same number of levels.
-//
-// Two merge semantics share this one operation. Merging estimators fed
-// consecutive segments of ONE series approximates the whole-series
-// estimator: at levels where the segment lengths are multiples of the
-// block width the block means are identical and the merge is exact up
-// to floating-point association; elsewhere blocks realign and at most
-// one partial block per level per operand is lost (tolerance in
-// DESIGN.md §12). Merging estimators fed DIFFERENT series (say, two
-// servers' arrival processes) pools their block-mean populations — a
-// per-partition aggregate view like the one the Rolls (2010)
-// reduced-LRD comparison reads against the summed-series estimate, not
-// a substitute for it. The merge is associative and commutative up to
-// floating-point association, minus the discarded partials.
-func (o *OnlineAggVar) Merge(other *OnlineAggVar) error {
-	if len(o.levels) != len(other.levels) {
-		return fmt.Errorf("%w: merging aggregated-variance estimators with %d and %d levels",
-			ErrBadParam, len(o.levels), len(other.levels))
-	}
-	o.n += other.n
-	for j := range o.levels {
-		a, b := &o.levels[j], &other.levels[j]
-		if b.blocks == 0 {
-			continue
-		}
-		n := a.blocks + b.blocks
-		d := b.mean - a.mean
-		a.mean += d * float64(b.blocks) / float64(n)
-		a.m2 += b.m2 + d*d*float64(a.blocks)*float64(b.blocks)/float64(n)
-		a.blocks = n
-	}
-	return nil
-}
-
 // Estimate runs the variance-time regression over the levels that have
 // accumulated enough complete blocks and returns the Hurst estimate
 // H = 1 + slope/2, exactly as the batch estimator does. It needs at
@@ -188,7 +149,7 @@ func (o *OnlineAggVar) Estimate() (Estimate, error) {
 		l := &o.levels[j]
 		// A level needs at least 2 complete blocks before its variance
 		// means anything at all — with one block M2 is identically zero
-		// (or pure merge round-off), and log-transforming such a
+		// (up to round-off), and log-transforming such a
 		// degenerate point would poison the regression. The min-blocks
 		// policy below is stricter today, but this invariant must hold
 		// even if that policy is tuned down, so it is enforced on its

@@ -229,3 +229,24 @@ func TestOnlineAggVarAddZerosBitIdentical(t *testing.T) {
 		}
 	}
 }
+
+// TestOnlineAggVarEstimateShortStream: levels with fewer than two
+// complete blocks must never reach the regression — a one-block level
+// has identically zero variance and its log would poison the fit. On a
+// stream short enough that only degenerate levels exist the estimator
+// reports ErrTooShort instead of emitting garbage.
+func TestOnlineAggVarEstimateShortStream(t *testing.T) {
+	rng := rand.New(rand.NewSource(71))
+	for _, n := range []int{1, 2, 3, 33, 65} {
+		o, err := NewOnlineAggVar(6)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < n; i++ {
+			o.Add(rng.Float64())
+		}
+		if _, err := o.Estimate(); !errors.Is(err, ErrTooShort) {
+			t.Fatalf("n=%d: want ErrTooShort, got %v", n, err)
+		}
+	}
+}

@@ -383,7 +383,10 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 				return
 			}
 			defer zr.Close()
-			body = zr
+			// The cap above counts compressed bytes; bound the inflated
+			// stream the same way, or a small body could expand without
+			// limit before append refuses it.
+			body = http.MaxBytesReader(w, zr, s.cfg.BufferBytes+1)
 		case "identity":
 		default:
 			http.Error(w, fmt.Sprintf("unsupported Content-Encoding %q", enc), http.StatusUnsupportedMediaType)

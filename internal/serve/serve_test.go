@@ -14,6 +14,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -377,6 +378,62 @@ func TestServeBackpressure(t *testing.T) {
 	// Appending to a completed source conflicts.
 	if code := postIngest(t, base, "second", half, false, false); code != http.StatusConflict {
 		t.Fatalf("post-complete delivery: status %d, want 409", code)
+	}
+}
+
+// TestServeGzipInflationBounded: the intake cap applies to the
+// inflated body, not only to the compressed bytes on the wire. A
+// gzip body far under the cap that inflates 512× past it is refused
+// with the oversized-delivery 413, and the server stops reading at
+// the cap instead of buffering the whole inflated stream.
+func TestServeGzipInflationBounded(t *testing.T) {
+	const bufferBytes = 64 << 10
+	const inflated = 512 * bufferBytes
+	_, base, _, _ := startServer(t, context.Background(), serve.Config{
+		Sources:     []string{"a"},
+		BufferBytes: bufferBytes,
+		Engine:      engineConfig(),
+	})
+	var body bytes.Buffer
+	zw, err := gzip.NewWriterLevel(&body, gzip.BestCompression)
+	if err != nil {
+		t.Fatal(err)
+	}
+	zeros := make([]byte, 64<<10)
+	for n := 0; n < inflated; n += len(zeros) {
+		if _, err := zw.Write(zeros); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := zw.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if body.Len() > bufferBytes {
+		t.Fatalf("compressed body is %d bytes, want it under the %d-byte cap", body.Len(), bufferBytes)
+	}
+	req, err := http.NewRequest(http.MethodPost, base+"/ingest?source=a", &body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	req.Header.Set("Content-Encoding", "gzip")
+
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, _ = io.Copy(io.Discard, resp.Body)
+	resp.Body.Close()
+	runtime.ReadMemStats(&after)
+
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Fatalf("status %d, want 413", resp.StatusCode)
+	}
+	// The whole process's allocations during the request, client side
+	// included, stay far below the inflated size.
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc > inflated/8 {
+		t.Fatalf("request allocated %d bytes for a %d-byte inflated body, want <= %d", alloc, inflated, inflated/8)
 	}
 }
 

@@ -927,6 +927,14 @@ func scanWALSegment(path, source string, seq int64) (*walSegmentScan, error) {
 			return res, nil
 		}
 		payloadOff := off + int64(len(line))
+		// The header carries no checksum, so n is untrusted: a length
+		// past the end of the file is the short read it would become,
+		// reported before it sizes an allocation.
+		if n > res.size-payloadOff {
+			res.bad = fmt.Errorf("record payload at offset %d: %w", payloadOff, io.ErrUnexpectedEOF)
+			res.torn = true
+			return res, nil
+		}
 		payload := make([]byte, n)
 		if _, err := io.ReadFull(br, payload); err != nil {
 			res.bad = fmt.Errorf("record payload at offset %d: %w", payloadOff, err)
@@ -1010,6 +1018,11 @@ func parseWALRecordHeader(line string) (kind, id string, n int64, sum string, er
 	sum, ok = strings.CutPrefix(fields[4], "sha256=")
 	if !ok || len(sum) != hex.EncodedLen(sha256.Size) {
 		return "", "", 0, "", fmt.Errorf("malformed sha256 field %q", fields[4])
+	}
+	// Complete writes "c id= len=0": a completion with an id or a
+	// payload is a corrupt data record, which must not vanish as one.
+	if kind == "c" && (id != "" || n != 0) {
+		return "", "", 0, "", fmt.Errorf("completion record with id %q and len %d", id, n)
 	}
 	return kind, id, n, sum, nil
 }

@@ -181,6 +181,10 @@ func TestWALTornTail(t *testing.T) {
 		// The crash can land mid-header or mid-payload.
 		{"mid-payload", walMagic + " d id=late len=100 sha256=0000000000000000000000000000000000000000000000000000000000000000\npartial payload"},
 		{"mid-header", walMagic + " d id=late len=1"},
+		// len= is outside the checksum: a corrupt length far past EOF is
+		// the same short read, and must not size an allocation (2^62
+		// made make([]byte, n) panic).
+		{"len-past-eof", walMagic + " d id=late len=4611686018427387904 sha256=0000000000000000000000000000000000000000000000000000000000000000\npartial payload"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			ctx := context.Background()
@@ -228,70 +232,89 @@ func TestWALTornTail(t *testing.T) {
 	}
 }
 
-// TestWALChecksumQuarantine: a checksum-corrupt record quarantines its
-// whole segment and every later one — nothing from them folds, the
-// files are set aside with a .quarantined suffix, and the log names
-// the last good delivery ID to re-request from.
+// TestWALChecksumQuarantine: a corrupt record before the final
+// segment (a broken checksum, or a length past the segment's end)
+// quarantines its whole segment and every later one — nothing from
+// them folds, the files are set aside with a .quarantined suffix, and
+// the log names the last good delivery ID to re-request from.
 func TestWALChecksumQuarantine(t *testing.T) {
-	ctx := context.Background()
-	dir := t.TempDir()
-	// 256-byte cap: each ~140-byte framed delivery lands in its own
-	// segment.
-	m, _ := openTestWAL(t, ctx, WALConfig{Dir: dir, SegmentBytes: 256}, "s1")
-	payload := func(c byte) []byte {
-		p := bytes.Repeat([]byte{c}, 40)
-		p[39] = '\n'
-		return p
-	}
-	for i, id := range []string{"d0", "d1", "d2"} {
-		if err := m.Append(ctx, "s1", id, payload(byte('a'+i))); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := m.Close(); err != nil {
-		t.Fatal(err)
-	}
-	segs := walFiles(t, dir)
-	if len(segs) != 3 {
-		t.Fatalf("expected 3 segments, got %v", segs)
-	}
+	for _, tc := range []struct {
+		name    string
+		corrupt func(seg []byte) []byte
+	}{
+		// A flipped payload byte breaks the record's checksum.
+		{"payload-byte", func(seg []byte) []byte {
+			seg[len(seg)-2] ^= 0xff
+			return seg
+		}},
+		// len= is outside the checksum: a corrupt length past the end of
+		// a middle segment is a tear there, and must not size an
+		// allocation (2^62 made make([]byte, n) panic).
+		{"len-past-eof", func(seg []byte) []byte {
+			return bytes.Replace(seg, []byte(" len=40 "), []byte(" len=4611686018427387904 "), 1)
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			ctx := context.Background()
+			dir := t.TempDir()
+			// 256-byte cap: each ~140-byte framed delivery lands in its own
+			// segment.
+			m, _ := openTestWAL(t, ctx, WALConfig{Dir: dir, SegmentBytes: 256}, "s1")
+			payload := func(c byte) []byte {
+				p := bytes.Repeat([]byte{c}, 40)
+				p[39] = '\n'
+				return p
+			}
+			for i, id := range []string{"d0", "d1", "d2"} {
+				if err := m.Append(ctx, "s1", id, payload(byte('a'+i))); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := m.Close(); err != nil {
+				t.Fatal(err)
+			}
+			segs := walFiles(t, dir)
+			if len(segs) != 3 {
+				t.Fatalf("expected 3 segments, got %v", segs)
+			}
 
-	// Flip one payload byte in the middle segment: its checksum breaks,
-	// and segment 3 — though intact — must not fold past the gap.
-	mid := filepath.Join(dir, walSegmentName("s1", 2))
-	b, err := os.ReadFile(mid)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b[len(b)-2] ^= 0xff
-	if err := os.WriteFile(mid, b, 0o644); err != nil {
-		t.Fatal(err)
-	}
+			// Corrupt the middle segment: segment 3 — though intact — must not
+			// fold past the gap.
+			mid := filepath.Join(dir, walSegmentName("s1", 2))
+			b, err := os.ReadFile(mid)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(mid, tc.corrupt(b), 0o644); err != nil {
+				t.Fatal(err)
+			}
 
-	mgr, rec := openTestWAL(t, ctx, WALConfig{Dir: dir, Resume: true}, "s1")
-	r := rec["s1"]
-	if got := replayAll(t, r); got != string(payload('a')) {
-		t.Fatalf("replay folded past the corrupt segment: %q", got)
-	}
-	if len(r.quarantined) != 2 {
-		t.Fatalf("quarantined %v, want the corrupt segment and its successor", r.quarantined)
-	}
-	if r.lastGoodID != "d0" {
-		t.Fatalf("lastGoodID = %q, want d0", r.lastGoodID)
-	}
-	for _, q := range r.quarantined {
-		if _, err := os.Stat(q); err != nil {
-			t.Fatalf("quarantined file missing: %v", err)
-		}
-	}
-	st := mgr.Stats(0, 0)
-	if st.QuarantinedSegments != 2 || st.ReplayedBytes != 40 {
-		t.Fatalf("stats after quarantine: %+v", st)
-	}
-	// The next appends go to a fresh segment numbered past the
-	// quarantined chain, so a later resume cannot collide.
-	if err := mgr.Append(ctx, "s1", "d3", payload('x')); err != nil {
-		t.Fatal(err)
+			mgr, rec := openTestWAL(t, ctx, WALConfig{Dir: dir, Resume: true}, "s1")
+			r := rec["s1"]
+			if got := replayAll(t, r); got != string(payload('a')) {
+				t.Fatalf("replay folded past the corrupt segment: %q", got)
+			}
+			if len(r.quarantined) != 2 {
+				t.Fatalf("quarantined %v, want the corrupt segment and its successor", r.quarantined)
+			}
+			if r.lastGoodID != "d0" {
+				t.Fatalf("lastGoodID = %q, want d0", r.lastGoodID)
+			}
+			for _, q := range r.quarantined {
+				if _, err := os.Stat(q); err != nil {
+					t.Fatalf("quarantined file missing: %v", err)
+				}
+			}
+			st := mgr.Stats(0, 0)
+			if st.QuarantinedSegments != 2 || st.ReplayedBytes != 40 {
+				t.Fatalf("stats after quarantine: %+v", st)
+			}
+			// The next appends go to a fresh segment numbered past the
+			// quarantined chain, so a later resume cannot collide.
+			if err := mgr.Append(ctx, "s1", "d3", payload('x')); err != nil {
+				t.Fatal(err)
+			}
+		})
 	}
 }
 

@@ -169,20 +169,6 @@ func InitiatedPerSecond(sessions []Session) ([]float64, error) {
 	return counts, nil
 }
 
-// InterSessionTimes returns the differences between consecutive session
-// initiation times, in seconds ("time between sessions initiated").
-func InterSessionTimes(sessions []Session) ([]float64, error) {
-	if len(sessions) < 2 {
-		return nil, fmt.Errorf("session: need >= 2 sessions for inter-session times, got %d", len(sessions))
-	}
-	secs := StartSeconds(sessions)
-	out := make([]float64, len(secs)-1)
-	for i := 1; i < len(secs); i++ {
-		out[i-1] = float64(secs[i] - secs[i-1])
-	}
-	return out, nil
-}
-
 // Durations returns each session's length in seconds. Zero-duration
 // (single-request) sessions are included; heavy-tail analyses that need
 // positive data should filter with PositiveOnly.
@@ -222,55 +208,4 @@ func PositiveOnly(x []float64) []float64 {
 		}
 	}
 	return out
-}
-
-// Overlapping reports sessions active (Start <= t < End) at a given time;
-// used by the admission-control example.
-func Overlapping(sessions []Session, t time.Time) int {
-	n := 0
-	for _, s := range sessions {
-		if !s.Start.After(t) && s.End.After(t) {
-			n++
-		}
-	}
-	return n
-}
-
-// ThinkTimes returns every intra-session inter-request gap (seconds):
-// the "think times" separating a user's successive requests. Gaps above
-// the threshold belong to session boundaries and are excluded by
-// construction. These are the OFF periods of the ON/OFF traffic view
-// the paper cites (Willinger et al.); their distribution is a natural
-// companion to the three intra-session characteristics of Section 5.2.
-func ThinkTimes(records []weblog.Record, threshold time.Duration) ([]float64, error) {
-	if len(records) == 0 {
-		return nil, ErrNoRecords
-	}
-	if threshold <= 0 {
-		return nil, fmt.Errorf("%w: %v", ErrBadThreshold, threshold)
-	}
-	byHost := make(map[string][]time.Time)
-	for _, r := range records {
-		byHost[r.Host] = append(byHost[r.Host], r.Time)
-	}
-	// Walk hosts in sorted order so the gap sequence is deterministic
-	// (map iteration order is randomized; downstream statistics accumulate
-	// floating point in slice order).
-	hosts := make([]string, 0, len(byHost))
-	for host := range byHost {
-		hosts = append(hosts, host)
-	}
-	sort.Strings(hosts)
-	var gaps []float64
-	for _, host := range hosts {
-		times := byHost[host]
-		sort.Slice(times, func(i, j int) bool { return times[i].Before(times[j]) })
-		for i := 1; i < len(times); i++ {
-			gap := times[i].Sub(times[i-1])
-			if gap <= threshold {
-				gaps = append(gaps, gap.Seconds())
-			}
-		}
-	}
-	return gaps, nil
 }

@@ -236,25 +236,6 @@ func TestStartSecondsAndInitiatedPerSecond(t *testing.T) {
 	}
 }
 
-func TestInterSessionTimes(t *testing.T) {
-	records := []weblog.Record{
-		rec("a", 0, 200, 1),
-		rec("b", 7, 200, 1),
-		rec("c", 10, 200, 1),
-	}
-	sessions, _ := Sessionize(records, DefaultThreshold)
-	gaps, err := InterSessionTimes(sessions)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(gaps) != 2 || gaps[0] != 7 || gaps[1] != 3 {
-		t.Fatalf("gaps = %v", gaps)
-	}
-	if _, err := InterSessionTimes(sessions[:1]); err == nil {
-		t.Error("single session should error")
-	}
-}
-
 func TestIntraSessionExtractors(t *testing.T) {
 	records := []weblog.Record{
 		rec("a", 0, 200, 100),
@@ -284,49 +265,5 @@ func TestIntraSessionExtractors(t *testing.T) {
 	pos := PositiveOnly(durs)
 	if len(pos) != 1 || pos[0] != 50 {
 		t.Fatalf("PositiveOnly = %v", pos)
-	}
-}
-
-func TestOverlapping(t *testing.T) {
-	records := []weblog.Record{
-		rec("a", 0, 200, 1), rec("a", 100, 200, 1),
-		rec("b", 50, 200, 1), rec("b", 200, 200, 1),
-	}
-	sessions, _ := Sessionize(records, DefaultThreshold)
-	if got := Overlapping(sessions, time.Unix(60, 0).UTC()); got != 2 {
-		t.Fatalf("overlap at 60 = %d, want 2", got)
-	}
-	if got := Overlapping(sessions, time.Unix(150, 0).UTC()); got != 1 {
-		t.Fatalf("overlap at 150 = %d, want 1", got)
-	}
-	if got := Overlapping(sessions, time.Unix(500, 0).UTC()); got != 0 {
-		t.Fatalf("overlap at 500 = %d, want 0", got)
-	}
-}
-
-func TestThinkTimes(t *testing.T) {
-	records := []weblog.Record{
-		rec("a", 0, 200, 1),
-		rec("a", 30, 200, 1),
-		rec("a", 30+5000, 200, 1), // session boundary: excluded
-		rec("b", 10, 200, 1),
-		rec("b", 70, 200, 1),
-	}
-	gaps, err := ThinkTimes(records, DefaultThreshold)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(gaps) != 2 {
-		t.Fatalf("gaps = %v, want [30 60] in some order", gaps)
-	}
-	total := gaps[0] + gaps[1]
-	if total != 90 {
-		t.Fatalf("gaps = %v", gaps)
-	}
-	if _, err := ThinkTimes(nil, DefaultThreshold); err == nil {
-		t.Error("empty records should error")
-	}
-	if _, err := ThinkTimes(records, 0); err == nil {
-		t.Error("zero threshold should error")
 	}
 }

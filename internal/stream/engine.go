@@ -58,9 +58,9 @@ type Config struct {
 	// stream has fewer sessions than this, the streaming Hill estimate
 	// is exactly the batch estimate.
 	ReservoirCap int
-	// QuantileCap bounds each characteristic's mergeable quantile
-	// sketch; below capacity the streaming quantiles are exactly the
-	// batch quantiles. 0 means DefaultQuantileCap.
+	// QuantileCap bounds each characteristic's quantile sketch; below
+	// capacity the streaming quantiles are exactly the batch quantiles.
+	// 0 means DefaultQuantileCap.
 	QuantileCap int
 	// Seed derives the reservoir sampling streams (one sub-seed per
 	// characteristic), making snapshots reproducible run to run.
@@ -120,8 +120,7 @@ func DefaultConfig() Config {
 }
 
 // charState holds the online estimators of one characteristic:
-// Welford moments, the mergeable quantile sketch and the reservoir Hill
-// estimator.
+// Welford moments, the quantile sketch and the reservoir Hill estimator.
 type charState struct {
 	name    string
 	moments Welford

@@ -15,7 +15,7 @@ const MinQuantileCap = 16
 // sketches coincide.
 const DefaultQuantileCap = 8192
 
-// QuantileSketch is a deterministic mergeable quantile sketch in the
+// QuantileSketch is a deterministic quantile sketch in the
 // Munro–Paterson / MRL family: a flat buffer of weight-1 observations
 // plus a ladder of sorted buffers whose items carry weight 2^h. When
 // the level-0 buffer fills it is sorted and promoted; when two buffers
@@ -27,16 +27,11 @@ const DefaultQuantileCap = 8192
 // While fewer than 2×capacity observations have arrived no compaction
 // has happened and every quantile is exact, computed with the same
 // interpolation convention as stats.Quantile — so below capacity the
-// streaming quantiles coincide with the batch pipeline's exactly, and
-// merging sketches of a split stream is both exact and independent of
-// the split.
+// streaming quantiles coincide with the batch pipeline's exactly.
 // Beyond that the rank error of a query is bounded by roughly
 // log2(n/capacity)/(2·capacity) of the stream length per compacted
 // level; the engine-facing tolerance is documented in DESIGN.md §12.
-//
-// Unlike the P² estimator it replaced, the sketch has an
-// associative Merge, so sketches of separate streams or checkpoints
-// combine into one (DESIGN.md §12). Not safe for concurrent use.
+// Not safe for concurrent use.
 type QuantileSketch struct {
 	cap    int
 	n      int64
@@ -77,12 +72,6 @@ func (s *QuantileSketch) Stored() int {
 // Observe feeds one value.
 func (s *QuantileSketch) Observe(v float64) {
 	s.n++
-	s.add(v)
-}
-
-// add appends to the level-0 buffer, promoting it when full; the
-// caller accounts n (Observe per value, Merge in one step).
-func (s *QuantileSketch) add(v float64) {
 	s.buf = append(s.buf, v)
 	if len(s.buf) == s.cap {
 		full := make([]float64, s.cap)
@@ -144,36 +133,6 @@ func compactHalf(m []float64, odd bool) []float64 {
 		out = append(out, m[i])
 	}
 	return out
-}
-
-// Merge folds another sketch into s. The operand's partial buffer is
-// replayed in its arrival order, then its full buffers are placed
-// height by height (descending), so the result is a deterministic
-// function of the two states. Merging is exact — identical to having
-// fed one sketch the concatenated stream — while the combined count
-// stays below 2×capacity, and partition-independent in that regime;
-// past it, results depend on the documented merge order with the same
-// rank-error bound as sequential feeding. The operand is not modified.
-func (s *QuantileSketch) Merge(o *QuantileSketch) error {
-	if o == nil {
-		return nil
-	}
-	if s.cap != o.cap {
-		return fmt.Errorf("%w: merging quantile sketches with capacities %d and %d", ErrBadConfig, s.cap, o.cap)
-	}
-	s.n += o.n
-	for _, v := range o.buf {
-		s.add(v)
-	}
-	for h := len(o.levels) - 1; h >= 0; h-- {
-		if o.levels[h] == nil {
-			continue
-		}
-		carry := make([]float64, len(o.levels[h]))
-		copy(carry, o.levels[h])
-		s.place(carry, h)
-	}
-	return nil
 }
 
 // Quantile returns the current estimate of the p-quantile (0 <= p <=

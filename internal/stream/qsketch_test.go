@@ -61,146 +61,6 @@ func TestQuantileSketchToleranceOverCapacity(t *testing.T) {
 	}
 }
 
-// TestQuantileSketchMergeExactUnderCapacity: while the union stays
-// under 2×capacity the merge is multiset-exact, so the merged quantiles
-// equal the single-sketch quantiles bit for bit regardless of how the
-// stream was partitioned.
-func TestQuantileSketchMergeExactUnderCapacity(t *testing.T) {
-	const capacity = 32
-	rng := rand.New(rand.NewSource(11))
-	x := make([]float64, 2*capacity-5)
-	for i := range x {
-		x[i] = rng.ExpFloat64()
-	}
-	single, err := NewQuantileSketch(capacity)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, v := range x {
-		single.Observe(v)
-	}
-	for trial := 0; trial < 20; trial++ {
-		parts := make([]*QuantileSketch, 3)
-		for i := range parts {
-			if parts[i], err = NewQuantileSketch(capacity); err != nil {
-				t.Fatal(err)
-			}
-		}
-		for _, v := range x {
-			parts[rng.Intn(len(parts))].Observe(v)
-		}
-		merged, err := NewQuantileSketch(capacity)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, p := range parts {
-			if err := merged.Merge(p); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if merged.N() != single.N() {
-			t.Fatalf("trial %d: merged N %d, single %d", trial, merged.N(), single.N())
-		}
-		for _, p := range []float64{0, 0.5, 0.9, 0.99, 1} {
-			if got, want := merged.Quantile(p), single.Quantile(p); got != want {
-				t.Fatalf("trial %d p=%v: merged %v, single %v", trial, p, got, want)
-			}
-		}
-	}
-}
-
-// TestQuantileSketchMergeAssociativeCommutative: in the exact regime
-// the merge result is a pure multiset, so grouping and order cannot
-// matter.
-func TestQuantileSketchMergeAssociativeCommutative(t *testing.T) {
-	const capacity = 16
-	rng := rand.New(rand.NewSource(13))
-	mk := func(n int) *QuantileSketch {
-		s, err := NewQuantileSketch(capacity)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := 0; i < n; i++ {
-			s.Observe(rng.NormFloat64())
-		}
-		return s
-	}
-	a, b, c := mk(9), mk(7), mk(11)
-	combine := func(order ...*QuantileSketch) *QuantileSketch {
-		out, err := NewQuantileSketch(capacity)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, s := range order {
-			if err := out.Merge(s); err != nil {
-				t.Fatal(err)
-			}
-		}
-		return out
-	}
-	left := combine(a, b, c)
-	right := combine(c, b, a)
-	ab := combine(a, b)
-	grouped := combine(ab, c)
-	for _, p := range []float64{0, 0.3, 0.5, 0.9, 1} {
-		if left.Quantile(p) != right.Quantile(p) || left.Quantile(p) != grouped.Quantile(p) {
-			t.Fatalf("p=%v: %v / %v / %v", p, left.Quantile(p), right.Quantile(p), grouped.Quantile(p))
-		}
-	}
-}
-
-// TestQuantileSketchMergeToleranceOverCapacity: merging compacted
-// sketches must still land within the documented rank tolerance.
-func TestQuantileSketchMergeToleranceOverCapacity(t *testing.T) {
-	const capacity = 256
-	rng := rand.New(rand.NewSource(17))
-	merged, err := NewQuantileSketch(capacity)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for part := 0; part < 4; part++ {
-		s, err := NewQuantileSketch(capacity)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := 0; i < 25000; i++ {
-			s.Observe(rng.Float64())
-		}
-		if err := merged.Merge(s); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for _, p := range []float64{0.1, 0.5, 0.9, 0.99} {
-		if got := merged.Quantile(p); math.Abs(got-p) > 0.05 {
-			t.Errorf("p=%v: merged sketch %v (rank error %v)", p, got, math.Abs(got-p))
-		}
-	}
-}
-
-// TestQuantileSketchDoesNotMutateOperand: Merge documents the operand
-// untouched.
-func TestQuantileSketchDoesNotMutateOperand(t *testing.T) {
-	a, err := NewQuantileSketch(16)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := NewQuantileSketch(16)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(19))
-	for i := 0; i < 100; i++ {
-		b.Observe(rng.Float64())
-	}
-	before := b.State()
-	if err := a.Merge(b); err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(before, b.State()) {
-		t.Fatal("Merge mutated its operand")
-	}
-}
-
 // TestQuantileSketchStateRoundTrip: a restored sketch is
 // state-identical to the live one and stays identical as both keep
 // observing the same stream.
@@ -397,11 +257,10 @@ func checkAgainstOracle(t *testing.T, label string, s *QuantileSketch, ps []floa
 }
 
 // TestQuantilesMatchSortEverythingOracle: the merge-walk read-off must
-// return exactly the bits the sort-everything reference does — on
-// sequentially fed sketches through several compactions and on sketches
-// built by Merge of several parts. A third of the trials feed only +0,
-// a third only -0 (so the sign of a zero result is checked too) and a
-// third both.
+// return exactly the bits the sort-everything reference does on
+// sequentially fed sketches through several compactions. A third of
+// the trials feed only +0, a third only -0 (so the sign of a zero
+// result is checked too) and a third both.
 func TestQuantilesMatchSortEverythingOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(29))
 	// Out-of-range asks ride along: they read NaN without disturbing
@@ -431,25 +290,5 @@ func TestQuantilesMatchSortEverythingOracle(t *testing.T) {
 			}
 		}
 		checkAgainstOracle(t, "fed", s, ps, mixed)
-
-		merged, err := NewQuantileSketch(capacity)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for parts := 2 + rng.Intn(4); parts > 0; parts-- {
-			sk, err := NewQuantileSketch(capacity)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for i := rng.Intn(20 * capacity); i > 0; i-- {
-				sk.Observe(oracleValue(rng, pool, zeros))
-			}
-			if err := merged.Merge(sk); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if merged.N() > 0 {
-			checkAgainstOracle(t, "merged", merged, ps, mixed)
-		}
 	}
 }

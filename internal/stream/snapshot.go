@@ -37,7 +37,7 @@ type CharSnapshot struct {
 	StdDev float64 `json:"std_dev"`
 	Min    float64 `json:"min"`
 	Max    float64 `json:"max"`
-	// Mergeable quantile-sketch estimates.
+	// Quantile-sketch estimates.
 	P50 float64 `json:"p50"`
 	P90 float64 `json:"p90"`
 	P99 float64 `json:"p99"`

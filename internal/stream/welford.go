@@ -2,12 +2,10 @@
 // production counterpart of the batch FULL-Web pipeline. It ingests
 // access-log records chunk by chunk (no full-trace slice), sessionizes
 // incrementally, and maintains online estimators — Welford moments, a
-// mergeable deterministic quantile sketch, a dyadic aggregated-counts
-// Hurst estimator and a reservoir-fed Hill tail estimator — so
-// arbitrarily long logs are characterized with memory bounded by live
-// sessions and fixed-size sketches, not trace length. Every estimator
-// supports an associative Merge, so states built over separate streams
-// combine deterministically (DESIGN.md §12). Same input always yields
+// deterministic quantile sketch, a dyadic aggregated-counts Hurst
+// estimator and a reservoir-fed Hill tail estimator — so arbitrarily
+// long logs are characterized with memory bounded by live sessions and
+// fixed-size sketches, not trace length. Same input always yields
 // byte-identical snapshots (DESIGN.md §10).
 package stream
 
@@ -40,34 +38,6 @@ func (w *Welford) Observe(v float64) {
 	d := v - w.mean
 	w.mean += d / float64(w.n)
 	w.m2 += d * (v - w.mean)
-}
-
-// Merge folds another accumulator into w using Chan's parallel
-// variance combination, including min/max. Merging the states of two
-// disjoint streams yields the exact counts and extremes of the
-// concatenated stream; mean and M2 agree with the sequential fold up
-// to floating-point association (documented tolerance: 1e-9 relative,
-// see DESIGN.md §12). The operation is associative and commutative up
-// to that same tolerance; an empty operand on either side is exact.
-func (w *Welford) Merge(o Welford) {
-	if o.n == 0 {
-		return
-	}
-	if w.n == 0 {
-		*w = o
-		return
-	}
-	if o.minV < w.minV {
-		w.minV = o.minV
-	}
-	if o.maxV > w.maxV {
-		w.maxV = o.maxV
-	}
-	n := w.n + o.n
-	d := o.mean - w.mean
-	w.mean += d * float64(o.n) / float64(n)
-	w.m2 += o.m2 + d*d*float64(w.n)*float64(o.n)/float64(n)
-	w.n = n
 }
 
 // N returns the observation count.

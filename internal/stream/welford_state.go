@@ -19,10 +19,9 @@ func (w *Welford) State() WelfordState {
 // what its min/max/mean fields carry: before the first observation
 // those fields are meaningless, and restoring them verbatim would make
 // a restored-then-fed sketch diverge from a fresh one — the first
-// Observe must seed min/max from the observation, and Merge must treat
-// the sketch as empty. This keeps a resumed engine byte-identical to an
-// uninterrupted run even when a characteristic had no sessions at
-// checkpoint time.
+// Observe must seed min/max from the observation. This keeps a resumed
+// engine byte-identical to an uninterrupted run even when a
+// characteristic had no sessions at checkpoint time.
 func RestoreWelford(st WelfordState) Welford {
 	if st.N <= 0 {
 		return Welford{}

@@ -55,3 +55,23 @@ func TestWelfordZeroValue(t *testing.T) {
 		t.Errorf("single observation: %+v", w)
 	}
 }
+
+// TestWelfordEmptyRestoreNormalized: restoring an n==0 state yields the
+// zero accumulator regardless of stray min/max/mean fields a hand-built
+// or corrupted checkpoint might carry, so a restored engine's first
+// observation initializes extremes exactly like a fresh engine's.
+func TestWelfordEmptyRestoreNormalized(t *testing.T) {
+	got := RestoreWelford(WelfordState{N: 0, Mean: 7, M2: 3, Min: 5, Max: -2})
+	if got != (Welford{}) {
+		t.Fatalf("empty state restored to %+v, want zero value", got)
+	}
+	var fresh Welford
+	fresh.Observe(42)
+	got.Observe(42)
+	if got != fresh {
+		t.Fatalf("first observation diverged: %+v vs %+v", got, fresh)
+	}
+	if got.State() != fresh.State() {
+		t.Fatalf("serialized state diverged: %+v vs %+v", got.State(), fresh.State())
+	}
+}

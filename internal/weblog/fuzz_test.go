@@ -65,30 +65,3 @@ func FuzzParseCLF(f *testing.F) {
 		}
 	})
 }
-
-// FuzzParseCombined checks the Combined parser for panics, for
-// timestamp agreement with time.Parse and for round-trip stability.
-func FuzzParseCombined(f *testing.F) {
-	f.Add(combinedLine)
-	f.Add(`h - - [12/Jan/2004:10:30:45 -0500] "GET / HTTP/1.0" 200 1 "-" "-"`)
-	f.Add(`h - - [12/Jan/2004:10:30:45 -0500] "GET / HTTP/1.0" 200 1 "ref`)
-	for _, line := range timestampSeeds {
-		f.Add(line + ` "-" "agent"`)
-	}
-	f.Fuzz(func(t *testing.T, line string) {
-		checkCLFTime(t, bracketed(line))
-		rec, err := ParseCombined(line)
-		if err != nil {
-			return
-		}
-		back, err := ParseCombined(rec.FormatCombined())
-		if err != nil {
-			t.Fatalf("round trip of %q failed: %v", line, err)
-		}
-		wantRef := dashEmpty(dashIfEmpty(sanitizeQuoted(rec.Referer)))
-		wantUA := dashEmpty(dashIfEmpty(sanitizeQuoted(rec.UserAgent)))
-		if back.Referer != wantRef || back.UserAgent != wantUA {
-			t.Fatalf("round trip changed quoted fields: %+v vs %+v", rec, back)
-		}
-	})
-}

@@ -10,7 +10,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"sort"
 	"strconv"
 	"strings"
 	"time"
@@ -81,20 +80,6 @@ func sanitizeField(s string) string {
 	var b strings.Builder
 	for _, r := range s {
 		if r == '"' || r < 0x20 || r == 0x7f || r == ' ' {
-			b.WriteByte('_')
-			continue
-		}
-		b.WriteRune(r)
-	}
-	return b.String()
-}
-
-// sanitizeQuoted is like sanitizeField but keeps spaces, which are legal
-// inside the quoted referer/user-agent fields.
-func sanitizeQuoted(s string) string {
-	var b strings.Builder
-	for _, r := range s {
-		if r == '"' || (r < 0x20 && r != ' ') || r == 0x7f {
 			b.WriteByte('_')
 			continue
 		}
@@ -314,21 +299,4 @@ func WriteAll(w io.Writer, records []Record) error {
 		return fmt.Errorf("weblog: flushing: %w", err)
 	}
 	return nil
-}
-
-// Merge combines multiple record slices (e.g. the access and error logs
-// of redundant servers, as WVU and CSEE in the paper) into one slice
-// sorted by timestamp. Input slices need not be sorted; they are not
-// modified.
-func Merge(logs ...[]Record) []Record {
-	total := 0
-	for _, l := range logs {
-		total += len(l)
-	}
-	out := make([]Record, 0, total)
-	for _, l := range logs {
-		out = append(out, l...)
-	}
-	sort.SliceStable(out, func(i, j int) bool { return out[i].Time.Before(out[j].Time) })
-	return out
 }

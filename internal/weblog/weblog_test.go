@@ -198,24 +198,3 @@ func TestWriteAllReadAllRoundTrip(t *testing.T) {
 		}
 	}
 }
-
-func TestMerge(t *testing.T) {
-	mk := func(sec int64) Record {
-		return Record{Host: "h", Time: time.Unix(sec, 0), Method: "GET", Path: "/", Proto: "HTTP/1.0", Status: 200}
-	}
-	access := []Record{mk(5), mk(1), mk(3)}
-	errorLog := []Record{mk(2), mk(4)}
-	merged := Merge(access, errorLog)
-	if len(merged) != 5 {
-		t.Fatalf("merged %d records", len(merged))
-	}
-	for i := 1; i < len(merged); i++ {
-		if merged[i].Time.Before(merged[i-1].Time) {
-			t.Fatal("merged records not sorted")
-		}
-	}
-	// Inputs untouched.
-	if access[0].Time.Unix() != 5 {
-		t.Fatal("Merge modified its input")
-	}
-}

@@ -49,27 +49,31 @@ bench:
 		bash bench/run.sh --workload $$w || exit 1; \
 	done
 
-# Short fuzz smoke (~25s total) over the checked-in corpora; part of
-# the tier-1 gate so parser, sessionizer, checkpoint-decoder and
-# journal-recovery regressions surface immediately. The streamer/batch
-# target is the root of the PR 4 streaming-equals-batch invariant. The
-# checkpoint target runs with minimization off: its inputs are several
-# KiB of JSON, and minimizing each new one would take the whole budget.
+# Short fuzz smoke (~30s total) over the checked-in corpora; part of
+# the tier-1 gate so parser, sessionizer, checkpoint-decoder,
+# journal-recovery and intake-delivery regressions surface
+# immediately. The streamer/batch target is the root of the
+# streaming-equals-batch invariant. The checkpoint target runs with
+# minimization off: its inputs are several KiB of JSON, and minimizing
+# each new one would take the whole budget.
 fuzz-smoke:
 	$(GO) test -fuzz=FuzzParseCLF -fuzztime=5s ./internal/weblog/
 	$(GO) test -fuzz=FuzzChunkedIngest -fuzztime=5s ./internal/weblog/
 	$(GO) test -fuzz=FuzzStreamerBatchEquivalence -fuzztime=3s ./internal/session/
 	$(GO) test -fuzz=FuzzCheckpointDecode -fuzztime=5s -fuzzminimizetime=0 ./internal/stream/
 	$(GO) test -fuzz=FuzzWALReplay -fuzztime=5s ./internal/serve/
+	$(GO) test -fuzz=FuzzIntakeDeliveries -fuzztime=5s ./internal/serve/
 
 # Longer fuzz pass over every fuzz-smoke target: the log parsers
 # (with the timestamp decoder's differential check), chunked ingest,
-# streamer/batch equivalence, the checkpoint decoder and journal
-# recovery. It starts warm from the seed corpora under testdata/fuzz/;
-# as in fuzz-smoke, the checkpoint target runs with minimization off.
+# streamer/batch equivalence, the checkpoint decoder, journal recovery
+# and the intake's delivery reassembly. It starts warm from the seed
+# corpora under testdata/fuzz/; as in fuzz-smoke, the checkpoint
+# target runs with minimization off.
 fuzz:
 	$(GO) test -fuzz=FuzzParseCLF -fuzztime=30s ./internal/weblog/
 	$(GO) test -fuzz=FuzzChunkedIngest -fuzztime=30s ./internal/weblog/
 	$(GO) test -fuzz=FuzzStreamerBatchEquivalence -fuzztime=30s ./internal/session/
 	$(GO) test -fuzz=FuzzCheckpointDecode -fuzztime=30s -fuzzminimizetime=0 ./internal/stream/
 	$(GO) test -fuzz=FuzzWALReplay -fuzztime=30s ./internal/serve/
+	$(GO) test -fuzz=FuzzIntakeDeliveries -fuzztime=30s ./internal/serve/

@@ -26,10 +26,6 @@ func EstimatorFor(m Method) (Estimator, error) {
 		return EstimateWhittle, nil
 	case AbryVeitch:
 		return EstimateAbryVeitch, nil
-	case Higuchi:
-		return EstimateHiguchi, nil
-	case DFA:
-		return EstimateDFA, nil
 	default:
 		return nil, fmt.Errorf("%w: method %d", ErrBadParam, int(m))
 	}

@@ -24,11 +24,9 @@ func TestEstimatorBiasSweep(t *testing.T) {
 		Periodogram:        0.12,
 		Whittle:            0.05,
 		AbryVeitch:         0.10,
-		Higuchi:            0.15,
-		DFA:                0.12,
 	}
 	for _, h := range []float64{0.55, 0.65, 0.75, 0.85, 0.95} {
-		for _, m := range ExtendedMethods() {
+		for _, m := range AllMethods() {
 			est, err := EstimatorFor(m)
 			if err != nil {
 				t.Fatal(err)

@@ -62,9 +62,6 @@ func (m Method) String() string {
 	case AbryVeitch:
 		return "Abry-Veitch"
 	default:
-		if name, ok := methodNameExtra(m); ok {
-			return name
-		}
 		return fmt.Sprintf("method(%d)", int(m))
 	}
 }

@@ -1,19 +1,22 @@
-// The multi-source intake queue: bounded per-source byte buffers with
-// a declared fold order, reassembled into one io.Reader for the stream
-// engine. Source order is the determinism anchor (DESIGN.md §15): the
-// first incomplete source streams into the engine while later sources
-// buffer, so the engine always reads exactly the concatenation of the
-// per-source byte streams in declared order — byte-for-byte the file
-// `cat source1 source2 ...` would produce, regardless of how the
-// deliveries interleave on the wire.
+// The multi-source intake queue: one bounded ledger of accepted
+// deliveries per source, with a declared fold order, reassembled into
+// one io.Reader for the stream engine. Source order is the determinism
+// anchor (DESIGN.md §15): the first incomplete source streams into the
+// engine while later sources buffer, so the engine always reads
+// exactly the concatenation of the per-source byte streams in declared
+// order — byte-for-byte the file `cat source1 source2 ...` would
+// produce, regardless of how the deliveries interleave on the wire.
 
 package serve
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
 	"io"
+	"os"
+	"sort"
 	"sync"
 	"time"
 
@@ -66,28 +69,124 @@ func (e *CompletedSource) Error() string {
 
 func (e *CompletedSource) Unwrap() error { return ErrSourceComplete }
 
-// source is one registered intake source: its undrained buffer and
-// accounting. All fields are guarded by the intake mutex.
+// source is one registered intake source: its ledger and the time of
+// its last accepted delivery or completion. Guarded by the intake
+// mutex.
 type source struct {
-	name     string
-	buf      []byte // undrained bytes (drained from the front by Read)
-	off      int    // read offset into buf
-	bytes    int64  // total bytes accepted (journal replay included)
-	lines    int64  // total newlines accepted
-	requests int64  // accepted deliveries (HTTP bodies / TCP reads)
-	complete bool
-	lastAt   time.Time
-	// seen dedups client-stamped delivery IDs (id → accepted payload
-	// bytes); seeded from the journal on resume so redeliveries across
-	// a restart stay exactly-once. One entry per stamped delivery.
-	seen map[string]int64
-	// replay, when non-nil, is the journal prefix Read serves before
-	// the live buffer — the crash-recovery splice.
-	replay *walReplay
+	name   string
+	lastAt time.Time
+	*ledger
 }
 
-// buffered is the source's current undrained byte count.
-func (s *source) buffered() int64 { return int64(len(s.buf) - s.off) }
+// extent is one accepted delivery's bytes: a payload range of a
+// journal segment file, or — without a journal — the delivery itself.
+type extent struct {
+	path string // segment file; "" when data holds the bytes
+	off  int64  // payload offset inside path
+	n    int64
+	data []byte
+}
+
+// ledger is one source's accepted deliveries, in order, and everything
+// derived from them. Recovery scans a journal straight into a ledger,
+// live deliveries extend it, and Read drains it through one path, so
+// recovered and live bytes are the same kind of thing. Guarded by the
+// intake mutex.
+type ledger struct {
+	// ext holds the extents not yet fully read; pos bytes of ext[0]
+	// have been. f is the open read handle on a segment file.
+	ext []extent
+	pos int64
+	f   *os.File
+
+	bytes      int64 // accepted payload bytes, recovered included
+	lines      int64 // accepted newlines
+	deliveries int64
+	read       int64 // bytes served to the engine
+	recovered  int64 // bytes the journal held at open
+	complete   bool
+	// seen dedups client-stamped delivery IDs (id → accepted payload
+	// bytes); recovery rebuilds it from the journal, so redeliveries
+	// across a restart stay exactly-once. One entry per stamped
+	// delivery.
+	seen map[string]int64
+	// marks holds one entry per journaled delivery.
+	marks []walMark
+}
+
+// walMark is one delivery boundary: the source's cumulative newline
+// and payload-byte totals after it — the grid the line→byte lag
+// mapping rounds down on.
+type walMark struct {
+	lines int64
+	bytes int64
+}
+
+func newLedger() *ledger { return &ledger{seen: make(map[string]int64)} }
+
+// add records one accepted delivery holding lines newlines.
+func (l *ledger) add(e extent, id string, lines int64) {
+	l.ext = append(l.ext, e)
+	l.bytes += e.n
+	l.lines += lines
+	l.deliveries++
+	if id != "" {
+		l.seen[id] = e.n
+	}
+	if e.path != "" {
+		l.marks = append(l.marks, walMark{lines: l.lines, bytes: l.bytes})
+	}
+}
+
+// buffered is the count the buffer cap bounds: bytes accepted since
+// open and not yet read. The journal prefix recovered at open is not
+// counted — it is already durable and folds first whatever its size.
+func (l *ledger) buffered() int64 { return l.bytes - max(l.read, l.recovered) }
+
+// readInto fills p with the next unread accepted bytes, from memory
+// or from the journal segments holding them; 0, nil means everything
+// accepted so far has been read.
+func (l *ledger) readInto(p []byte) (int, error) {
+	total := 0
+	for len(l.ext) > 0 && total < len(p) {
+		e := &l.ext[0]
+		want := min(e.n-l.pos, int64(len(p)-total))
+		n := 0
+		if e.path == "" {
+			n = copy(p[total:], e.data[l.pos:l.pos+want])
+		} else {
+			if l.f == nil || l.f.Name() != e.path {
+				l.closeReader()
+				f, err := os.Open(e.path)
+				if err != nil {
+					return total, fmt.Errorf("serve: wal read: %w", err)
+				}
+				l.f = f
+			}
+			var err error
+			if n, err = l.f.ReadAt(p[total:total+int(want)], e.off+l.pos); n == 0 && want > 0 {
+				return total, fmt.Errorf("serve: wal read %s: %w", e.path, err)
+			}
+		}
+		total += n
+		l.pos += int64(n)
+		l.read += int64(n)
+		if l.pos == e.n {
+			l.ext[0] = extent{}
+			l.ext = l.ext[1:]
+			l.pos = 0
+		}
+	}
+	return total, nil
+}
+
+// closeReader releases the segment read handle.
+func (l *ledger) closeReader() {
+	if l.f != nil {
+		l.f.Close()
+		l.f = nil
+	}
+}
 
 // intake is the bounded multi-source buffer feeding the engine. One
 // goroutine (the engine's scanner) reads; any number of connection
@@ -143,7 +242,7 @@ func newIntake(names []string, bufCap int64, clock obs.Clock, holder *telemetry.
 		if _, dup := in.byName[name]; dup {
 			return nil, fmt.Errorf("serve: duplicate source %q", name)
 		}
-		src := &source{name: name, lastAt: now, seen: make(map[string]int64)}
+		src := &source{name: name, lastAt: now, ledger: newLedger()}
 		in.sources = append(in.sources, src)
 		in.byName[name] = src
 	}
@@ -153,30 +252,17 @@ func newIntake(names []string, bufCap int64, clock obs.Clock, holder *telemetry.
 	return in, nil
 }
 
-// attachWAL splices an opened journal into the queue: per-source
-// counters, dedup sets and completion flags are seeded from the scan,
-// and each source's replayable journal prefix becomes the head of its
-// byte stream. Called by Run before the engine reads a byte; until
-// then append refuses deliveries (ErrWALNotReady).
-func (in *intake) attachWAL(wal *walManager, recovered map[string]*walRecovered) {
+// attachWAL adopts an opened journal and the ledgers recovered from
+// it, one per source in declared order: counters, dedup sets,
+// completion flags and the journaled bytes still to fold. Called by
+// Run before the engine reads a byte; until then append refuses
+// deliveries (ErrWALNotReady).
+func (in *intake) attachWAL(wal *walManager, recovered []*ledger) {
 	in.mu.Lock()
 	defer in.mu.Unlock()
 	in.wal = wal
-	for _, src := range in.sources {
-		rec := recovered[src.name]
-		if rec == nil {
-			continue
-		}
-		src.bytes = rec.bytes
-		src.lines = rec.lines
-		src.requests = rec.deliveries
-		src.complete = rec.complete
-		for id, n := range rec.seen {
-			src.seen[id] = n
-		}
-		if len(rec.parts) > 0 {
-			src.replay = newWALReplay(rec.parts)
-		}
+	for i, src := range in.sources {
+		src.ledger = recovered[i]
 	}
 	in.publishLocked()
 	in.cond.Broadcast()
@@ -231,29 +317,20 @@ func (in *intake) append(ctx context.Context, name, id string, data []byte, wait
 		}
 		in.cond.Wait()
 	}
-	// Journal before buffering: the delivery is acknowledged only once
-	// it is durable, and a journal failure leaves the intake state
-	// untouched (the client retries against the shed 503).
+	// With a journal the segment is the buffer: the delivery is
+	// acknowledged only once it is written there, and a journal failure
+	// leaves the intake state untouched (the client retries against the
+	// shed 503). Without one the ledger keeps its own copy.
+	e := extent{n: int64(len(data))}
 	if in.wal != nil {
-		if err := in.wal.Append(ctx, name, id, data); err != nil {
+		var err error
+		if e, err = in.wal.Append(ctx, name, id, src.bytes, data); err != nil {
 			return err
 		}
+	} else {
+		e.data = append([]byte(nil), data...)
 	}
-	if src.off > 0 && src.off == len(src.buf) {
-		src.buf = src.buf[:0]
-		src.off = 0
-	}
-	src.buf = append(src.buf, data...)
-	src.bytes += int64(len(data))
-	src.requests++
-	for _, b := range data {
-		if b == '\n' {
-			src.lines++
-		}
-	}
-	if id != "" {
-		src.seen[id] = int64(len(data))
-	}
+	src.add(e, id, int64(bytes.Count(data, newline)))
 	src.lastAt = in.clock.Now()
 	in.publishLocked()
 	in.cond.Broadcast()
@@ -278,7 +355,7 @@ func (in *intake) completeSource(ctx context.Context, name string) error {
 		return ErrWALNotReady
 	}
 	if in.wal != nil {
-		if err := in.wal.Complete(ctx, name); err != nil {
+		if err := in.wal.Complete(ctx, name, src.bytes); err != nil {
 			return err
 		}
 	}
@@ -299,6 +376,10 @@ func (in *intake) drain() {
 	in.cond.Broadcast()
 }
 
+// newline is the line-count separator, hoisted so the per-delivery
+// bytes.Count stays allocation-free.
+var newline = []byte("\n")
+
 // errInterrupted is what a Read waiting for input returns once the
 // engine has abandoned its scan.
 var errInterrupted = errors.New("serve: intake read interrupted: the engine stopped folding")
@@ -315,10 +396,11 @@ func (in *intake) Interrupt() {
 }
 
 // Read implements io.Reader for the engine's scanner: it serves the
-// active source's buffered bytes, advances past completed-and-empty
+// active source's accepted bytes — those recovered from the journal
+// first, as they were accepted first — advances past completed-and-read
 // sources in declared order, blocks while the active source is open
-// but empty (until Interrupt), and returns io.EOF once every source is
-// drained.
+// but read up (until Interrupt), and returns io.EOF once every source
+// is drained.
 func (in *intake) Read(p []byte) (int, error) {
 	in.mu.Lock()
 	defer in.mu.Unlock()
@@ -327,28 +409,11 @@ func (in *intake) Read(p []byte) (int, error) {
 			return 0, io.EOF
 		}
 		src := in.sources[in.active]
-		// The journal prefix streams first: recovered bytes precede
-		// anything delivered after the restart, reproducing the exact
-		// concatenation the crashed run acknowledged.
-		if src.replay != nil {
-			n, err := src.replay.Read(p)
-			if n > 0 {
-				return n, nil
-			}
-			if err == io.EOF {
-				src.replay.Close()
-				src.replay = nil
-				continue
-			}
-			return 0, err
+		n, err := src.readInto(p)
+		if err != nil {
+			return n, err
 		}
-		if src.buffered() > 0 {
-			n := copy(p, src.buf[src.off:])
-			src.off += n
-			if src.off == len(src.buf) {
-				src.buf = src.buf[:0]
-				src.off = 0
-			}
+		if n > 0 {
 			in.publishLocked()
 			// Space freed: wake any TCP appender blocked on a full
 			// buffer.
@@ -356,6 +421,7 @@ func (in *intake) Read(p []byte) (int, error) {
 			return n, nil
 		}
 		if src.complete || in.draining {
+			src.closeReader()
 			in.active++
 			in.publishLocked()
 			continue
@@ -365,6 +431,59 @@ func (in *intake) Read(p []byte) (int, error) {
 		}
 		in.cond.Wait()
 	}
+}
+
+// closeReaders releases every source's segment read handle once the
+// engine has stopped reading.
+func (in *intake) closeReaders() {
+	in.mu.Lock()
+	defer in.mu.Unlock()
+	for _, src := range in.sources {
+		src.closeReader()
+	}
+}
+
+// walStats is the journal's published view: what the journal itself
+// knows, plus the totals and lags the ledgers derive. foldedLines and
+// checkpointLines are the engine's cumulative folded and
+// last-checkpointed line counts over the concatenation.
+func (in *intake) walStats(foldedLines, checkpointLines int64) telemetry.WALStats {
+	in.mu.Lock()
+	defer in.mu.Unlock()
+	st := in.wal.Stats()
+	for _, src := range in.sources {
+		st.JournaledBytes += src.bytes
+		st.Deliveries += src.deliveries
+	}
+	st.LagBytes = st.JournaledBytes - in.coveredBytesLocked(foldedLines)
+	st.CheckpointLagBytes = st.JournaledBytes - in.coveredBytesLocked(checkpointLines)
+	return st
+}
+
+// coveredBytesLocked maps a cumulative line count over the declared
+// concatenation to journaled payload bytes, walking sources in order
+// and rounding down to the last delivery boundary inside the partially
+// folded source — so lags are conservative overestimates.
+func (in *intake) coveredBytesLocked(lines int64) int64 {
+	var covered int64
+	remaining := lines
+	for _, src := range in.sources {
+		if remaining <= 0 {
+			break
+		}
+		if src.lines <= remaining {
+			covered += src.bytes
+			remaining -= src.lines
+			continue
+		}
+		marks := src.marks
+		idx := sort.Search(len(marks), func(i int) bool { return marks[i].lines > remaining })
+		if idx > 0 {
+			covered += marks[idx-1].bytes
+		}
+		break
+	}
+	return covered
 }
 
 // publishLocked hands a copy-on-publish intake view to the holder.
@@ -385,7 +504,7 @@ func (in *intake) publishLocked() {
 			Name:     src.name,
 			Bytes:    src.bytes,
 			Lines:    src.lines,
-			Requests: src.requests,
+			Requests: src.deliveries,
 			Buffered: src.buffered(),
 			Complete: src.complete,
 			LastAt:   src.lastAt,

@@ -240,8 +240,8 @@ func (s *Server) Run(ctx context.Context, emit func(*stream.Snapshot) error) (*s
 		// concatenation.
 		if s.cfg.Checkpoint != nil {
 			var journaled int64
-			for _, rec := range recovered {
-				journaled += rec.lines
+			for _, led := range recovered {
+				journaled += led.lines
 			}
 			if skip := s.cfg.Checkpoint.SkipLines(); journaled < skip {
 				wal.Close()
@@ -260,12 +260,13 @@ func (s *Server) Run(ctx context.Context, emit func(*stream.Snapshot) error) (*s
 		if s.cfg.Checkpoint != nil {
 			resumed = s.cfg.Checkpoint.SkipLines()
 		}
-		s.holder.PublishWAL(wal.Stats(resumed, resumed))
+		s.holder.PublishWAL(s.intake.walStats(resumed, resumed))
 	}
 	// The engine's fold goroutine is the holder's single publisher;
 	// this initial publication (before any chunk folds) is what lets
 	// /readyz report ready on an idle, freshly bound server.
 	s.holder.PublishRuntime(stream.RuntimeStats{})
+	defer s.intake.closeReaders()
 	return s.engine.ProcessCtx(ctx, s.intake, emit)
 }
 
@@ -289,11 +290,10 @@ func (t *walTelemetry) PublishRuntime(rt stream.RuntimeStats) {
 // covered by one — auto-checkpointing on a cadence tied to WAL growth
 // so crash replay stays bounded.
 func (s *Server) superviseWAL(rt stream.RuntimeStats) {
-	wal := s.wal
-	if wal == nil {
+	if s.wal == nil {
 		return
 	}
-	st := wal.Stats(rt.Lines, rt.LastCheckpointLine)
+	st := s.intake.walStats(rt.Lines, rt.LastCheckpointLine)
 	s.holder.PublishWAL(st)
 	if reg := s.cfg.Engine.Metrics; reg != nil {
 		reg.Gauge("serve.wal_journaled_bytes").Set(st.JournaledBytes)

@@ -1,29 +1,38 @@
 // The durable intake journal (DESIGN.md §16): every accepted delivery
 // is appended to a per-source, sha256-checksummed, rotated segment
 // file *before* it is acknowledged, stamped with the client's delivery
-// ID. Restarting with the same journal replays the unfolded bytes in
-// declared source order ahead of the live buffers, so a crashed run
-// resumes byte-identical to an uninterrupted one, and redelivered
-// POSTs (at-least-once transport) are deduplicated by ID into an
-// exactly-once fold.
+// ID. The journal is the intake's buffer: a source's ledger names each
+// delivery by the segment range its payload occupies, and the engine
+// reads it back from there. Restarting with the same journal scans it
+// into the ledgers again, so a crashed run resumes byte-identical to an
+// uninterrupted one, and redelivered POSTs (at-least-once transport)
+// are deduplicated by ID into an exactly-once fold.
 //
-// Segment layout: one header line
+// Segment layout: one header line naming the source, the sequence
+// number and the source payload offset the segment starts at
 //
-//	fullweb-wal1 segment <escaped-source> <seq>
+//	fullweb-wal2 segment <escaped-source> <seq> off=<n>
 //
 // followed by framed records, each a header line plus the raw payload
 // bytes:
 //
-//	fullweb-wal1 d id=<escaped-id> len=<n> sha256=<hex>
+//	fullweb-wal2 d id=<escaped-id> len=<n> sha256=<hex>
 //	<n payload bytes>
-//	fullweb-wal1 c id= len=0 sha256=<hex-of-empty>
+//	fullweb-wal2 c id= len=0 sha256=<hex>
+//
+// A record's sha256 covers its header up to the sha256= field, then its
+// payload, so a flipped kind, id or length fails it like a flipped
+// payload byte. A fullweb-wal1 journal is refused: drain it with the
+// build that wrote it.
 //
 // Recovery policy, in order of preference: a record torn at the tail
 // of the final segment is truncated back to the last valid checksum
 // (the delivery was never acknowledged — the client retries it); a
-// checksum-corrupt record anywhere else quarantines that whole segment
-// and every later one (renamed *.quarantined, never folded) and the
-// operator re-requests from the last good delivery ID; sync failures
+// checksum-corrupt record anywhere else, or a segment whose off= is
+// not where the chain before it ends (a middle segment cut short),
+// quarantines that whole segment and every later one (renamed
+// *.quarantined, never folded) and the operator re-requests from the
+// last good delivery ID; sync failures
 // and budget exhaustion latch the journal into shed mode — intake
 // refuses new deliveries with 503 while the engine keeps folding what
 // was already journaled.
@@ -98,16 +107,12 @@ const (
 )
 
 const (
-	walMagic        = "fullweb-wal1"
+	walMagic        = "fullweb-wal2"
 	walQuarantined  = ".quarantined"
 	walSegmentGlob  = ".wal"
 	walSeqDigits    = 8
 	walMaxHeaderLen = 4096
 )
-
-// walNewline is the line-count separator, hoisted so the per-delivery
-// bytes.Count stays allocation-free.
-var walNewline = []byte("\n")
 
 // WALConfig parameterizes the durable intake journal.
 type WALConfig struct {
@@ -148,29 +153,16 @@ func (c WALConfig) withDefaults() WALConfig {
 	return c
 }
 
-// walMark is one delivery boundary: the source's cumulative newline
-// and payload-byte totals after it — the grid the line→byte lag
-// mapping rounds down on.
-type walMark struct {
-	lines int64
-	bytes int64
-}
-
-// walSource is one source's journal state: the open segment plus
-// cumulative accounting. Guarded by the manager mutex.
+// walSource is one source's open segment. Guarded by the manager
+// mutex.
 type walSource struct {
 	name       string
 	f          *os.File
+	path       string // the open segment, named by the extents written to it
 	seq        int64
 	segBytes   int64 // bytes written to the open segment
 	unsynced   int64 // payload bytes since the last fsync
 	syncQueued bool  // one outstanding background-sync request at most
-
-	bytes      int64 // cumulative journaled payload bytes
-	lines      int64 // cumulative journaled newlines
-	deliveries int64
-	complete   bool
-	marks      []walMark
 }
 
 // walManager owns the journal directory. Append-path methods are
@@ -206,24 +198,6 @@ type walManager struct {
 	closed   bool
 }
 
-// walRecovered is one source's scan result, consumed by the intake to
-// seed its counters, dedup set and replay reader.
-type walRecovered struct {
-	name       string
-	parts      []walReplayPart
-	seen       map[string]int64
-	bytes      int64
-	lines      int64
-	deliveries int64
-	complete   bool
-	lastSeq    int64
-	marks      []walMark
-
-	quarantined []string
-	truncated   int64
-	lastGoodID  string
-}
-
 // walSegmentName renders a segment filename; the source name is
 // path-escaped so arbitrary source IDs stay single path elements.
 func walSegmentName(source string, seq int64) string {
@@ -250,9 +224,10 @@ func walSegmentSeq(source, name string) (int64, bool) {
 }
 
 // openWAL scans (and, with cfg.Resume, recovers) the journal
-// directory, then opens a fresh segment per incomplete source for new
-// appends. ctx carries the fault-injection set for serve.wal.replay.
-func openWAL(ctx context.Context, cfg WALConfig, sources []string, logf func(string, ...any)) (*walManager, map[string]*walRecovered, error) {
+// directory into one ledger per source, in declared order, then opens
+// a fresh segment per incomplete source for new appends. ctx carries
+// the fault-injection set for serve.wal.replay.
+func openWAL(ctx context.Context, cfg WALConfig, sources []string, logf func(string, ...any)) (*walManager, []*ledger, error) {
 	cfg = cfg.withDefaults()
 	if cfg.Dir == "" {
 		return nil, nil, fmt.Errorf("serve: wal directory is required")
@@ -264,44 +239,34 @@ func openWAL(ctx context.Context, cfg WALConfig, sources []string, logf func(str
 	if err := m.checkDirKnown(sources); err != nil {
 		return nil, nil, err
 	}
-	recovered := make(map[string]*walRecovered, len(sources))
+	leds := make([]*ledger, 0, len(sources))
 	for _, name := range sources {
-		rec, err := scanWALSource(ctx, cfg.Dir, name, logf)
+		src := &walSource{name: name}
+		led, err := m.scanSource(ctx, src)
 		if err != nil {
 			return nil, nil, err
 		}
-		if !cfg.Resume && (rec.bytes > 0 || rec.lastSeq > 0 || rec.complete) {
+		if !cfg.Resume && (led.bytes > 0 || src.seq > 0 || led.complete) {
 			return nil, nil, fmt.Errorf("serve: wal dir %s already holds a journal for source %q; pass -resume to replay it or point -wal at a clean directory", cfg.Dir, name)
 		}
-		recovered[name] = rec
-		src := &walSource{
-			name:       name,
-			seq:        rec.lastSeq,
-			bytes:      rec.bytes,
-			lines:      rec.lines,
-			deliveries: rec.deliveries,
-			complete:   rec.complete,
-			marks:      make([]walMark, 0, 64),
-		}
-		src.marks = append(src.marks, rec.marks...)
+		led.recovered = led.bytes
+		m.replayedBytes += led.bytes
 		m.order = append(m.order, src)
 		m.byName[name] = src
-		m.replayedBytes += rec.bytes
-		m.quarantinedSegs += int64(len(rec.quarantined))
-		m.truncatedBytes += rec.truncated
+		leds = append(leds, led)
 	}
 	// Count everything already on disk (recovered segments, quarantined
 	// files) against the budget before opening new segments.
 	if err := m.accountDisk(); err != nil {
 		return nil, nil, err
 	}
-	// Every restart cuts over to a fresh segment, so replay readers
-	// never share a file with the live appender.
-	for _, src := range m.order {
-		if src.complete {
+	// Every restart cuts over to a fresh segment, so no recovered
+	// segment is written again.
+	for i, src := range m.order {
+		if leds[i].complete {
 			continue
 		}
-		if err := m.openSegmentLocked(src); err != nil {
+		if err := m.openSegmentLocked(src, leds[i].bytes); err != nil {
 			return nil, nil, err
 		}
 	}
@@ -311,7 +276,7 @@ func openWAL(ctx context.Context, cfg WALConfig, sources []string, logf func(str
 	m.syncDone = make(chan struct{})
 	//lint:allow rawgo journal fsync cadence, not an analysis fan-out; one goroutine that Close drains
 	go m.syncLoop(ctx)
-	return m, recovered, nil
+	return m, leds, nil
 }
 
 // checkDirKnown refuses journal directories holding segments for
@@ -363,17 +328,17 @@ func (m *walManager) accountDisk() error {
 	return nil
 }
 
-// openSegmentLocked cuts the source over to its next segment file:
-// exclusive create, header line, directory fsync so the rotation
-// itself survives power loss.
-func (m *walManager) openSegmentLocked(src *walSource) error {
+// openSegmentLocked cuts the source over to its next segment file,
+// which starts at source payload offset off: exclusive create, header
+// line, directory fsync so the rotation itself survives power loss.
+func (m *walManager) openSegmentLocked(src *walSource, off int64) error {
 	seq := src.seq + 1
 	path := filepath.Join(m.cfg.Dir, walSegmentName(src.name, seq))
 	f, err := os.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_EXCL, 0o644)
 	if err != nil {
 		return fmt.Errorf("serve: wal segment %s: %w", path, err)
 	}
-	header := fmt.Sprintf("%s segment %s %d\n", walMagic, url.PathEscape(src.name), seq)
+	header := fmt.Sprintf("%s segment %s %d off=%d\n", walMagic, url.PathEscape(src.name), seq, off)
 	if _, err := f.WriteString(header); err != nil {
 		f.Close()
 		return fmt.Errorf("serve: wal segment %s header: %w", path, err)
@@ -382,7 +347,7 @@ func (m *walManager) openSegmentLocked(src *walSource) error {
 		f.Close()
 		return fmt.Errorf("serve: wal dir sync: %w", err)
 	}
-	src.f = f
+	src.f, src.path = f, path
 	src.seq = seq
 	src.segBytes = int64(len(header))
 	m.diskBytes += int64(len(header))
@@ -410,34 +375,32 @@ func (m *walManager) shedLocked(reason string) {
 	}
 }
 
-// Append journals one delivery before the intake buffers it. Called
-// under the intake mutex; any failure sheds intake and leaves the
-// delivery unacknowledged (nothing was buffered, the client retries).
-func (m *walManager) Append(ctx context.Context, name, id string, payload []byte) error {
+// Append journals one delivery, which starts at source payload offset
+// at, and returns the extent its payload occupies. Called under the
+// intake mutex; any failure sheds intake and leaves the delivery
+// unacknowledged (nothing was accepted, the client retries).
+func (m *walManager) Append(ctx context.Context, name, id string, at int64, payload []byte) (extent, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if m.shed {
-		return fmt.Errorf("%w (%s)", ErrWALShed, m.shedReason)
+		return extent{}, fmt.Errorf("%w (%s)", ErrWALShed, m.shedReason)
 	}
 	src := m.byName[name]
 	if src == nil || src.f == nil {
-		return fmt.Errorf("%w: source %q has no open segment", ErrWALShed, name)
+		return extent{}, fmt.Errorf("%w: source %q has no open segment", ErrWALShed, name)
 	}
-	sum := sha256.Sum256(payload)
-	header := fmt.Sprintf("%s d id=%s len=%d sha256=%s\n", walMagic, url.QueryEscape(id), len(payload), hex.EncodeToString(sum[:]))
-	if err := m.writeRecordLocked(ctx, src, header, payload); err != nil {
-		return err
+	head := fmt.Sprintf("%s d id=%s len=%d ", walMagic, url.QueryEscape(id), len(payload))
+	off, err := m.writeRecordLocked(ctx, src, at, head, payload)
+	if err != nil {
+		return extent{}, err
 	}
-	src.bytes += int64(len(payload))
-	src.lines += int64(bytes.Count(payload, walNewline))
-	src.deliveries++
-	src.marks = append(src.marks, walMark{lines: src.lines, bytes: src.bytes})
-	return nil
+	return extent{path: src.path, off: off, n: int64(len(payload))}, nil
 }
 
-// Complete journals a source-completion record; the intake marks the
-// source complete only after this returns.
-func (m *walManager) Complete(ctx context.Context, name string) error {
+// Complete journals a source-completion record at source payload
+// offset at; the intake marks the source complete only after this
+// returns.
+func (m *walManager) Complete(ctx context.Context, name string, at int64) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if m.shed {
@@ -447,9 +410,7 @@ func (m *walManager) Complete(ctx context.Context, name string) error {
 	if src == nil || src.f == nil {
 		return fmt.Errorf("%w: source %q has no open segment", ErrWALShed, name)
 	}
-	sum := sha256.Sum256(nil)
-	header := fmt.Sprintf("%s c id= len=0 sha256=%s\n", walMagic, hex.EncodeToString(sum[:]))
-	if err := m.writeRecordLocked(ctx, src, header, nil); err != nil {
+	if _, err := m.writeRecordLocked(ctx, src, at, walMagic+" c id= len=0 ", nil); err != nil {
 		return err
 	}
 	// Completion is the source's final record: with a sync cadence
@@ -461,7 +422,6 @@ func (m *walManager) Complete(ctx context.Context, name string) error {
 			return err
 		}
 	}
-	src.complete = true
 	err := src.f.Close()
 	src.f = nil
 	if err != nil {
@@ -471,42 +431,56 @@ func (m *walManager) Complete(ctx context.Context, name string) error {
 	return nil
 }
 
-// writeRecordLocked appends one framed record to the source's open
-// segment, rotating first when it would overflow, and applies the
-// sync cadence. Every failure (including injected serve.wal.* faults)
-// sheds intake.
-func (m *walManager) writeRecordLocked(ctx context.Context, src *walSource, header string, payload []byte) error {
+// walRecordSum is a record's checksum: sha256 over its header up to
+// the sha256= field, then its payload.
+func walRecordSum(head string, payload []byte) string {
+	h := sha256.New()
+	io.WriteString(h, head)
+	h.Write(payload)
+	var sum [sha256.Size]byte
+	return hex.EncodeToString(h.Sum(sum[:0]))
+}
+
+// writeRecordLocked frames head and payload as one record and appends
+// it to the source's open segment, rotating first (to a segment that
+// starts at source payload offset at) when it would overflow, and
+// applies the sync cadence. It returns the payload's offset in the
+// segment. Every failure (including injected serve.wal.* faults) sheds
+// intake.
+func (m *walManager) writeRecordLocked(ctx context.Context, src *walSource, at int64, head string, payload []byte) (int64, error) {
+	header := head + "sha256=" + walRecordSum(head, payload) + "\n"
 	recLen := int64(len(header) + len(payload))
 	if m.cfg.DiskBudgetBytes > 0 && m.diskBytes+recLen > m.cfg.DiskBudgetBytes {
 		m.shedLocked(fmt.Sprintf("disk budget: %d of %d bytes used, next record needs %d", m.diskBytes, m.cfg.DiskBudgetBytes, recLen))
-		return fmt.Errorf("%w (%s)", ErrWALShed, m.shedReason)
+		return 0, fmt.Errorf("%w (%s)", ErrWALShed, m.shedReason)
 	}
 	if src.segBytes > 0 && src.segBytes+recLen > m.cfg.SegmentBytes {
-		if err := m.rotateLocked(ctx, src); err != nil {
-			return err
+		if err := m.rotateLocked(ctx, src, at); err != nil {
+			return 0, err
 		}
 	}
 	if err := fpWALAppend.Check(ctx); err != nil {
 		m.shedLocked(fmt.Sprintf("append fault on %s: %v", src.name, err))
-		return fmt.Errorf("serve: wal append %s: %w; %w", src.name, err, ErrWALShed)
+		return 0, fmt.Errorf("serve: wal append %s: %w; %w", src.name, err, ErrWALShed)
 	}
 	if _, err := src.f.WriteString(header); err != nil {
 		m.shedLocked(fmt.Sprintf("writing %s segment: %v", src.name, err))
-		return fmt.Errorf("serve: wal append %s: %w; %w", src.name, err, ErrWALShed)
+		return 0, fmt.Errorf("serve: wal append %s: %w; %w", src.name, err, ErrWALShed)
 	}
 	if len(payload) > 0 {
 		if _, err := src.f.Write(payload); err != nil {
 			m.shedLocked(fmt.Sprintf("writing %s segment: %v", src.name, err))
-			return fmt.Errorf("serve: wal append %s: %w; %w", src.name, err, ErrWALShed)
+			return 0, fmt.Errorf("serve: wal append %s: %w; %w", src.name, err, ErrWALShed)
 		}
 	}
+	payloadOff := src.segBytes + int64(len(header))
 	src.segBytes += recLen
 	m.diskBytes += recLen
 	src.unsynced += recLen
 	if m.cfg.SyncBytes > 0 && src.unsynced >= m.cfg.SyncBytes {
 		m.requestSyncLocked(src)
 	}
-	return nil
+	return payloadOff, nil
 }
 
 // requestSyncLocked queues the source for a background fsync. The
@@ -580,8 +554,9 @@ func (m *walManager) syncLocked(ctx context.Context, src *walSource) error {
 }
 
 // rotateLocked closes the source's current segment (synced first when
-// a cadence is armed) and cuts over to the next one.
-func (m *walManager) rotateLocked(ctx context.Context, src *walSource) error {
+// a cadence is armed) and cuts over to the next one, which starts at
+// source payload offset at.
+func (m *walManager) rotateLocked(ctx context.Context, src *walSource, at int64) error {
 	if err := fpWALRotate.Check(ctx); err != nil {
 		m.shedLocked(fmt.Sprintf("rotate fault on %s: %v", src.name, err))
 		return fmt.Errorf("serve: wal rotate %s: %w; %w", src.name, err, ErrWALShed)
@@ -596,7 +571,7 @@ func (m *walManager) rotateLocked(ctx context.Context, src *walSource) error {
 		return fmt.Errorf("serve: wal rotate %s: %w; %w", src.name, err, ErrWALShed)
 	}
 	src.f = nil
-	if err := m.openSegmentLocked(src); err != nil {
+	if err := m.openSegmentLocked(src, at); err != nil {
 		m.shedLocked(fmt.Sprintf("opening next %s segment: %v", src.name, err))
 		return fmt.Errorf("serve: wal rotate %s: %w; %w", src.name, err, ErrWALShed)
 	}
@@ -642,140 +617,34 @@ func (m *walManager) Close() error {
 	return first
 }
 
-// Stats assembles a copy-on-publish view. foldedLines and
-// checkpointLines are the engine's cumulative folded and
-// last-checkpointed line counts over the concatenation; both map to
-// journal byte offsets by walking sources in declared order and
-// rounding down to a delivery boundary, so the lag numbers are
-// conservative overestimates.
-func (m *walManager) Stats(foldedLines, checkpointLines int64) telemetry.WALStats {
+// Stats reports what the journal itself knows; the intake adds the
+// journaled totals and lags its ledgers derive (intake.walStats).
+func (m *walManager) Stats() telemetry.WALStats {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	var journaled int64
-	var deliveries int64
-	for _, src := range m.order {
-		journaled += src.bytes
-		deliveries += src.deliveries
-	}
 	return telemetry.WALStats{
 		Dir:                 m.cfg.Dir,
-		JournaledBytes:      journaled,
 		DiskBytes:           m.diskBytes,
 		DiskBudgetBytes:     m.cfg.DiskBudgetBytes,
 		Segments:            m.segments,
-		Deliveries:          deliveries,
 		Duplicates:          m.duplicates,
 		ReplayedBytes:       m.replayedBytes,
 		QuarantinedSegments: m.quarantinedSegs,
 		TornTruncatedBytes:  m.truncatedBytes,
-		LagBytes:            journaled - m.coveredBytesLocked(foldedLines),
-		CheckpointLagBytes:  journaled - m.coveredBytesLocked(checkpointLines),
 		Shedding:            m.shed,
 		ShedReason:          m.shedReason,
 	}
 }
 
-// coveredBytesLocked maps a cumulative line count over the declared
-// concatenation to journaled payload bytes, rounding down to the last
-// delivery boundary inside the partially folded source.
-func (m *walManager) coveredBytesLocked(lines int64) int64 {
-	var covered int64
-	remaining := lines
-	for _, src := range m.order {
-		if remaining <= 0 {
-			break
-		}
-		if src.lines <= remaining {
-			covered += src.bytes
-			remaining -= src.lines
-			continue
-		}
-		marks := src.marks
-		idx := sort.Search(len(marks), func(i int) bool { return marks[i].lines > remaining })
-		if idx > 0 {
-			covered += marks[idx-1].bytes
-		}
-		break
-	}
-	return covered
-}
-
-// walReplayPart is one checksummed payload range inside a scanned
-// segment file.
-type walReplayPart struct {
-	path string
-	off  int64
-	n    int64
-}
-
-// walReplay serves the scanned payload ranges back as one io.Reader —
-// the journal prefix the intake splices ahead of a source's live
-// buffer. Single reader (the engine fold loop, under the intake
-// mutex).
-type walReplay struct {
-	parts []walReplayPart
-	idx   int
-	pos   int64
-	f     *os.File
-	path  string
-}
-
-func newWALReplay(parts []walReplayPart) *walReplay {
-	return &walReplay{parts: parts}
-}
-
-func (r *walReplay) Read(p []byte) (int, error) {
-	for {
-		if r.idx >= len(r.parts) {
-			return 0, io.EOF
-		}
-		pt := r.parts[r.idx]
-		if r.pos == pt.n {
-			r.idx++
-			r.pos = 0
-			continue
-		}
-		if r.f == nil || r.path != pt.path {
-			if r.f != nil {
-				r.f.Close()
-				r.f = nil
-			}
-			f, err := os.Open(pt.path)
-			if err != nil {
-				return 0, fmt.Errorf("serve: wal replay: %w", err)
-			}
-			r.f, r.path = f, pt.path
-		}
-		want := pt.n - r.pos
-		if int64(len(p)) < want {
-			want = int64(len(p))
-		}
-		n, err := r.f.ReadAt(p[:want], pt.off+r.pos)
-		r.pos += int64(n)
-		if n > 0 {
-			return n, nil
-		}
-		if err != nil {
-			return 0, fmt.Errorf("serve: wal replay %s: %w", pt.path, err)
-		}
-	}
-}
-
-func (r *walReplay) Close() error {
-	if r.f != nil {
-		err := r.f.Close()
-		r.f = nil
-		return err
-	}
-	return nil
-}
-
-// scanWALSource reads a source's segment chain back, verifying every
-// record checksum, and returns the replayable prefix. Recovery
-// actions happen here: a record torn at the tail of the final segment
-// truncates the file back to the last valid checksum; any other
-// invalid record quarantines its segment and all later ones.
-func scanWALSource(ctx context.Context, dir, name string, logf func(string, ...any)) (*walRecovered, error) {
+// scanSource reads src's segment chain back into a fresh ledger,
+// verifying every record checksum and that each segment starts where
+// the chain before it ends, and leaves src.seq at the last sequence
+// number on disk. Recovery actions happen here: a record torn at the
+// tail of the final segment truncates the file back to the last valid
+// checksum; any other invalid record, or a break in the chain,
+// quarantines its segment and all later ones.
+func (m *walManager) scanSource(ctx context.Context, src *walSource) (*ledger, error) {
+	dir, name := m.cfg.Dir, src.name
 	entries, err := os.ReadDir(dir)
 	if err != nil {
 		return nil, fmt.Errorf("serve: wal dir: %w", err)
@@ -794,93 +663,89 @@ func scanWALSource(ctx context.Context, dir, name string, logf func(string, ...a
 		}
 	}
 	sort.Slice(segs, func(i, j int) bool { return segs[i].seq < segs[j].seq })
-	rec := &walRecovered{name: name, seen: make(map[string]int64)}
+	led := newLedger()
+	lastGoodID := ""
 	for i, sg := range segs {
 		if err := fpWALReplay.Check(ctx); err != nil {
 			return nil, fmt.Errorf("serve: wal replay %s: %w", sg.path, err)
 		}
-		if sg.seq <= rec.lastSeq && rec.lastSeq != 0 {
+		if sg.seq <= src.seq && src.seq != 0 {
 			return nil, fmt.Errorf("serve: wal segments for %q repeat sequence %d", name, sg.seq)
 		}
 		res, err := scanWALSegment(sg.path, name, sg.seq)
 		if err != nil {
 			return nil, err
 		}
-		last := i == len(segs)-1
-		switch {
-		case res.bad == nil:
-			rec.fold(res)
-			rec.lastSeq = sg.seq
-		case last && res.torn:
+		if res.off >= 0 && res.off != led.bytes {
+			res.bad = fmt.Errorf("segment starts at source offset %d, but the chain before it ends at %d", res.off, led.bytes)
+			res.torn = false
+		}
+		if res.bad != nil && !(res.torn && i == len(segs)-1) {
+			// Checksum corruption, a mid-chain tear or a chain gap:
+			// quarantine this segment and every later one; nothing in
+			// them is folded.
+			for _, q := range segs[i:] {
+				if err := os.Rename(q.path, q.path+walQuarantined); err != nil {
+					return nil, fmt.Errorf("serve: wal quarantine %s: %w", q.path, err)
+				}
+			}
+			m.quarantinedSegs += int64(len(segs) - i)
+			src.seq = segs[len(segs)-1].seq
+			m.logf("serve: wal %s: %v; quarantined %d segment(s), re-request deliveries after id %q", sg.path, res.bad, len(segs)-i, lastGoodID)
+			return led, nil
+		}
+		if res.bad != nil {
 			// Torn tail: the crash interrupted the final record's write.
 			// Truncate back to the last valid checksum and keep the good
 			// prefix — the torn delivery was never acknowledged.
 			if err := os.Truncate(sg.path, res.goodOff); err != nil {
 				return nil, fmt.Errorf("serve: wal truncate %s: %w", sg.path, err)
 			}
-			rec.truncated += res.size - res.goodOff
-			rec.fold(res)
-			rec.lastSeq = sg.seq
-			logf("serve: wal %s: torn tail, truncated %d bytes back to last valid checksum", sg.path, res.size-res.goodOff)
-		default:
-			// Checksum corruption (or a mid-chain tear): quarantine this
-			// segment and every later one; nothing in them is folded.
-			for _, q := range segs[i:] {
-				if err := os.Rename(q.path, q.path+walQuarantined); err != nil {
-					return nil, fmt.Errorf("serve: wal quarantine %s: %w", q.path, err)
-				}
-				rec.quarantined = append(rec.quarantined, q.path+walQuarantined)
-			}
-			rec.lastSeq = segs[len(segs)-1].seq
-			logf("serve: wal %s: %v; quarantined %d segment(s), re-request deliveries after id %q", sg.path, res.bad, len(segs)-i, rec.lastGoodID)
-			return rec, nil
+			m.truncatedBytes += res.size - res.goodOff
+			m.logf("serve: wal %s: torn tail, truncated %d bytes back to last valid checksum", sg.path, res.size-res.goodOff)
 		}
+		for _, r := range res.recs {
+			if r.complete {
+				led.complete = true
+				continue
+			}
+			led.add(r.ext, r.id, r.lines)
+			if r.id != "" {
+				lastGoodID = r.id
+			}
+		}
+		src.seq = sg.seq
 	}
-	return rec, nil
+	return led, nil
 }
 
-// fold merges one cleanly scanned segment into the recovery result.
-func (r *walRecovered) fold(res *walSegmentScan) {
-	r.parts = append(r.parts, res.parts...)
-	for id, n := range res.seen {
-		r.seen[id] = n
-	}
-	for _, mk := range res.marks {
-		r.marks = append(r.marks, walMark{lines: r.lines + mk.lines, bytes: r.bytes + mk.bytes})
-	}
-	r.bytes += res.bytes
-	r.lines += res.lines
-	r.deliveries += res.deliveries
-	if res.complete {
-		r.complete = true
-	}
-	if res.lastID != "" {
-		r.lastGoodID = res.lastID
-	}
+// walRecord is one verified record of a scanned segment: a delivery's
+// extent, ID and newline count, or a source completion.
+type walRecord struct {
+	ext      extent
+	id       string
+	lines    int64
+	complete bool
 }
 
-// walSegmentScan is one segment's parse result. bad is nil for a
-// clean segment; torn marks an incomplete record ending exactly at
-// EOF (truncatable), goodOff the offset of the last valid record end.
+// walSegmentScan is one segment's parse result. off is the source
+// payload offset its header declares (-1 without a header); bad is nil
+// for a clean segment; torn marks an incomplete record ending exactly
+// at EOF (truncatable), goodOff the offset of the last valid record
+// end.
 type walSegmentScan struct {
-	parts      []walReplayPart
-	seen       map[string]int64
-	marks      []walMark
-	bytes      int64
-	lines      int64
-	deliveries int64
-	complete   bool
-	lastID     string
-
+	recs    []walRecord
+	off     int64
 	size    int64
 	goodOff int64
 	bad     error
 	torn    bool
 }
 
-// scanWALSegment parses one segment file. I/O errors and wrong-source
-// headers are hard errors; framing/checksum violations come back in
-// the scan result for the caller's recovery policy.
+// scanWALSegment parses one segment file. I/O errors, wrong-source
+// headers and other journal formats are hard errors; framing/checksum
+// violations come back in the scan result for the caller's recovery
+// policy.
 func scanWALSegment(path, source string, seq int64) (*walSegmentScan, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -891,26 +756,30 @@ func scanWALSegment(path, source string, seq int64) (*walSegmentScan, error) {
 	if err != nil {
 		return nil, fmt.Errorf("serve: wal segment %s: %w", path, err)
 	}
-	res := &walSegmentScan{seen: make(map[string]int64), size: info.Size()}
+	res := &walSegmentScan{off: -1, size: info.Size()}
 	if res.size == 0 {
 		// A zero-length segment: a prior recovery truncated a header
 		// torn at offset 0. Valid and empty.
 		return res, nil
 	}
 	br := bufio.NewReaderSize(f, 64<<10)
-	off := int64(0)
 	header, err := readWALLine(br)
 	if err != nil {
 		res.bad = fmt.Errorf("segment header: %w", err)
 		res.torn = errors.Is(err, io.ErrUnexpectedEOF)
 		return res, nil
 	}
-	wantHeader := fmt.Sprintf("%s segment %s %d", walMagic, url.PathEscape(source), seq)
-	if strings.TrimSuffix(header, "\n") != wantHeader {
-		return nil, fmt.Errorf("serve: wal segment %s: header %q does not match source %q seq %d", path, strings.TrimSpace(header), source, seq)
+	line := strings.TrimSuffix(header, "\n")
+	if magic, _, _ := strings.Cut(line, " "); magic != walMagic && strings.HasPrefix(magic, "fullweb-wal") {
+		return nil, fmt.Errorf("serve: wal segment %s: journal format %s, this build reads %s; drain the journal with the build that wrote it", path, magic, walMagic)
 	}
-	off += int64(len(header))
+	rawOff, ok := strings.CutPrefix(line, fmt.Sprintf("%s segment %s %d off=", walMagic, url.PathEscape(source), seq))
+	if res.off, err = strconv.ParseInt(rawOff, 10, 64); !ok || err != nil || res.off < 0 {
+		return nil, fmt.Errorf("serve: wal segment %s: header %q does not match source %q seq %d", path, line, source, seq)
+	}
+	off := int64(len(header))
 	res.goodOff = off
+	var payload []byte
 	for {
 		line, err := readWALLine(br)
 		if err == io.EOF {
@@ -921,51 +790,44 @@ func scanWALSegment(path, source string, seq int64) (*walSegmentScan, error) {
 			res.torn = errors.Is(err, io.ErrUnexpectedEOF)
 			return res, nil
 		}
-		kind, id, n, sum, perr := parseWALRecordHeader(strings.TrimSuffix(line, "\n"))
+		kind, id, n, head, sum, perr := parseWALRecordHeader(strings.TrimSuffix(line, "\n"))
 		if perr != nil {
 			res.bad = fmt.Errorf("record header at offset %d: %w", off, perr)
 			return res, nil
 		}
 		payloadOff := off + int64(len(line))
-		// The header carries no checksum, so n is untrusted: a length
-		// past the end of the file is the short read it would become,
-		// reported before it sizes an allocation.
+		// n is only checked with the payload, so it is untrusted here: a
+		// length past the end of the file is the short read it would
+		// become, reported before it sizes an allocation.
 		if n > res.size-payloadOff {
 			res.bad = fmt.Errorf("record payload at offset %d: %w", payloadOff, io.ErrUnexpectedEOF)
 			res.torn = true
 			return res, nil
 		}
-		payload := make([]byte, n)
+		if int64(cap(payload)) < n {
+			payload = make([]byte, n)
+		}
+		payload = payload[:n]
 		if _, err := io.ReadFull(br, payload); err != nil {
 			res.bad = fmt.Errorf("record payload at offset %d: %w", payloadOff, err)
 			res.torn = err == io.ErrUnexpectedEOF || err == io.EOF
 			return res, nil
 		}
-		got := sha256.Sum256(payload)
-		if hex.EncodeToString(got[:]) != sum {
+		if walRecordSum(head, payload) != sum {
 			res.bad = fmt.Errorf("checksum mismatch at offset %d", off)
 			return res, nil
 		}
 		off = payloadOff + n
 		res.goodOff = off
-		switch kind {
-		case "d":
-			res.parts = append(res.parts, walReplayPart{path: path, off: payloadOff, n: n})
-			res.bytes += n
-			for _, b := range payload {
-				if b == '\n' {
-					res.lines++
-				}
-			}
-			res.deliveries++
-			res.marks = append(res.marks, walMark{lines: res.lines, bytes: res.bytes})
-			if id != "" {
-				res.seen[id] = n
-				res.lastID = id
-			}
-		case "c":
-			res.complete = true
+		if kind == "c" {
+			res.recs = append(res.recs, walRecord{complete: true})
+			continue
 		}
+		res.recs = append(res.recs, walRecord{
+			ext:   extent{path: path, off: payloadOff, n: n},
+			id:    id,
+			lines: int64(bytes.Count(payload, newline)),
+		})
 	}
 }
 
@@ -988,41 +850,36 @@ func readWALLine(br *bufio.Reader) (string, error) {
 	return line, nil
 }
 
-// parseWALRecordHeader parses "fullweb-wal1 <kind> id=<esc> len=<n>
-// sha256=<hex>".
-func parseWALRecordHeader(line string) (kind, id string, n int64, sum string, err error) {
+// parseWALRecordHeader parses "fullweb-wal2 <kind> id=<esc> len=<n>
+// sha256=<hex>", returning head, the part the checksum covers.
+func parseWALRecordHeader(line string) (kind, id string, n int64, head, sum string, err error) {
 	fields := strings.Split(line, " ")
 	if len(fields) != 5 || fields[0] != walMagic {
-		return "", "", 0, "", fmt.Errorf("malformed record header %q", line)
+		return "", "", 0, "", "", fmt.Errorf("malformed record header %q", line)
 	}
 	kind = fields[1]
 	if kind != "d" && kind != "c" {
-		return "", "", 0, "", fmt.Errorf("unknown record kind %q", kind)
+		return "", "", 0, "", "", fmt.Errorf("unknown record kind %q", kind)
 	}
 	rawID, ok := strings.CutPrefix(fields[2], "id=")
 	if !ok {
-		return "", "", 0, "", fmt.Errorf("malformed id field %q", fields[2])
+		return "", "", 0, "", "", fmt.Errorf("malformed id field %q", fields[2])
 	}
 	id, err = url.QueryUnescape(rawID)
 	if err != nil {
-		return "", "", 0, "", fmt.Errorf("malformed id field %q: %v", fields[2], err)
+		return "", "", 0, "", "", fmt.Errorf("malformed id field %q: %v", fields[2], err)
 	}
 	rawLen, ok := strings.CutPrefix(fields[3], "len=")
 	if !ok {
-		return "", "", 0, "", fmt.Errorf("malformed len field %q", fields[3])
+		return "", "", 0, "", "", fmt.Errorf("malformed len field %q", fields[3])
 	}
 	n, err = strconv.ParseInt(rawLen, 10, 64)
 	if err != nil || n < 0 {
-		return "", "", 0, "", fmt.Errorf("malformed len field %q", fields[3])
+		return "", "", 0, "", "", fmt.Errorf("malformed len field %q", fields[3])
 	}
 	sum, ok = strings.CutPrefix(fields[4], "sha256=")
 	if !ok || len(sum) != hex.EncodedLen(sha256.Size) {
-		return "", "", 0, "", fmt.Errorf("malformed sha256 field %q", fields[4])
+		return "", "", 0, "", "", fmt.Errorf("malformed sha256 field %q", fields[4])
 	}
-	// Complete writes "c id= len=0": a completion with an id or a
-	// payload is a corrupt data record, which must not vanish as one.
-	if kind == "c" && (id != "" || n != 0) {
-		return "", "", 0, "", fmt.Errorf("completion record with id %q and len %d", id, n)
-	}
-	return kind, id, n, sum, nil
+	return kind, id, n, line[:len(line)-len(fields[4])], sum, nil
 }

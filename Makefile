@@ -49,10 +49,10 @@ bench:
 		bash bench/run.sh --workload $$w || exit 1; \
 	done
 
-# Short fuzz smoke (~30s total) over the checked-in corpora; part of
+# Short fuzz smoke (~35s total) over the checked-in corpora; part of
 # the tier-1 gate so parser, sessionizer, checkpoint-decoder,
-# journal-recovery and intake-delivery regressions surface
-# immediately. The streamer/batch target is the root of the
+# quantile read-off, journal-recovery and intake-delivery regressions
+# surface immediately. The streamer/batch target is the root of the
 # streaming-equals-batch invariant. The checkpoint target runs with
 # minimization off: its inputs are several KiB of JSON, and minimizing
 # each new one would take the whole budget.
@@ -61,13 +61,15 @@ fuzz-smoke:
 	$(GO) test -fuzz=FuzzChunkedIngest -fuzztime=5s ./internal/weblog/
 	$(GO) test -fuzz=FuzzStreamerBatchEquivalence -fuzztime=3s ./internal/session/
 	$(GO) test -fuzz=FuzzCheckpointDecode -fuzztime=5s -fuzzminimizetime=0 ./internal/stream/
+	$(GO) test -fuzz=FuzzSketchReadOffs -fuzztime=5s ./internal/stream/
 	$(GO) test -fuzz=FuzzWALReplay -fuzztime=5s ./internal/serve/
 	$(GO) test -fuzz=FuzzIntakeDeliveries -fuzztime=5s ./internal/serve/
 
 # Longer fuzz pass over every fuzz-smoke target: the log parsers
-# (with the timestamp decoder's differential check), chunked ingest,
-# streamer/batch equivalence, the checkpoint decoder, journal recovery
-# and the intake's delivery reassembly. It starts warm from the seed
+# (with the timestamp decoder's and field splitter's differential
+# checks), chunked ingest, streamer/batch equivalence, the checkpoint
+# decoder, the quantile sketch's incremental read-offs, journal
+# recovery and the intake's delivery reassembly. It starts warm from the seed
 # corpora under testdata/fuzz/; as in fuzz-smoke, the checkpoint
 # target runs with minimization off.
 fuzz:
@@ -75,5 +77,6 @@ fuzz:
 	$(GO) test -fuzz=FuzzChunkedIngest -fuzztime=30s ./internal/weblog/
 	$(GO) test -fuzz=FuzzStreamerBatchEquivalence -fuzztime=30s ./internal/session/
 	$(GO) test -fuzz=FuzzCheckpointDecode -fuzztime=30s -fuzzminimizetime=0 ./internal/stream/
+	$(GO) test -fuzz=FuzzSketchReadOffs -fuzztime=30s ./internal/stream/
 	$(GO) test -fuzz=FuzzWALReplay -fuzztime=30s ./internal/serve/
 	$(GO) test -fuzz=FuzzIntakeDeliveries -fuzztime=30s ./internal/serve/

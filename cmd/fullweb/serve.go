@@ -30,7 +30,9 @@ import (
 // lines over N sources in any delivery interleaving produce the same
 // final snapshot as `fullweb stream` over the sources concatenated in
 // declared order. SIGTERM/SIGINT begin a graceful drain: listeners
-// close, buffered input folds, the final snapshot prints.
+// close, buffered input folds, the final snapshot prints. The process
+// exits only on that signal: once every source completes it prints the
+// final snapshot and keeps answering queries until signalled.
 func cmdServe(args []string, out io.Writer) (err error) {
 	fs := flag.NewFlagSet("serve", flag.ContinueOnError)
 	var sources []string
@@ -184,15 +186,17 @@ func cmdServe(args []string, out io.Writer) (err error) {
 
 	// Graceful drain on SIGTERM/SIGINT: listeners close, whatever
 	// arrived folds in source order, the final snapshot prints, the
-	// process exits 0.
+	// process exits 0. signalled closes once the signal has arrived.
 	sigCh := make(chan os.Signal, 1)
 	signal.Notify(sigCh, syscall.SIGTERM, syscall.SIGINT)
 	defer signal.Stop(sigCh)
+	signalled := make(chan struct{})
 	//lint:allow rawgo signal-to-drain relay, one goroutine for the process lifetime
 	go func() {
 		if _, ok := <-sigCh; ok {
 			fmt.Fprintln(os.Stderr, "serve: draining (listeners closed, folding buffered input)")
 			srv.Drain()
+			close(signalled)
 		}
 	}()
 
@@ -218,5 +222,18 @@ func cmdServe(args []string, out io.Writer) (err error) {
 		}
 		fmt.Fprintf(os.Stderr, "run report written to %s\n", *reportPath)
 	}
-	return perr
+	if perr != nil {
+		return perr
+	}
+	// Every source completed (or the drain ran): the listeners stay up,
+	// answering the read-only endpoints with the final state and /ingest
+	// with 409, until the signal. A client polling /readyz for the final
+	// count after its completion POST must not race the process exit.
+	select {
+	case <-signalled:
+	default:
+		fmt.Fprintln(os.Stderr, "serve: every source complete; serving the final state until SIGTERM/SIGINT")
+		<-signalled
+	}
+	return nil
 }

@@ -8,6 +8,8 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
+	"syscall"
 	"testing"
 	"time"
 )
@@ -41,6 +43,47 @@ func waitServeAddr(t *testing.T, addrFile string) string {
 			t.Fatal("serve never became ready")
 		}
 		time.Sleep(10 * time.Millisecond)
+	}
+}
+
+// lockedBuffer is a bytes.Buffer safe to read while an in-process
+// serve writes to it.
+type lockedBuffer struct {
+	mu  sync.Mutex
+	buf bytes.Buffer
+}
+
+func (b *lockedBuffer) Write(p []byte) (int, error) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.Write(p)
+}
+
+func (b *lockedBuffer) String() string {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.String()
+}
+
+// waitFinal polls an in-process serve's output until its final block
+// has started.
+func waitFinal(t *testing.T, out *lockedBuffer) {
+	t.Helper()
+	deadline := time.Now().Add(30 * time.Second)
+	for !strings.Contains(out.String(), "-- final @") {
+		if time.Now().After(deadline) {
+			t.Fatalf("serve never printed its final snapshot:\n%s", out.String())
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+}
+
+// signalServe sends SIGTERM to this process, which an in-process serve
+// (its handler installed) takes as the signal to drain and exit.
+func signalServe(t *testing.T) {
+	t.Helper()
+	if err := syscall.Kill(os.Getpid(), syscall.SIGTERM); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -119,14 +162,23 @@ func TestServeWALCrashRecoveryCLI(t *testing.T) {
 	if acked == 0 {
 		t.Fatal("doomed run acknowledged nothing; the drill needs journaled deliveries")
 	}
-	if rerr := <-errCh; rerr == nil || !strings.Contains(rerr.Error(), "injected fault") {
+	// A run the fault missed would serve until signalled.
+	var rerr error
+	select {
+	case rerr = <-errCh:
+	case <-time.After(30 * time.Second):
+		signalServe(t)
+		rerr = <-errCh
+	}
+	if rerr == nil || !strings.Contains(rerr.Error(), "injected fault") {
 		t.Fatalf("run 1 did not die on the injected fault: %v", rerr)
 	}
 
 	// Run 2: -resume replays the journal (splicing the checkpoint if
 	// one landed before the crash) and dedups the blind redelivery.
+	// Once complete it keeps serving until signalled.
 	addr2 := filepath.Join(dir, "addr2")
-	var out2 bytes.Buffer
+	var out2 lockedBuffer
 	done := make(chan error, 1)
 	go func() {
 		done <- run([]string{"serve", "-source", "s1",
@@ -136,6 +188,8 @@ func TestServeWALCrashRecoveryCLI(t *testing.T) {
 	}()
 	base2 := waitServeAddr(t, addr2)
 	feed(base2)
+	waitFinal(t, &out2)
+	signalServe(t)
 	if rerr := <-done; rerr != nil {
 		t.Fatalf("recovery run: %v", rerr)
 	}
@@ -160,6 +214,73 @@ func TestServeWALCrashRecoveryCLI(t *testing.T) {
 	}
 	if rep.WAL.JournaledBytes != int64(len(text)) || rep.WAL.ReplayedBytes == 0 || rep.WAL.Deliveries != int64(len(chunks)) {
 		t.Fatalf("report wal stats %+v, want %d journaled bytes over %d deliveries with a replayed prefix", rep.WAL, len(text), len(chunks))
+	}
+}
+
+// TestServeAnswersUntilSignalled: once every source is complete, serve
+// prints its final snapshot and keeps answering — /readyz with the
+// final record count, /ingest with 409 — until SIGTERM, and only then
+// returns, cleanly and with its listener closed.
+func TestServeAnswersUntilSignalled(t *testing.T) {
+	text, err := os.ReadFile(streamTestLog(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := int64(bytes.Count(text, []byte("\n")))
+	addrFile := filepath.Join(t.TempDir(), "addr")
+	var out lockedBuffer
+	done := make(chan error, 1)
+	go func() {
+		done <- run([]string{"serve", "-source", "s1",
+			"-listen", "127.0.0.1:0", "-listen-addr-file", addrFile,
+			"-snapshot", "6h"}, &out)
+	}()
+	base := waitServeAddr(t, addrFile)
+	resp, err := http.Post(base+"/ingest?source=s1&complete=1", "", bytes.NewReader(text))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("delivery: status %d", resp.StatusCode)
+	}
+	waitFinal(t, &out)
+	for i := 0; i < 3; i++ {
+		time.Sleep(20 * time.Millisecond)
+		select {
+		case err := <-done:
+			t.Fatalf("serve returned before the signal: %v", err)
+		default:
+		}
+		resp, err := http.Get(base + "/readyz")
+		if err != nil {
+			t.Fatalf("readyz after completion: %v", err)
+		}
+		var ready struct {
+			Ready   bool  `json:"ready"`
+			Records int64 `json:"records"`
+		}
+		err = json.NewDecoder(resp.Body).Decode(&ready)
+		resp.Body.Close()
+		if err != nil || resp.StatusCode != http.StatusOK || !ready.Ready || ready.Records != want {
+			t.Fatalf("readyz after completion: %d %+v (%v), want ready with %d records", resp.StatusCode, ready, err, want)
+		}
+	}
+	resp, err = http.Post(base+"/ingest?source=s1", "", strings.NewReader("late\n"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusConflict {
+		t.Fatalf("delivery to a completed source: status %d, want 409", resp.StatusCode)
+	}
+	signalServe(t)
+	if err := <-done; err != nil {
+		t.Fatalf("serve after the signal: %v", err)
+	}
+	if resp, err := http.Get(base + "/readyz"); err == nil {
+		resp.Body.Close()
+		t.Fatal("listener still answering after serve returned")
 	}
 }
 

@@ -3,6 +3,7 @@ package heavytail
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"slices"
 
 	"fullweb/internal/stats"
@@ -56,10 +57,15 @@ func HillPlot(x []float64, kMax int) ([]HillPoint, error) {
 	if kMax > n-1 {
 		kMax = n - 1
 	}
+	// Only the kMax+1 largest order statistics enter the plot: select
+	// them to the end of a copy and sort just that tail. The selected
+	// values are the same multiset a full sort leaves there, so every
+	// alpha is bit-identical to the full-sort plot.
 	asc := slices.Clone(x)
-	slices.Sort(asc)
-	// logs[i] = log X_(i+1): only the kMax+1 largest order statistics
-	// enter the plot, so only they are logged.
+	tail := n - 1 - kMax
+	selectUpper(asc, tail, 2*bits.Len(uint(n)))
+	slices.Sort(asc[tail:])
+	// logs[i] = log X_(i+1), logged only for the order statistics used.
 	logs := make([]float64, kMax+1)
 	for i := range logs {
 		logs[i] = math.Log(asc[n-1-i])
@@ -79,6 +85,52 @@ func HillPlot(x []float64, kMax int) ([]HillPoint, error) {
 		return nil, fmt.Errorf("%w: degenerate upper tail", ErrTooFewTail)
 	}
 	return out, nil
+}
+
+// selectUpper is a deterministic introselect: it rearranges a so that
+// every value at an index >= k is >= every value below k (a[k] is then
+// the k-th smallest, counting from 0). Each round partitions the live
+// range around the median of its first, middle and last values (Hoare
+// scheme) and keeps the side holding k; after depth rounds the live
+// range is sorted outright, bounding adversarial inputs at
+// O(n log n).
+func selectUpper(a []float64, k, depth int) {
+	lo, hi := 0, len(a)-1
+	for lo < hi {
+		if depth == 0 {
+			slices.Sort(a[lo : hi+1])
+			return
+		}
+		depth--
+		mid := lo + (hi-lo)/2
+		if a[mid] < a[lo] {
+			a[mid], a[lo] = a[lo], a[mid]
+		}
+		if a[hi] < a[lo] {
+			a[hi], a[lo] = a[lo], a[hi]
+		}
+		if a[hi] < a[mid] {
+			a[hi], a[mid] = a[mid], a[hi]
+		}
+		pivot := a[mid]
+		i, j := lo-1, hi+1
+		for {
+			for i++; a[i] < pivot; i++ {
+			}
+			for j--; a[j] > pivot; j-- {
+			}
+			if i >= j {
+				break
+			}
+			a[i], a[j] = a[j], a[i]
+		}
+		// a[lo..j] <= pivot <= a[j+1..hi], with both sides non-empty.
+		if k <= j {
+			hi = j
+		} else {
+			lo = j + 1
+		}
+	}
 }
 
 // EstimateHill computes the Hill plot over the upper tailFraction of the

@@ -2,8 +2,10 @@ package heavytail
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -221,9 +223,42 @@ func refHillPlot(x []float64, kMax int) []HillPoint {
 	return out
 }
 
+// checkPlotAgainstOracle runs HillPlot on x and requires the
+// reference's points bit for bit (or ErrTooFewTail where the reference
+// plot is empty), and x left exactly as it was.
+func checkPlotAgainstOracle(t *testing.T, label string, x []float64, kMax int) {
+	t.Helper()
+	before := slices.Clone(x)
+	want := refHillPlot(x, kMax)
+	got, err := HillPlot(x, kMax)
+	if !slices.Equal(x, before) {
+		t.Fatalf("%s: HillPlot modified its input", label)
+	}
+	if len(want) == 0 {
+		if !errors.Is(err, ErrTooFewTail) {
+			t.Fatalf("%s: degenerate tail gave %v", label, err)
+		}
+		return
+	}
+	if err != nil {
+		t.Fatalf("%s: %v", label, err)
+	}
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d points, reference %d", label, len(got), len(want))
+	}
+	for i := range want {
+		if got[i].K != want[i].K || math.Float64bits(got[i].Alpha) != math.Float64bits(want[i].Alpha) {
+			t.Fatalf("%s point %d: got %+v, reference %+v", label, i, got[i], want[i])
+		}
+	}
+}
+
 // TestHillPlotMatchesFullSortOracle: on random positive samples —
 // heavy ties, magnitudes from 1e-9 to 1e12, every kMax regime — the
-// tail-only plot returns the reference's points bit for bit.
+// selected-tail plot returns the reference's points bit for bit, as it
+// does on the selection's edge cases: ties straddling the selection
+// boundary, an all-equal top, kMax = n-1, and sorted, reversed and
+// organ-pipe inputs.
 func TestHillPlotMatchesFullSortOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	for trial := 0; trial < 300; trial++ {
@@ -241,23 +276,101 @@ func TestHillPlotMatchesFullSortOracle(t *testing.T) {
 			}
 		}
 		kMax := 2 + rng.Intn(n+5) // sometimes past n-1, exercising the cap
-		want := refHillPlot(x, kMax)
-		got, err := HillPlot(x, kMax)
-		if len(want) == 0 {
-			if !errors.Is(err, ErrTooFewTail) {
-				t.Fatalf("trial %d: degenerate tail gave %v", trial, err)
-			}
-			continue
+		checkPlotAgainstOracle(t, fmt.Sprintf("trial %d", trial), x, kMax)
+	}
+	for _, n := range []int{3, 4, 17, 500, 2048} {
+		kMax := max(2, n/7)
+		// A run of equal values covering order statistics kMax-2 ..
+		// kMax+3 straddles the boundary the selection cuts at.
+		straddle := make([]float64, n)
+		for i := range straddle {
+			straddle[i] = 1 + rng.Float64()
 		}
-		if err != nil {
-			t.Fatalf("trial %d: %v", trial, err)
+		for i := max(0, n-kMax-4); i < n-kMax+3 && i < n; i++ {
+			straddle[i] = 5
 		}
-		if len(got) != len(want) {
-			t.Fatalf("trial %d: %d points, reference %d", trial, len(got), len(want))
+		for i := n - kMax + 3; i < n; i++ {
+			straddle[i] = 10 + rng.Float64()
 		}
-		for i := range want {
-			if got[i].K != want[i].K || math.Float64bits(got[i].Alpha) != math.Float64bits(want[i].Alpha) {
-				t.Fatalf("trial %d point %d: got %+v, reference %+v", trial, i, got[i], want[i])
+		rng.Shuffle(n, func(i, j int) { straddle[i], straddle[j] = straddle[j], straddle[i] })
+		// The kMax+1 largest all equal: no plot point exists. With only
+		// half the top equal, the later points still do.
+		flat := make([]float64, n)
+		half := make([]float64, n)
+		for i := range flat {
+			flat[i] = 1 + rng.Float64()
+			half[i] = flat[i]
+		}
+		for i := n - kMax - 1; i < n; i++ {
+			flat[i] = 7
+		}
+		for i := n - (kMax+1)/2; i < n; i++ {
+			half[i] = 7
+		}
+		rng.Shuffle(n, func(i, j int) { flat[i], flat[j] = flat[j], flat[i] })
+		rng.Shuffle(n, func(i, j int) { half[i], half[j] = half[j], half[i] })
+		sorted := make([]float64, n)
+		for i := range sorted {
+			sorted[i] = 1 + float64(i)*rng.Float64()
+		}
+		slices.Sort(sorted)
+		reversed := slices.Clone(sorted)
+		slices.Reverse(reversed)
+		organ := make([]float64, n)
+		for i := range organ {
+			organ[i] = float64(1 + min(i, n-1-i))
+		}
+		for _, c := range []struct {
+			name string
+			x    []float64
+		}{
+			{"straddling ties", straddle}, {"all-equal top", flat}, {"half-equal top", half},
+			{"sorted", sorted}, {"reversed", reversed}, {"organ pipe", organ},
+		} {
+			checkPlotAgainstOracle(t, fmt.Sprintf("%s n=%d kMax=%d", c.name, n, kMax), c.x, kMax)
+			checkPlotAgainstOracle(t, fmt.Sprintf("%s n=%d kMax=n-1", c.name, n), c.x, n-1)
+		}
+	}
+}
+
+// TestSelectUpperDepthFallback: at every depth budget — 0 sorts the
+// whole range at once, small budgets run out partway — the selection
+// leaves the k-th smallest value at k with nothing smaller after it and
+// nothing larger before it, on sorted, reversed, organ-pipe, all-equal
+// and random inputs.
+func TestSelectUpperDepthFallback(t *testing.T) {
+	rng := rand.New(rand.NewSource(37))
+	for _, n := range []int{1, 2, 3, 10, 257, 1000} {
+		inputs := map[string][]float64{
+			"sorted":    make([]float64, n),
+			"reversed":  make([]float64, n),
+			"organ":     make([]float64, n),
+			"all equal": make([]float64, n),
+			"random":    make([]float64, n),
+		}
+		for i := 0; i < n; i++ {
+			inputs["sorted"][i] = float64(i)
+			inputs["reversed"][i] = float64(n - i)
+			inputs["organ"][i] = float64(min(i, n-1-i))
+			inputs["all equal"][i] = 3
+			inputs["random"][i] = float64(rng.Intn(n/2 + 1))
+		}
+		for name, in := range inputs {
+			want := slices.Clone(in)
+			slices.Sort(want)
+			for _, k := range []int{0, n / 3, n - 1 - n/7, n - 1} {
+				for depth := 0; depth <= 4; depth++ {
+					a := slices.Clone(in)
+					selectUpper(a, k, depth)
+					if a[k] != want[k] {
+						t.Fatalf("%s n=%d k=%d depth=%d: a[k] = %v, want %v", name, n, k, depth, a[k], want[k])
+					}
+					for i, v := range a {
+						if (i < k && v > a[k]) || (i > k && v < a[k]) {
+							t.Fatalf("%s n=%d k=%d depth=%d: a[%d] = %v on the wrong side of %v", name, n, k, depth, i, v, a[k])
+						}
+					}
+				}
 			}
 		}
 	}

@@ -192,3 +192,40 @@ func TestReservoirSampleDefensiveCopy(t *testing.T) {
 		t.Fatalf("mutating a returned sample changed the reservoir: %v, want %v", after, want)
 	}
 }
+
+// TestOnlineHillEstimateLeavesStateUntouched: a twin estimated after
+// every observation and one never estimated keep bit-equal reservoir
+// states, and every later estimate agrees — reading the tail index off
+// must not perturb the sample it reads.
+func TestOnlineHillEstimateLeavesStateUntouched(t *testing.T) {
+	x := paretoSample(t, 1.2, 1, 6000, 41)
+	read, err := NewOnlineHill(512, 9, DefaultHillTailFraction, DefaultHillRelTol)
+	if err != nil {
+		t.Fatal(err)
+	}
+	never, err := NewOnlineHill(512, 9, DefaultHillTailFraction, DefaultHillRelTol)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, v := range x {
+		read.Observe(v)
+		never.Observe(v)
+		got, gotErr := read.Estimate()
+		if i%500 != 499 {
+			continue
+		}
+		if !reflect.DeepEqual(read.State(), never.State()) {
+			t.Fatalf("after %d values the estimated twin's state differs", i+1)
+		}
+		// Estimate from a restored copy, so the never-read twin stays
+		// unread.
+		cp, err := RestoreOnlineHill(never.State())
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, wantErr := cp.Estimate()
+		if (gotErr == nil) != (wantErr == nil) || !reflect.DeepEqual(got, want) {
+			t.Fatalf("after %d values: estimate %+v (%v), never-read twin %+v (%v)", i+1, got, gotErr, want, wantErr)
+		}
+	}
+}

@@ -92,15 +92,20 @@ func streamBaseline(t testing.TB, cfg stream.Config, text []byte) string {
 	return out.String()
 }
 
-// testServer spins up a serve.Server with bound HTTP and TCP listeners
-// and Run started; the returned channel carries Run's rendered output
-// and result.
+// runResult is what a server's Run left: its rendered output, the
+// final snapshot and the error.
 type runResult struct {
 	out   string
 	final *stream.Snapshot
 	err   error
 }
 
+// startServer spins up a serve.Server with bound HTTP and TCP
+// listeners and Run started, and returns once /readyz answers 200 (or
+// Run has already returned): Run installs the fault-carrying context
+// before it publishes readiness, so no delivery can reach the intake
+// sites before they are armed. The returned channel carries Run's
+// result.
 func startServer(t testing.TB, ctx context.Context, cfg serve.Config) (*serve.Server, string, string, <-chan runResult) {
 	t.Helper()
 	s, err := serve.New(cfg)
@@ -131,7 +136,27 @@ func startServer(t testing.TB, ctx context.Context, cfg serve.Config) (*serve.Se
 		}
 		ch <- runResult{out: out.String(), final: final, err: err}
 	}()
-	return s, "http://" + hln.Addr().String(), tcpAddr, ch
+	base := "http://" + hln.Addr().String()
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		select {
+		case res := <-ch:
+			ch <- res
+			return s, base, tcpAddr, ch
+		default:
+		}
+		resp, err := http.Get(base + "/readyz")
+		if err == nil {
+			resp.Body.Close()
+			if resp.StatusCode == http.StatusOK {
+				return s, base, tcpAddr, ch
+			}
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("server never became ready")
+		}
+		time.Sleep(2 * time.Millisecond)
+	}
 }
 
 // postIngest delivers body to a source over HTTP, optionally gzipped,

@@ -135,7 +135,6 @@ func TestServeWALDeterminism(t *testing.T) {
 		Engine:  engineConfig(),
 		WAL:     &serve.WALConfig{Dir: t.TempDir()},
 	})
-	waitReady(t, base)
 	for _, d := range deliveries {
 		code, ack := postDelivery(t, base, d.source, d.id, d.body, false)
 		if code != http.StatusOK || ack.Duplicate {
@@ -195,7 +194,6 @@ func TestServeWALCrashReplay(t *testing.T) {
 		Engine:  crashCfg,
 		WAL:     &serve.WALConfig{Dir: walDir},
 	})
-	waitReady(t, base)
 	acked := feedAll(t, base, deliveries, sources)
 	res := <-ch
 	if res.err == nil || !faultpoint.IsFault(res.err) {
@@ -210,7 +208,6 @@ func TestServeWALCrashReplay(t *testing.T) {
 		Engine:  cfg,
 		WAL:     &serve.WALConfig{Dir: walDir, Resume: true},
 	})
-	waitReady(t, base2)
 	feedAll(t, base2, deliveries, sources)
 	res2 := <-ch2
 	if res2.err != nil {
@@ -259,7 +256,6 @@ func TestServeWALCheckpointSplice(t *testing.T) {
 		Engine:  crashCfg,
 		WAL:     &serve.WALConfig{Dir: walDir, CheckpointBytes: 4 << 10},
 	})
-	waitReady(t, base)
 	feedAll(t, base, deliveries, sources)
 	res := <-ch
 	if res.err == nil || !faultpoint.IsFault(res.err) {
@@ -282,7 +278,6 @@ func TestServeWALCheckpointSplice(t *testing.T) {
 		Checkpoint: cp,
 		WAL:        &serve.WALConfig{Dir: walDir, Resume: true},
 	})
-	waitReady(t, base2)
 	feedAll(t, base2, deliveries, sources)
 	res2 := <-ch2
 	if res2.err != nil {
@@ -314,7 +309,6 @@ func TestServeWALShedRecovery(t *testing.T) {
 		Engine:  cfg,
 		WAL:     &serve.WALConfig{Dir: walDir},
 	})
-	waitReady(t, base)
 	var goodBytes []byte
 	for i, d := range deliveries {
 		code, _ := postDelivery(t, base, d.source, d.id, d.body, false)
@@ -358,7 +352,6 @@ func TestServeWALShedRecovery(t *testing.T) {
 		Engine:  cfg,
 		WAL:     &serve.WALConfig{Dir: walDir, Resume: true},
 	})
-	waitReady(t, base2)
 	for _, d := range deliveries {
 		if code, _ := postDelivery(t, base2, d.source, d.id, d.body, false); code != http.StatusOK {
 			t.Fatalf("recovery delivery %s: code %d", d.id, code)

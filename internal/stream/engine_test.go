@@ -461,3 +461,34 @@ func TestEngineErrors(t *testing.T) {
 		t.Errorf("canceled context: %v", err)
 	}
 }
+
+// TestEngineFinalSnapshotIndependentOfCadence: periodic read-offs must
+// not perturb the estimators they read, so the final snapshot is
+// byte-identical whether the engine snapshots never, hourly or every
+// six hours. Small sketch capacities put the quantile sketches through
+// promotions and the Hill reservoirs through sampling between reads.
+func TestEngineFinalSnapshotIndependentOfCadence(t *testing.T) {
+	text := fixtureBytes(t)
+	var want string
+	for i, every := range []time.Duration{0, time.Hour, 6 * time.Hour} {
+		cfg := stream.DefaultConfig()
+		cfg.SnapshotEvery = every
+		cfg.QuantileCap = stream.MinQuantileCap
+		cfg.ReservoirCap = 64
+		final, out := runEngine(t, cfg, text)
+		if every == time.Hour && strings.Count(out, "-- snapshot @") < 24 {
+			t.Fatalf("hourly cadence emitted too few snapshots on the 48h fixture:\n%s", out)
+		}
+		var got bytes.Buffer
+		if err := final.Render(&got); err != nil {
+			t.Fatal(err)
+		}
+		if i == 0 {
+			want = got.String()
+			continue
+		}
+		if got.String() != want {
+			t.Fatalf("final snapshot at cadence %v differs from the cadence-free run:\n--- want ---\n%s--- got ---\n%s", every, want, got.String())
+		}
+	}
+}

@@ -1,6 +1,7 @@
 package stream
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"slices"
@@ -31,13 +32,19 @@ const DefaultQuantileCap = 8192
 // Beyond that the rank error of a query is bounded by roughly
 // log2(n/capacity)/(2·capacity) of the stream length per compacted
 // level; the engine-facing tolerance is documented in DESIGN.md §12.
-// Not safe for concurrent use.
+// Not safe for concurrent use — a read-off updates the sorted view of
+// the buffer too.
 type QuantileSketch struct {
 	cap    int
 	n      int64
 	buf    []float64   // weight-1 items in arrival order, len < cap
 	levels [][]float64 // levels[h]: nil, or exactly cap sorted items of weight 2^h
 	flips  []bool      // per-height compaction offset alternation
+	// view is buf[:len(view)] sorted: the level-0 items a read-off has
+	// already ordered. Each read-off sorts only the items appended
+	// since the last one and merges them in (syncView); promotion
+	// empties it. Derived state: State omits it, Restore rebuilds it.
+	view []float64
 }
 
 // NewQuantileSketch returns a sketch whose level-0 buffer holds
@@ -49,7 +56,7 @@ func NewQuantileSketch(capacity int) (*QuantileSketch, error) {
 	if capacity%2 != 0 {
 		return nil, fmt.Errorf("%w: quantile sketch capacity %d must be even", ErrBadConfig, capacity)
 	}
-	return &QuantileSketch{cap: capacity, buf: make([]float64, 0, capacity)}, nil
+	return &QuantileSketch{cap: capacity, buf: make([]float64, 0, capacity), view: make([]float64, 0, capacity)}, nil
 }
 
 // Cap returns the level-0 buffer capacity.
@@ -78,6 +85,7 @@ func (s *QuantileSketch) Observe(v float64) {
 		copy(full, s.buf)
 		sort.Float64s(full)
 		s.buf = s.buf[:0]
+		s.view = s.view[:0]
 		s.place(full, 0)
 	}
 }
@@ -196,41 +204,69 @@ func (s *QuantileSketch) rankOf(p float64) (lo int64, frac float64) {
 	return lo, h - float64(lo)
 }
 
+// syncView brings the sorted view up to the whole level-0 buffer: only
+// the items appended since the last read-off are sorted — in a copy,
+// the buffer keeps arrival order for State — then merged into the view
+// from the back, which stops once the last of them is placed: view
+// items below the smallest new one never move.
+func (s *QuantileSketch) syncView() {
+	old := len(s.view)
+	if old == len(s.buf) {
+		return
+	}
+	fresh := slices.Clone(s.buf[old:])
+	slices.Sort(fresh)
+	s.view = s.view[:len(s.buf)]
+	i, j := old-1, len(fresh)-1
+	for w := len(s.view) - 1; j >= 0; w-- {
+		if i >= 0 && cmp.Less(fresh[j], s.view[i]) {
+			s.view[w] = s.view[i]
+			i--
+		} else {
+			s.view[w] = fresh[j]
+			j--
+		}
+	}
+}
+
 // valuesAt returns the values at the given ascending, distinct ranks
-// of the expanded weighted multiset. Only a copy of the level-0 buffer
-// needs sorting — every ladder level is already sorted — so one merge
-// walk over the buffer and the levels, stopping at the last rank,
-// reads every value off. Which of several equal values is walked first
+// of the expanded weighted multiset. The sorted view covers the
+// level-0 buffer and every ladder level is already sorted, so one merge
+// walk over the view and the levels, stopping at the last rank, reads
+// every value off. Which of several equal values is walked first
 // cannot change the value found at a rank.
 func (s *QuantileSketch) valuesAt(ranks []int64) []float64 {
 	out := make([]float64, len(ranks))
+	// A run advances by its index, not by reslicing: the walk then
+	// writes no pointers, so it pays no GC write barriers.
 	type run struct {
 		vals []float64
 		w    int64
+		next int
 	}
 	runs := make([]run, 0, 1+len(s.levels))
 	if len(s.buf) > 0 {
-		buf := slices.Clone(s.buf)
-		slices.Sort(buf)
-		runs = append(runs, run{buf, 1})
+		s.syncView()
+		runs = append(runs, run{vals: s.view, w: 1})
 	}
 	for h, lvl := range s.levels {
 		if lvl != nil {
-			runs = append(runs, run{lvl, int64(1) << uint(h)})
+			runs = append(runs, run{vals: lvl, w: int64(1) << uint(h)})
 		}
 	}
 	var cum int64
 	k := 0
 	for k < len(ranks) {
-		best := -1
+		var best *run
 		for i := range runs {
-			if len(runs[i].vals) > 0 && (best < 0 || runs[i].vals[0] < runs[best].vals[0]) {
-				best = i
+			r := &runs[i]
+			if r.next < len(r.vals) && (best == nil || r.vals[r.next] < best.vals[best.next]) {
+				best = r
 			}
 		}
-		v := runs[best].vals[0]
-		runs[best].vals = runs[best].vals[1:]
-		cum += runs[best].w
+		v := best.vals[best.next]
+		best.next++
+		cum += best.w
 		for k < len(ranks) && ranks[k] < cum {
 			out[k] = v
 			k++
@@ -300,6 +336,7 @@ func RestoreQuantileSketch(st QuantileSketchState) (*QuantileSketch, error) {
 	}
 	s.n = st.N
 	s.buf = append(s.buf, st.Buf...)
+	s.syncView()
 	for _, lvl := range st.Levels {
 		if lvl == nil {
 			s.levels = append(s.levels, nil)

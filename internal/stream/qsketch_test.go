@@ -292,3 +292,65 @@ func TestQuantilesMatchSortEverythingOracle(t *testing.T) {
 		checkAgainstOracle(t, "fed", s, ps, mixed)
 	}
 }
+
+// quantileBits is Quantiles as raw bits, so equal-looking zeros of
+// opposite sign and NaNs compare exactly.
+func quantileBits(s *QuantileSketch, ps []float64) []uint64 {
+	out := make([]uint64, len(ps))
+	for i, v := range s.Quantiles(ps...) {
+		out[i] = math.Float64bits(v)
+	}
+	return out
+}
+
+// TestQuantileReadOffsLeaveStateUntouched: a twin read off at
+// irregular points (after one new value, or after dozens) and one
+// never read keep equal checkpoint states through several promotions,
+// and a sketch restored from either — mid-buffer, with part of the
+// buffer already in the sorted view — reads off bit-equal to the live
+// one and stays equal as they keep observing and reading.
+func TestQuantileReadOffsLeaveStateUntouched(t *testing.T) {
+	ps := []float64{0, 0.01, 0.5, 0.9, 0.99, 1}
+	rng := rand.New(rand.NewSource(43))
+	read, err := NewQuantileSketch(64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	never, err := NewQuantileSketch(64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var restored *QuantileSketch
+	for i := 0; i < 3000; i++ {
+		v := math.Exp(4 * rng.NormFloat64())
+		read.Observe(v)
+		never.Observe(v)
+		if restored != nil {
+			restored.Observe(v)
+		}
+		if rng.Intn(6) != 0 {
+			continue
+		}
+		got := quantileBits(read, ps)
+		if restored != nil {
+			if want := quantileBits(restored, ps); !reflect.DeepEqual(got, want) {
+				t.Fatalf("after %d values the restored sketch reads %v, live %v", i+1, want, got)
+			}
+		}
+		if !reflect.DeepEqual(read.State(), never.State()) {
+			t.Fatalf("after %d values the read twin's state differs from the unread one", i+1)
+		}
+		cp, err := RestoreQuantileSketch(never.State())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := quantileBits(cp, ps); !reflect.DeepEqual(got, want) {
+			t.Fatalf("after %d values: read twin %v, unread twin %v", i+1, got, want)
+		}
+		if rng.Intn(4) == 0 {
+			if restored, err = RestoreQuantileSketch(read.State()); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+}

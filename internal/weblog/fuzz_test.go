@@ -3,6 +3,8 @@ package weblog
 import (
 	"strings"
 	"testing"
+	"unicode"
+	"unicode/utf8"
 )
 
 // timestampSeeds are CLF lines whose timestamps sit on the fixed-layout
@@ -19,9 +21,54 @@ var timestampSeeds = []string{
 	`h - - [12/Jan/2004:10:30:60 -0500] "GET / HTTP/1.0" 200 1`,
 }
 
+// fieldSeeds put non-ASCII bytes around the status and bytes fields:
+// the Unicode spaces U+0085, U+00A0 and U+2003, a non-space rune, an
+// invalid byte and a truncated sequence.
+var fieldSeeds = []string{
+	"h - - [12/Jan/2004:10:30:45 -0500] \"GET / HTTP/1.0\"\u00a0200\u2003-",
+	"h - - [12/Jan/2004:10:30:45 -0500] \"GET / HTTP/1.0\" \u0085200 5\u0085",
+	"h - - [12/Jan/2004:10:30:45 -0500] \"GET / HTTP/1.0\" 2\u00e900 5",
+	"h - - [12/Jan/2004:10:30:45 -0500] \"GET / HTTP/1.0\" \xff200 \xc2",
+}
+
+// refNextField is nextField before its ASCII fast path: every byte is
+// decoded as a rune and classified by unicode.IsSpace.
+func refNextField(s string, i int) (string, int) {
+	for i < len(s) {
+		r, size := utf8.DecodeRuneInString(s[i:])
+		if !unicode.IsSpace(r) {
+			break
+		}
+		i += size
+	}
+	start := i
+	for i < len(s) {
+		r, size := utf8.DecodeRuneInString(s[i:])
+		if unicode.IsSpace(r) {
+			break
+		}
+		i += size
+	}
+	return s[start:i], i
+}
+
+// checkNextField compares nextField with refNextField from every byte
+// offset of s.
+func checkNextField(t *testing.T, s string) {
+	t.Helper()
+	for i := 0; i <= len(s); i++ {
+		got, gotNext := nextField(s, i)
+		want, wantNext := refNextField(s, i)
+		if got != want || gotNext != wantNext {
+			t.Fatalf("nextField(%q, %d) = %q, %d; rune loop gives %q, %d", s, i, got, gotNext, want, wantNext)
+		}
+	}
+}
+
 // FuzzParseCLF checks that the parser never panics, that the
 // fixed-layout timestamp decoder agrees with time.Parse (checkCLFTime),
-// and that every successfully parsed record survives a format/parse
+// that nextField's ASCII fast path splits exactly as the rune loop does
+// (checkNextField), and that every successfully parsed record survives a format/parse
 // round trip with every field equal — including the zero-bytes /
 // missing-bytes distinction, which an earlier formatter collapsed to
 // "-".
@@ -36,7 +83,11 @@ func FuzzParseCLF(f *testing.F) {
 	for _, line := range timestampSeeds {
 		f.Add(line)
 	}
+	for _, line := range fieldSeeds {
+		f.Add(line)
+	}
 	f.Fuzz(func(t *testing.T, line string) {
+		checkNextField(t, line)
 		checkCLFTime(t, line)
 		checkCLFTime(t, bracketed(line))
 		rec, err := ParseCLF(line)

@@ -192,9 +192,18 @@ func ParseCLF(line string) (Record, error) {
 // after byte offset i, plus the offset just past it. Field boundaries
 // are unicode.IsSpace runes — the same split strings.Fields performs —
 // so substituting nextField for Fields cannot change which lines parse.
-// An empty return means no further field exists.
+// ASCII bytes are classified by asciiSpace without decoding; only a
+// byte >= utf8.RuneSelf takes the rune path. An empty return means no
+// further field exists.
 func nextField(s string, i int) (string, int) {
 	for i < len(s) {
+		if c := s[i]; c < utf8.RuneSelf {
+			if !asciiSpace[c] {
+				break
+			}
+			i++
+			continue
+		}
 		r, size := utf8.DecodeRuneInString(s[i:])
 		if !unicode.IsSpace(r) {
 			break
@@ -203,6 +212,13 @@ func nextField(s string, i int) (string, int) {
 	}
 	start := i
 	for i < len(s) {
+		if c := s[i]; c < utf8.RuneSelf {
+			if asciiSpace[c] {
+				break
+			}
+			i++
+			continue
+		}
 		r, size := utf8.DecodeRuneInString(s[i:])
 		if unicode.IsSpace(r) {
 			break
@@ -211,6 +227,9 @@ func nextField(s string, i int) (string, int) {
 	}
 	return s[start:i], i
 }
+
+// asciiSpace marks the ASCII bytes unicode.IsSpace accepts.
+var asciiSpace = [utf8.RuneSelf]bool{'\t': true, '\n': true, '\v': true, '\f': true, '\r': true, ' ': true}
 
 // ParseError records a line that failed to parse, with its position.
 type ParseError struct {

@@ -28,8 +28,8 @@ fmt:
 # analyzers (internal/lint, driven by cmd/fullweb-lint): maporder,
 # globalrand, walltime, rawgo, ctxflow, faultguard, plus the PR 7
 # dataflow trio — hotalloc (allocation sites in //hot:path functions),
-# statesync (checkpoint/merge field coverage), mergealias (Merge/
-# snapshot storage aliasing). See DESIGN.md "Machine-checked
+# statesync (checkpoint field coverage), mergealias (snapshot
+# storage aliasing). See DESIGN.md "Machine-checked
 # invariants" and §13.
 lint:
 	$(GO) run ./cmd/fullweb-lint ./...

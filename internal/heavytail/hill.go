@@ -42,6 +42,15 @@ type HillResult struct {
 // information) and is capped at n-1. The sample must be positive; it
 // is not modified.
 func HillPlot(x []float64, kMax int) ([]HillPoint, error) {
+	return hillPlotInto(nil, x, kMax)
+}
+
+// hillPlotInto is HillPlot with its working copy of x built in
+// scratch's backing array, which is reallocated only when shorter than
+// x. A caller that reads off the same sample repeatedly (OnlineHill at
+// every snapshot) keeps one scratch instead of cloning the sample each
+// time; x itself is never modified.
+func hillPlotInto(scratch, x []float64, kMax int) ([]HillPoint, error) {
 	n := len(x)
 	if n < 3 {
 		return nil, fmt.Errorf("%w: %d observations", ErrTooFewTail, n)
@@ -61,7 +70,7 @@ func HillPlot(x []float64, kMax int) ([]HillPoint, error) {
 	// them to the end of a copy and sort just that tail. The selected
 	// values are the same multiset a full sort leaves there, so every
 	// alpha is bit-identical to the full-sort plot.
-	asc := slices.Clone(x)
+	asc := append(scratch[:0], x...)
 	tail := n - 1 - kMax
 	selectUpper(asc, tail, 2*bits.Len(uint(n)))
 	slices.Sort(asc[tail:])
@@ -140,6 +149,12 @@ func selectUpper(a []float64, k, depth int) {
 // stable and Alpha is the window mean — mirroring how the paper reads a
 // value off the plot, and "NS" when the plot does not settle.
 func EstimateHill(x []float64, tailFraction, relTol float64) (HillResult, error) {
+	return estimateHillInto(nil, x, tailFraction, relTol)
+}
+
+// estimateHillInto is EstimateHill building the Hill plot's working
+// copy of x in scratch (hillPlotInto).
+func estimateHillInto(scratch, x []float64, tailFraction, relTol float64) (HillResult, error) {
 	if tailFraction <= 0 || tailFraction > 1 || math.IsNaN(tailFraction) {
 		return HillResult{}, fmt.Errorf("%w: tail fraction %v", ErrBadParam, tailFraction)
 	}
@@ -150,7 +165,7 @@ func EstimateHill(x []float64, tailFraction, relTol float64) (HillResult, error)
 	if kMax < 10 {
 		return HillResult{}, fmt.Errorf("%w: tail fraction %v leaves k_max=%d (need >= 10)", ErrTooFewTail, tailFraction, kMax)
 	}
-	plot, err := HillPlot(x, kMax)
+	plot, err := hillPlotInto(scratch, x, kMax)
 	if err != nil {
 		return HillResult{}, err
 	}

@@ -85,6 +85,11 @@ type OnlineHill struct {
 	tailFraction float64
 	relTol       float64
 	dropped      int64
+	// scratch holds the Hill plot's sorted working copy of the sample
+	// between read-offs. Sized like the reservoir, so no read-off
+	// allocates it; transient, never checkpointed (every read-off
+	// overwrites it).
+	scratch []float64
 }
 
 // NewOnlineHill returns a reservoir-fed Hill estimator. capacity bounds
@@ -101,7 +106,8 @@ func NewOnlineHill(capacity int, seed int64, tailFraction, relTol float64) (*Onl
 	if err != nil {
 		return nil, err
 	}
-	return &OnlineHill{res: res, tailFraction: tailFraction, relTol: relTol}, nil
+	return &OnlineHill{res: res, tailFraction: tailFraction, relTol: relTol,
+		scratch: make([]float64, 0, capacity)}, nil
 }
 
 // Observe feeds one value; non-positive and NaN values are ignored (and
@@ -123,8 +129,9 @@ func (h *OnlineHill) SampleLen() int { return h.res.Len() }
 
 // Estimate runs EstimateHill over the current reservoir sample. The
 // estimator keeps accumulating afterwards; call at every snapshot.
-// EstimateHill only reads its input (HillPlot sorts a copy), so the
-// live sample is passed without another copy.
+// The Hill plot sorts a copy of the live sample, built in the
+// estimator's reused scratch, so a read-off leaves the sample as it was
+// and allocates no copy of it.
 func (h *OnlineHill) Estimate() (HillResult, error) {
-	return EstimateHill(h.res.items, h.tailFraction, h.relTol)
+	return estimateHillInto(h.scratch, h.res.items, h.tailFraction, h.relTol)
 }

@@ -229,3 +229,37 @@ func TestOnlineHillEstimateLeavesStateUntouched(t *testing.T) {
 		}
 	}
 }
+
+// TestOnlineHillScratchMatchesBatch: the estimator builds the Hill
+// plot's working copy in a scratch it keeps between read-offs. Every
+// read-off must still be EstimateHill on the same items, bit for bit,
+// leave the sample as it was, and allocate no sample-sized copy — one
+// allocation fewer than the batch call, which clones its input.
+func TestOnlineHillScratchMatchesBatch(t *testing.T) {
+	x := paretoSample(t, 1.4, 1, 5000, 23)
+	oh, err := NewOnlineHill(1024, 3, DefaultHillTailFraction, DefaultHillRelTol)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, v := range x {
+		oh.Observe(v)
+		if i%250 != 249 {
+			continue
+		}
+		items := oh.res.Sample()
+		got, gotErr := oh.Estimate()
+		want, wantErr := EstimateHill(items, DefaultHillTailFraction, DefaultHillRelTol)
+		if (gotErr == nil) != (wantErr == nil) || !reflect.DeepEqual(got, want) {
+			t.Fatalf("after %d values: read-off %+v (%v), batch %+v (%v)", i+1, got, gotErr, want, wantErr)
+		}
+		if !reflect.DeepEqual(oh.res.items, items) {
+			t.Fatalf("after %d values the read-off reordered the sample", i+1)
+		}
+	}
+	items := oh.res.Sample()
+	online := testing.AllocsPerRun(5, func() { oh.Estimate() })
+	batch := testing.AllocsPerRun(5, func() { EstimateHill(items, DefaultHillTailFraction, DefaultHillRelTol) })
+	if online != batch-1 {
+		t.Fatalf("a read-off makes %v allocations, the batch estimate %v: want exactly the sample copy fewer", online, batch)
+	}
+}

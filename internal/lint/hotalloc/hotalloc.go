@@ -56,6 +56,7 @@ var Analyzer = &analysis.Analyzer{
 // coverage.
 var HotSet = map[string]bool{
 	"fullweb/internal/weblog.ParseCLF":             true,
+	"fullweb/internal/weblog.parseCLFInto":         true,
 	"fullweb/internal/weblog.parseChunk":           true,
 	"(*fullweb/internal/session.Streamer).Observe": true,
 	"(*fullweb/internal/session.Streamer).evict":   true,

@@ -1,35 +1,23 @@
-// Package mergealias flags Merge and snapshot code that retains
-// references to operand or internal slices, maps and pointers — the
-// bug class behind the PR-6 Reservoir.Sample defensive-copy fix: a
-// merged sketch that aliases an operand's backing array is silently
-// corrupted when the operand keeps observing, and a State/Sample that
-// hands out internal storage lets callers corrupt the sketch.
+// Package mergealias flags snapshot code that hands out references to
+// a sketch's internal slices, maps and pointers — the bug class behind
+// the Reservoir.Sample defensive-copy fix: a State/Sample that returns
+// internal storage lets callers corrupt the sketch.
 //
-// Two families are scanned:
-//
-//   - Merge family: methods named Merge and package functions named
-//     Merge*. The operands are the (non-receiver) parameters. A
-//     reference-typed expression rooted at an operand must not be
-//     assigned into receiver-rooted storage, placed in a composite
-//     literal (the result under construction), or returned. A
-//     whole-struct copy from an operand is flagged when the struct
-//     carries reference fields.
-//   - Snapshot family: methods named State/state, Snapshot/snapshot,
-//     Sample/Samples. The hazard runs the other way: receiver-rooted
-//     reference values must not be returned or placed into the image.
+// Methods named State/state, Snapshot/snapshot and Sample/Samples are
+// scanned: receiver-rooted reference values must not be returned or
+// placed into the image.
 //
 // Copies break the taint: append, make+copy, and any function call
 // produce fresh storage. Tracking is a source-order reaching-defs walk
-// over locals (internal/lint/dataflow), so `tmp := o.items` followed
+// over locals (internal/lint/dataflow), so `tmp := r.items` followed
 // by `tmp = append([]float64(nil), tmp...)` is clean. Findings are
-// latent correctness bugs by contract (ISSUE 7): fix with a copy, do
-// not suppress.
+// latent correctness bugs by contract: fix with a copy, do not
+// suppress.
 package mergealias
 
 import (
 	"go/ast"
 	"go/types"
-	"strings"
 
 	"fullweb/internal/lint/analysis"
 	"fullweb/internal/lint/dataflow"
@@ -38,7 +26,7 @@ import (
 // Analyzer is the mergealias rule.
 var Analyzer = &analysis.Analyzer{
 	Name: "mergealias",
-	Doc:  "flags Merge/State/Sample code retaining references to operand or internal slices and maps",
+	Doc:  "flags State/Snapshot/Sample code handing out references to internal slices and maps",
 	Run:  run,
 }
 
@@ -49,14 +37,7 @@ func run(pass *analysis.Pass) (any, error) {
 			if !ok || fd.Body == nil {
 				continue
 			}
-			name := fd.Name.Name
-			isMethod := fd.Recv != nil && len(fd.Recv.List) > 0
-			switch {
-			case isMethod && name == "Merge":
-				checkMerge(pass, fd)
-			case !isMethod && strings.HasPrefix(name, "Merge"):
-				checkMerge(pass, fd)
-			case isMethod && isSnapshotName(name):
+			if fd.Recv != nil && len(fd.Recv.List) > 0 && isSnapshotName(fd.Name.Name) {
 				checkSnapshot(pass, fd)
 			}
 		}
@@ -70,59 +51,6 @@ func isSnapshotName(name string) bool {
 		return true
 	}
 	return false
-}
-
-// checkMerge verifies operand storage never reaches the receiver or
-// the result.
-func checkMerge(pass *analysis.Pass, fd *ast.FuncDecl) {
-	info := pass.TypesInfo
-	recv := receiverObject(info, fd)
-	operands := make(map[types.Object]bool)
-	for _, field := range fd.Type.Params.List {
-		for _, id := range field.Names {
-			if obj := info.Defs[id]; obj != nil {
-				operands[obj] = true
-			}
-		}
-	}
-	if len(operands) == 0 {
-		return
-	}
-	taint := dataflow.NewTaint(info)
-	walkStmts(fd.Body, func(n ast.Node) {
-		switch n := n.(type) {
-		case *ast.AssignStmt:
-			for i, lhs := range n.Lhs {
-				if i >= len(n.Rhs) {
-					break
-				}
-				rhs := n.Rhs[i]
-				root := taint.RootParam(rhs, operands)
-				if root != nil && aliasable(pass, rhs) && rootedAt(info, lhs, recv) {
-					pass.Reportf(n.Pos(),
-						"merge stores %s, which shares storage with operand %s, into the receiver; later operand mutations corrupt the merged state — copy it",
-						types.ExprString(rhs), root.Name())
-				}
-				taint.Observe(lhs, rhs, operands)
-			}
-		case *ast.RangeStmt:
-			observeRange(taint, n, operands)
-		case *ast.KeyValueExpr:
-			if root := taint.RootParam(n.Value, operands); root != nil && aliasable(pass, n.Value) {
-				pass.Reportf(n.Pos(),
-					"merge result embeds %s, which shares storage with operand %s; later operand mutations corrupt the merged state — copy it",
-					types.ExprString(n.Value), root.Name())
-			}
-		case *ast.ReturnStmt:
-			for _, res := range n.Results {
-				if root := taint.RootParam(res, operands); root != nil && aliasable(pass, res) {
-					pass.Reportf(n.Pos(),
-						"merge returns %s, which shares storage with operand %s; later operand mutations corrupt the merged state — copy it",
-						types.ExprString(res), root.Name())
-				}
-			}
-		}
-	})
 }
 
 // checkSnapshot verifies receiver-internal storage never escapes into
@@ -182,12 +110,6 @@ func aliasable(pass *analysis.Pass, expr ast.Expr) bool {
 		return false
 	}
 	return dataflow.HasReferenceFields(named)
-}
-
-// rootedAt reports whether lvalue's storage is rooted at obj (the
-// receiver): s.buf, s.levels[h], *s all root at s.
-func rootedAt(info *types.Info, lvalue ast.Expr, obj types.Object) bool {
-	return obj != nil && dataflow.RootObject(info, lvalue) == obj
 }
 
 // receiverObject resolves the method receiver's object, or nil.

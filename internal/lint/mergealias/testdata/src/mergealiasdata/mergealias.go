@@ -1,6 +1,6 @@
-// Package mergealiasdata exercises the mergealias rule: Merge and
-// snapshot paths that retain operand or internal storage, plus the
-// defensively-copied shapes the rule must accept.
+// Package mergealiasdata exercises the mergealias rule: snapshot paths
+// that hand out internal storage, plus the defensively-copied shapes
+// the rule must accept.
 package mergealiasdata
 
 // --- the PR-6 Reservoir.Sample regression shape ---
@@ -39,49 +39,24 @@ func (r *reservoir) Snapshot() reservoirState {
 	return reservoirState{Items: items, K: r.k}
 }
 
-// Merge aliases the operand's backing array into the receiver.
-func (r *reservoir) Merge(o *reservoir) {
-	r.items = o.items // want `merge stores o\.items, which shares storage with operand o, into the receiver; later operand mutations corrupt the merged state — copy it`
-	if o.k > r.k {
-		r.k = o.k
-	}
-}
-
 // --- taint through a local ---
 
 type sketch struct {
 	buckets map[string]int64
-	n       int64
 }
 
-// Merge launders the operand's map through a local before storing it.
-func (s *sketch) Merge(o *sketch) {
-	theirs := o.buckets
-	s.buckets = theirs // want `merge stores theirs, which shares storage with operand o, into the receiver; later operand mutations corrupt the merged state — copy it`
-	s.n += o.n
+// Snapshot launders the internal map through a local before returning
+// it.
+func (s *sketch) Snapshot() map[string]int64 {
+	mine := s.buckets
+	return mine // want `Snapshot returns mine, which shares storage with the receiver's internal state; callers can corrupt the sketch \(the Reservoir\.Sample bug class\) — return a copy`
 }
 
-// MergeSketches builds its result around an operand's map.
-func MergeSketches(parts []*sketch) *sketch {
-	first := parts[0]
-	return &sketch{buckets: first.buckets, n: first.n} // want `merge result embeds first\.buckets, which shares storage with operand parts; later operand mutations corrupt the merged state — copy it`
-}
-
-// MergeInto returns an operand outright as the merged result.
-func MergeInto(dst, src *sketch) *sketch {
-	dst.n += src.n
-	return src // want `merge returns src, which shares storage with operand src; later operand mutations corrupt the merged state — copy it`
-}
-
-// MergeSketchesCopy is the clean counterpart: fresh map, keys folded
-// element-wise, scalar reads from operands untainted.
-func MergeSketchesCopy(parts []*sketch) *sketch {
-	out := &sketch{buckets: make(map[string]int64, 8)}
-	for _, p := range parts {
-		for k, v := range p.buckets {
-			out.buckets[k] += v
-		}
-		out.n += p.n
+// Samples is the clean counterpart: a fresh map, keys copied.
+func (s *sketch) Samples() map[string]int64 {
+	out := make(map[string]int64, len(s.buckets))
+	for k, v := range s.buckets {
+		out[k] = v
 	}
 	return out
 }

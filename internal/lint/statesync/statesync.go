@@ -1,11 +1,10 @@
-// Package statesync proves checkpoint/merge field coverage for the
-// repo's stateful sketches: every field of a checkpointed type, of its
+// Package statesync proves checkpoint field coverage for the repo's
+// stateful sketches: every field of a checkpointed type, of its
 // checkpoint image, and of the structs the image reaches must be
-// referenced by the encode, decode and merge paths that claim to carry
-// it. "Added a field, forgot the codec" is the exact drift PR 6
-// multiplied the surface for — every sketch now has Merge, State and
-// Restore — and it fails silently: the forgotten field zero-values on
-// resume and no test notices until an estimate is subtly wrong.
+// referenced by the encode and decode paths that claim to carry it.
+// "Added a field, forgot the codec" fails silently: the forgotten
+// field zero-values on resume and no test notices until an estimate is
+// subtly wrong.
 //
 // A type T is anchored when it declares a State/state method returning
 // a same-package named struct S (the checkpoint image). The encode
@@ -20,9 +19,10 @@
 //   - every field of T is referenced (or whole-value covered) by the
 //     union of encode and decode,
 //   - every field of each same-package struct reachable from S (and
-//     each unexported one reachable from T) is covered by that union,
-//   - when T has a Merge method, or a package function Merge* mentions
-//     an anchored T, every field of T is covered by the merge closure.
+//     each unexported one reachable from T) is covered by that union.
+//
+// A transient field of T (a scratch buffer) is covered by naming it in
+// the constructor the decode path calls.
 //
 // Findings are latent correctness bugs by contract (ISSUE 7): fix the
 // codec, do not suppress.
@@ -41,7 +41,7 @@ import (
 // Analyzer is the statesync rule.
 var Analyzer = &analysis.Analyzer{
 	Name: "statesync",
-	Doc:  "proves every field of checkpointed/merged state structs is covered by their encode, decode and merge paths",
+	Doc:  "proves every field of checkpointed state structs is covered by their encode and decode paths",
 	Run:  run,
 }
 
@@ -51,7 +51,6 @@ type anchor struct {
 	image   *types.Named // S, the checkpoint image State() returns
 	encode  *types.Func  // the State/state method
 	decodes []*types.Func
-	merges  []*types.Func
 }
 
 func run(pass *analysis.Pass) (any, error) {
@@ -73,7 +72,7 @@ func run(pass *analysis.Pass) (any, error) {
 
 // findAnchors locates every type declaring a State/state method that
 // returns a same-package named struct, plus its Restore*/Resume*
-// decode roots and Merge roots.
+// decode roots.
 func findAnchors(pass *analysis.Pass, decls map[*types.Func]*ast.FuncDecl) []*anchor {
 	var anchors []*anchor
 	for fn := range decls {
@@ -91,7 +90,7 @@ func findAnchors(pass *analysis.Pass, decls map[*types.Func]*ast.FuncDecl) []*an
 		}
 		anchors = append(anchors, &anchor{live: recv, image: image, encode: fn})
 	}
-	// Attach decode and merge roots by name pattern + type mention: a
+	// Attach decode roots by name pattern + type mention: a
 	// package function Restore*/Resume* whose signature mentions the
 	// image or the live type (RestoreStreamer(st) *Streamer and
 	// ResumeEngine(...) *Engine both qualify), or a restore method on
@@ -111,16 +110,9 @@ func findAnchors(pass *analysis.Pass, decls map[*types.Func]*ast.FuncDecl) []*an
 				if signatureMentions(fn, a.image) {
 					a.decodes = append(a.decodes, fn)
 				}
-			case name == "Merge" && recvNamed(fn) == a.live:
-				a.merges = append(a.merges, fn)
-			case strings.HasPrefix(name, "Merge") && fn.Type().(*types.Signature).Recv() == nil:
-				if signatureMentions(fn, a.live) {
-					a.merges = append(a.merges, fn)
-				}
 			}
 		}
 		sort.Slice(a.decodes, func(i, j int) bool { return a.decodes[i].Name() < a.decodes[j].Name() })
-		sort.Slice(a.merges, func(i, j int) bool { return a.merges[i].Name() < a.merges[j].Name() })
 	}
 	sort.Slice(anchors, func(i, j int) bool { return anchors[i].live.Obj().Name() < anchors[j].live.Obj().Name() })
 	return anchors
@@ -173,19 +165,6 @@ func checkAnchor(pass *analysis.Pass, decls map[*types.Func]*ast.FuncDecl, a *an
 				"field(s) %s of %s (reached from %s state) are referenced by neither the encode nor the decode path",
 				strings.Join(missing, ", "), aux.Obj().Name(), a.live.Obj().Name())
 		}
-	}
-
-	// Merge coverage: every live field must take part in the merge.
-	if len(a.merges) == 0 {
-		return
-	}
-	mergeFns := dataflow.Closure(decls, info, a.merges...)
-	mergeMentions := dataflow.FieldMentions(info, mergeFns)
-	mergeWhole := dataflow.WholeValueUses(info, mergeFns)
-	if missing := missingFields(a.live, mergeMentions, mergeWhole); len(missing) > 0 {
-		pass.Reportf(decls[a.merges[0]].Name.Pos(),
-			"merge path of %s never references field(s) %s; merged state silently drops them",
-			a.live.Obj().Name(), strings.Join(missing, ", "))
 	}
 }
 

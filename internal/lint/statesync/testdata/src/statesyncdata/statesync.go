@@ -1,13 +1,12 @@
 // Package statesyncdata exercises the statesync rule: checkpointed
-// types whose encode/decode/merge paths drop fields, plus the clean
-// shapes the rule must accept.
+// types whose encode/decode paths drop fields, plus the clean shapes
+// the rule must accept.
 package statesyncdata
 
 // --- the forgot-a-field checkpoint bug class ---
 
 // counter gains a field (b) whose codec was never updated: encode
-// forgets to set image field B, decode never reads it, and Merge
-// ignores live field b entirely.
+// forgets to set image field B and decode never reads it.
 type counter struct {
 	a int64
 	b int64
@@ -24,10 +23,6 @@ func (c *counter) State() counterState { // want `encode path of counter never s
 
 func RestoreCounter(st counterState) *counter { // want `decode path of counter never reads checkpoint image field\(s\) B`
 	return &counter{a: st.A}
-}
-
-func (c *counter) Merge(o *counter) { // want `merge path of counter never references field\(s\) b`
-	c.a += o.a
 }
 
 // --- the clean counterpart ---
@@ -48,13 +43,6 @@ func (g *gauge) State() gaugeState {
 
 func RestoreGauge(st gaugeState) *gauge {
 	return &gauge{v: st.V, max: st.Max}
-}
-
-func (g *gauge) Merge(o *gauge) {
-	g.v += o.v
-	if o.max > g.max {
-		g.max = o.max
-	}
 }
 
 // --- whole-value coverage: a codec that copies aux structs wholesale ---
@@ -126,4 +114,27 @@ func (t *tracker) State() trackerState { // want `field\(s\) m2 of moments \(rea
 
 func RestoreTracker(st trackerState) *tracker {
 	return &tracker{mom: moments{mean: st.Mom.mean}}
+}
+
+// --- a transient field, named only by the constructor restore calls ---
+
+// window's scratch is rebuilt, never checkpointed: the constructor the
+// decode path goes through covers it.
+type window struct {
+	n       int64
+	scratch []float64
+}
+
+type windowState struct {
+	N int64 `json:"n"`
+}
+
+func newWindow() *window { return &window{scratch: make([]float64, 0, 8)} }
+
+func (w *window) State() windowState { return windowState{N: w.n} }
+
+func RestoreWindow(st windowState) *window {
+	w := newWindow()
+	w.n = st.N
+	return w
 }

@@ -91,12 +91,12 @@ func hotBare(x int) {
 
 type sk struct{ items []int }
 
-func (s *sk) Merge(o *sk) {
-	s.items = o.items //lint:allow mergealias documented ownership transfer
+func (s *sk) Sample() []int {
+	return s.items //lint:allow mergealias documented ownership transfer
 }
 
-func MergeSk(a, b *sk) *sk {
-	return a
+func (s *sk) Samples() []int {
+	return s.items
 }
 `},
 		{"statesync", `package fixture

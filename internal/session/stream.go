@@ -154,8 +154,8 @@ func (s *Streamer) ObserveClamped(r weblog.Record) ([]Session, error) {
 // timestamp, in close order (closeOrder).
 //
 // One call per record: the intrusive list exists so this path
-// allocates nothing but the node of each opened session and the
-// batch of each eviction (DESIGN.md §13).
+// allocates nothing but the node and host of each opened session and
+// the batch of each eviction (DESIGN.md §13).
 //
 //hot:path
 func (s *Streamer) Observe(r weblog.Record) ([]Session, error) {
@@ -174,9 +174,14 @@ func (s *Streamer) Observe(r weblog.Record) ([]Session, error) {
 		}
 		return closed, nil
 	}
+	// The record's Host slices the text of its whole input chunk (the
+	// chunked reader allocates one string per chunk); the open session
+	// outlives the chunk, so it keeps a copy of just the host — one
+	// allocation per opened session, not per record.
 	n := &openSession{Session: open(r)}
+	n.Host = strings.Clone(r.Host)
 	s.pushTail(n)
-	s.active[r.Host] = n
+	s.active[n.Host] = n
 	s.opened++
 	if len(s.active) > s.peakActive {
 		s.peakActive = len(s.active)

@@ -7,6 +7,9 @@ import (
 	"testing"
 	"testing/quick"
 	"time"
+	"unsafe"
+
+	"fullweb/internal/weblog"
 )
 
 func TestStreamerMatchesBatch(t *testing.T) {
@@ -171,5 +174,49 @@ func TestStreamerEquivalenceProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestStreamerHostDoesNotAliasRecord: the chunked reader hands out
+// records whose strings slice one text per chunk, so an open session
+// must hold its own copy of the host — never a view into the record's
+// line, which would pin the whole chunk for the session's lifetime.
+func TestStreamerHostDoesNotAliasRecord(t *testing.T) {
+	line := "client.example.org - - [12/Jan/2004:10:30:45 -0500] \"GET /a HTTP/1.0\" 200 100"
+	rec, err := weblog.ParseCLF(line)
+	if err != nil {
+		t.Fatal(err)
+	}
+	base := uintptr(unsafe.Pointer(unsafe.StringData(line)))
+	inLine := func(s string) bool {
+		p := uintptr(unsafe.Pointer(unsafe.StringData(s)))
+		return p >= base && p < base+uintptr(len(line))
+	}
+	if !inLine(rec.Host) {
+		t.Fatal("precondition: the parsed host should be a view into its line")
+	}
+	s, err := NewStreamer(DefaultThreshold)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 2; i++ { // open, then absorb into the same session
+		if _, err := s.Observe(rec); err != nil {
+			t.Fatal(err)
+		}
+		if len(s.active) != 1 {
+			t.Fatalf("%d open sessions, want 1", len(s.active))
+		}
+		for key, n := range s.active {
+			if key != rec.Host || n.Host != rec.Host {
+				t.Fatalf("open session keyed %q with host %q, want %q", key, n.Host, rec.Host)
+			}
+			if inLine(key) || inLine(n.Host) {
+				t.Fatal("the open session's host or map key shares storage with the record's line")
+			}
+		}
+	}
+	closed := s.Flush()
+	if len(closed) != 1 || closed[0].Host != rec.Host || inLine(closed[0].Host) {
+		t.Fatalf("flushed %+v: want one session of host %q that owns its host", closed, rec.Host)
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"strings"
+	"sync/atomic"
 
 	"fullweb/internal/obs"
 	"fullweb/internal/parallel"
@@ -108,10 +109,14 @@ type Interrupter interface {
 	Interrupt()
 }
 
-// rawChunk is one scanned, not yet parsed chunk of input lines.
+// rawChunk is one scanned, not yet parsed chunk of input lines: their
+// text, each line terminated by '\n', in one string. Records parsed
+// from the chunk slice into that string rather than owning their
+// fields, so the scan allocates per chunk, not per line.
 type rawChunk struct {
 	firstLine int
-	lines     []string
+	lines     int
+	text      string
 }
 
 // ReadChunksCtx scans CLF lines from r in bounded-memory chunks and
@@ -124,6 +129,13 @@ type rawChunk struct {
 // sequential parse would produce: parallelism changes when lines are
 // parsed, never what emit observes. Unlike ReadAllCtx, no full-trace
 // slice ever exists.
+//
+// emit must not retain ch.Records or ch.Errs past its return: once
+// emit is done with a chunk, its Records backing array is cleared and
+// reused for a later chunk. Records themselves may be copied out, but
+// their strings share one allocation with every line of their chunk,
+// so a consumer that keeps a field for long (a session's Host) clones
+// it rather than pinning the whole chunk text.
 //
 // emit returning an error aborts the scan with that error. A read
 // error surfaces after every chunk scanned before it has been emitted.
@@ -158,28 +170,44 @@ func ReadChunksCtx(ctx context.Context, r io.Reader, pool *parallel.Pool, cfg Ch
 	}
 	// scanned is the producer's count, emitted the caller's; both are
 	// read only after parallel.Ordered has joined the producer.
+	// pending, the chunks scanned and not yet through emit, is shared.
 	var scanned, emitted, records, parseErrs int64
+	var pending atomic.Int64
 	produce := func(ctx context.Context, yield func(rawChunk) bool) error {
 		if ir, ok := r.(Interrupter); ok {
 			defer context.AfterFunc(ctx, ir.Interrupt)()
 		}
+		// textHint presizes each chunk's text: the largest chunk so far
+		// plus an eighth, so the builder rarely regrows and successive
+		// texts share one allocation size, whose freed pages the next
+		// text reuses. A chunk under half the hint resets it.
+		textHint := 0
 		for eof := false; !eof; {
 			if err := fpRead.Check(ctx); err != nil {
 				return &ReadError{Line: lineNo, Err: err}
 			}
-			raw := rawChunk{firstLine: lineNo + 1, lines: make([]string, 0, cfg.Lines)}
-			for len(raw.lines) < cfg.Lines {
+			raw := rawChunk{firstLine: lineNo + 1}
+			var text strings.Builder
+			text.Grow(textHint)
+			for raw.lines < cfg.Lines {
 				if !scanner.Scan() {
 					eof = true
 					break
 				}
 				lineNo++
-				raw.lines = append(raw.lines, scanner.Text())
+				raw.lines++
+				text.Write(scanner.Bytes())
+				text.WriteByte('\n')
 			}
-			if len(raw.lines) == 0 {
+			if raw.lines == 0 {
 				break
 			}
+			raw.text = text.String()
+			if need := len(raw.text) + len(raw.text)/8; need > textHint || need < textHint/2 {
+				textHint = need
+			}
 			scanned++
+			pending.Add(1)
 			inFlight.Add(1)
 			if !yield(raw) {
 				return nil
@@ -194,11 +222,24 @@ func ReadChunksCtx(ctx context.Context, r io.Reader, pool *parallel.Pool, cfg Ch
 		}
 		return nil
 	}
+	// slabs is the free list of Records backing arrays. A chunk's slab
+	// comes back, cleared so it pins no chunk text, once emit has
+	// returned, unless the list already holds a slab for every chunk
+	// still pending and one more: a burst (a resumed run's replay) that
+	// filled the window leaves no idle slabs behind once the input
+	// slows to a trickle. The window bounds the slabs in use, so it
+	// also bounds the list.
+	slabs := make(chan []Record, cfg.Window)
 	parse := func(ctx context.Context, raw rawChunk) (Chunk, error) {
 		if err := fpParse.Check(ctx); err != nil {
 			return Chunk{}, fmt.Errorf("weblog: parsing chunk at line %d: %w", raw.firstLine, err)
 		}
-		ch := parseChunk(raw.firstLine, raw.lines, cfg.MaxFieldBytes)
+		var slab []Record
+		select {
+		case slab = <-slabs:
+		default:
+		}
+		ch := parseChunk(raw, slab, cfg.MaxFieldBytes)
 		recordsC.Add(int64(len(ch.Records)))
 		parseErrsC.Add(int64(len(ch.Errs)))
 		chunksC.Inc()
@@ -210,6 +251,13 @@ func ReadChunksCtx(ctx context.Context, r io.Reader, pool *parallel.Pool, cfg Ch
 		err := emit(ch)
 		emitted++
 		inFlight.Add(-1)
+		clear(ch.Records)
+		if int64(len(slabs)) <= pending.Add(-1) {
+			select {
+			case slabs <- ch.Records[:0]:
+			default:
+			}
+		}
 		return err
 	})
 	// Chunks scanned but abandoned unemitted leave the gauge too.
@@ -230,34 +278,48 @@ func ReadChunksCtx(ctx context.Context, r io.Reader, pool *parallel.Pool, cfg Ch
 // input line; the parse loop's allocation budget is the engine's
 // throughput bound (DESIGN.md §13).
 //
+// Records are parsed straight into slab, a recycled backing array
+// whose every element is zero; a slab too small for the chunk is
+// replaced by a fresh one. The slots past the returned Records stay
+// zero, so a recycled slab never carries a record, or a reference to
+// chunk text, from an earlier chunk.
+//
 //hot:path
-func parseChunk(firstLine int, lines []string, maxFieldBytes int) Chunk {
-	ch := Chunk{FirstLine: firstLine, Lines: len(lines)}
-	// Presize for the common case (every line parses) so the append
-	// below never regrows mid-chunk.
-	ch.Records = make([]Record, 0, len(lines))
-	for i, line := range lines {
+func parseChunk(raw rawChunk, slab []Record, maxFieldBytes int) Chunk {
+	ch := Chunk{FirstLine: raw.firstLine, Lines: raw.lines}
+	if cap(slab) < raw.lines {
+		slab = make([]Record, raw.lines)
+	}
+	slab = slab[:raw.lines]
+	n := 0
+	text := raw.text
+	for lineNo := raw.firstLine; len(text) > 0; lineNo++ {
+		end := strings.IndexByte(text, '\n')
+		line := text[:end]
+		text = text[end+1:]
 		if strings.TrimSpace(line) == "" {
 			continue
 		}
-		rec, err := ParseCLF(line)
+		rec := &slab[n]
+		err := parseCLFInto(line, rec)
+		if err == nil {
+			err = Oversized(*rec, maxFieldBytes)
+		}
 		if err != nil {
-			ch.reject(firstLine+i, line, err)
+			*rec = Record{}
+			ch.reject(lineNo, line, err, n)
 			continue
 		}
-		if err := Oversized(rec, maxFieldBytes); err != nil {
-			ch.reject(firstLine+i, line, err)
-			continue
-		}
-		ch.Records = append(ch.Records, rec)
+		n++
 	}
+	ch.Records = slab[:n]
 	return ch
 }
 
-// reject records one malformed line (the cold path of parseChunk; a
-// method rather than a closure so the hot loop allocates no function
-// object).
-func (ch *Chunk) reject(lineNo int, line string, err error) {
+// reject records one malformed line, preceded in the chunk by records
+// records (the cold path of parseChunk; a method rather than a closure
+// so the hot loop allocates no function object).
+func (ch *Chunk) reject(lineNo int, line string, err error, records int) {
 	ch.Errs = append(ch.Errs, ParseError{LineNumber: lineNo, Line: line, Err: err})
-	ch.ErrRecIndex = append(ch.ErrRecIndex, len(ch.Records))
+	ch.ErrRecIndex = append(ch.ErrRecIndex, records)
 }

@@ -5,9 +5,11 @@ import (
 	"compress/gzip"
 	"context"
 	"errors"
+	"fmt"
 	"io"
 	"strings"
 	"testing"
+	"time"
 
 	"fullweb/internal/parallel"
 )
@@ -222,5 +224,46 @@ func TestReadAllTransparentGzip(t *testing.T) {
 	}
 	if len(recs) != 1 {
 		t.Fatalf("got %d records from gzip sample", len(recs))
+	}
+}
+
+// TestReadChunksAllocsPerRecord is the read layer's allocation gate:
+// the scanner copies each chunk's lines into one string and records are
+// parsed into recycled slabs, so a scan allocates per chunk, never per
+// line. 64Ki well-formed lines through one worker must cost at most
+// 0.01 allocations per record (the per-line design cost ~1).
+func TestReadChunksAllocsPerRecord(t *testing.T) {
+	const n = 1 << 16
+	var b bytes.Buffer
+	base := time.Date(2004, time.January, 12, 10, 0, 0, 0, time.FixedZone("", -5*3600))
+	for i := 0; i < n; i++ {
+		rec := Record{
+			Host:   fmt.Sprintf("h%d.example.org", i%977),
+			Time:   base.Add(time.Duration(i) * time.Second),
+			Method: "GET", Path: fmt.Sprintf("/p/%d.html", i%131), Proto: "HTTP/1.0",
+			Status: 200, Bytes: int64(i % 5000),
+		}
+		b.WriteString(rec.FormatCLF())
+		b.WriteByte('\n')
+	}
+	text := b.Bytes()
+	pool := parallel.NewPool(1)
+	records := 0
+	emit := func(ch Chunk) error {
+		records += len(ch.Records)
+		return nil
+	}
+	allocs := testing.AllocsPerRun(3, func() {
+		if err := ReadChunksCtx(context.Background(), bytes.NewReader(text), pool, ChunkConfig{}, emit); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if records != 4*n {
+		t.Fatalf("emitted %d records over 4 scans, want %d", records, 4*n)
+	}
+	perRecord := allocs / n
+	t.Logf("%.0f allocations per scan, %.4f per record", allocs, perRecord)
+	if perRecord > 0.01 {
+		t.Fatalf("ReadChunksCtx made %.0f allocations for %d records (%.4f per record), want <= 0.01 per record", allocs, n, perRecord)
 	}
 }

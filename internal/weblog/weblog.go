@@ -92,23 +92,34 @@ func sanitizeField(s string) string {
 //
 //	host ident authuser [date] "request" status bytes
 //
-// It runs once per input line: field splitting is hand-rolled (no
-// strings.Fields/Split) to keep the per-record allocation budget at
-// the substrings the Record actually retains, and the timestamp goes
-// through the fixed-layout decoder parseCLFTime before time.Parse
-// (DESIGN.md §13).
-//
-//hot:path
+// The record's string fields are substrings of line.
 func ParseCLF(line string) (Record, error) {
 	var rec Record
+	err := parseCLFInto(line, &rec)
+	return rec, err
+}
+
+// parseCLFInto is ParseCLF writing into *rec, so the chunked reader
+// parses each line straight into its slot of a recycled record slab.
+// Every field of *rec is overwritten; on error *rec holds whatever was
+// parsed before the fault.
+//
+// It runs once per input line: field splitting is hand-rolled (no
+// strings.Fields/Split) so parsing allocates nothing on success, and
+// the timestamp goes through the fixed-layout decoder parseCLFTime
+// before time.Parse (DESIGN.md §13).
+//
+//hot:path
+func parseCLFInto(line string, rec *Record) error {
+	*rec = Record{}
 	rest := strings.TrimSpace(line)
 	if rest == "" {
-		return rec, fmt.Errorf("%w: empty line", ErrMalformed)
+		return fmt.Errorf("%w: empty line", ErrMalformed)
 	}
 	// host
 	sp := strings.IndexByte(rest, ' ')
 	if sp < 0 {
-		return rec, fmt.Errorf("%w: missing fields", ErrMalformed)
+		return fmt.Errorf("%w: missing fields", ErrMalformed)
 	}
 	rec.Host = rest[:sp]
 	rest = rest[sp+1:]
@@ -116,34 +127,34 @@ func ParseCLF(line string) (Record, error) {
 	for i := 0; i < 2; i++ {
 		sp = strings.IndexByte(rest, ' ')
 		if sp < 0 {
-			return rec, fmt.Errorf("%w: missing ident/authuser", ErrMalformed)
+			return fmt.Errorf("%w: missing ident/authuser", ErrMalformed)
 		}
 		rest = rest[sp+1:]
 	}
 	// [date]
 	if len(rest) == 0 || rest[0] != '[' {
-		return rec, fmt.Errorf("%w: missing timestamp bracket", ErrMalformed)
+		return fmt.Errorf("%w: missing timestamp bracket", ErrMalformed)
 	}
 	end := strings.IndexByte(rest, ']')
 	if end < 0 {
-		return rec, fmt.Errorf("%w: unterminated timestamp", ErrMalformed)
+		return fmt.Errorf("%w: unterminated timestamp", ErrMalformed)
 	}
 	ts, ok := parseCLFTime(rest[1:end])
 	if !ok {
 		var err error
 		if ts, err = time.Parse(clfTime, rest[1:end]); err != nil {
-			return rec, fmt.Errorf("%w: timestamp %q: %v", ErrMalformed, rest[1:end], err)
+			return fmt.Errorf("%w: timestamp %q: %v", ErrMalformed, rest[1:end], err)
 		}
 	}
 	rec.Time = ts
 	rest = strings.TrimPrefix(rest[end+1:], " ")
 	// "request"
 	if len(rest) == 0 || rest[0] != '"' {
-		return rec, fmt.Errorf("%w: missing request quote", ErrMalformed)
+		return fmt.Errorf("%w: missing request quote", ErrMalformed)
 	}
 	end = strings.IndexByte(rest[1:], '"')
 	if end < 0 {
-		return rec, fmt.Errorf("%w: unterminated request", ErrMalformed)
+		return fmt.Errorf("%w: unterminated request", ErrMalformed)
 	}
 	request := rest[1 : 1+end]
 	// The request must be exactly three space-separated parts (empty
@@ -151,15 +162,15 @@ func ParseCLF(line string) (Record, error) {
 	// index keeps the hot parse path free of intermediate slices.
 	sp1 := strings.IndexByte(request, ' ')
 	if sp1 < 0 {
-		return rec, fmt.Errorf("%w: request line %q", ErrMalformed, request)
+		return fmt.Errorf("%w: request line %q", ErrMalformed, request)
 	}
 	sp2 := strings.IndexByte(request[sp1+1:], ' ')
 	if sp2 < 0 {
-		return rec, fmt.Errorf("%w: request line %q", ErrMalformed, request)
+		return fmt.Errorf("%w: request line %q", ErrMalformed, request)
 	}
 	sp2 += sp1 + 1
 	if strings.IndexByte(request[sp2+1:], ' ') >= 0 {
-		return rec, fmt.Errorf("%w: request line %q", ErrMalformed, request)
+		return fmt.Errorf("%w: request line %q", ErrMalformed, request)
 	}
 	rec.Method, rec.Path, rec.Proto = request[:sp1], request[sp1+1:sp2], request[sp2+1:]
 	rest = strings.TrimPrefix(rest[end+2:], " ")
@@ -169,11 +180,11 @@ func ParseCLF(line string) (Record, error) {
 	statusField, next := nextField(rest, 0)
 	bytesField, _ := nextField(rest, next)
 	if statusField == "" || bytesField == "" {
-		return rec, fmt.Errorf("%w: missing status/bytes", ErrMalformed)
+		return fmt.Errorf("%w: missing status/bytes", ErrMalformed)
 	}
 	status, err := strconv.Atoi(statusField)
 	if err != nil || status < 100 || status > 599 {
-		return rec, fmt.Errorf("%w: status %q", ErrMalformed, statusField)
+		return fmt.Errorf("%w: status %q", ErrMalformed, statusField)
 	}
 	rec.Status = status
 	if bytesField == "-" {
@@ -181,11 +192,11 @@ func ParseCLF(line string) (Record, error) {
 	} else {
 		b, err := strconv.ParseInt(bytesField, 10, 64)
 		if err != nil || b < 0 {
-			return rec, fmt.Errorf("%w: bytes %q", ErrMalformed, bytesField)
+			return fmt.Errorf("%w: bytes %q", ErrMalformed, bytesField)
 		}
 		rec.Bytes = b
 	}
-	return rec, nil
+	return nil
 }
 
 // nextField returns the first whitespace-delimited field of s at or

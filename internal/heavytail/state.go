@@ -15,13 +15,23 @@ type ReservoirState struct {
 
 // State captures the reservoir for checkpointing.
 func (r *Reservoir) State() ReservoirState {
-	items := make([]float64, len(r.items))
-	copy(items, r.items)
+	var st ReservoirState
+	r.StateInto(&st)
+	return st
+}
+
+// StateInto captures the reservoir into dst, reusing the capacity of
+// dst.Items: a caller that captures repeatedly into the same image
+// allocates only the generator state.
+func (r *Reservoir) StateInto(dst *ReservoirState) {
 	rng, err := r.pcg.MarshalBinary()
 	if err != nil {
 		panic(err) // PCG marshalling cannot fail
 	}
-	return ReservoirState{Cap: r.cap, Seen: r.seen, RNG: rng, Items: items}
+	dst.Cap = r.cap
+	dst.Seen = r.seen
+	dst.RNG = rng
+	dst.Items = append(dst.Items[:0], r.items...)
 }
 
 // RestoreReservoir rebuilds a reservoir from a checkpointed state,
@@ -57,12 +67,18 @@ type OnlineHillState struct {
 
 // State captures the estimator for checkpointing.
 func (h *OnlineHill) State() OnlineHillState {
-	return OnlineHillState{
-		Res:          h.res.State(),
-		TailFraction: h.tailFraction,
-		RelTol:       h.relTol,
-		Dropped:      h.dropped,
-	}
+	var st OnlineHillState
+	h.StateInto(&st)
+	return st
+}
+
+// StateInto captures the estimator into dst, reusing its reservoir
+// image's capacity (Reservoir.StateInto).
+func (h *OnlineHill) StateInto(dst *OnlineHillState) {
+	h.res.StateInto(&dst.Res)
+	dst.TailFraction = h.tailFraction
+	dst.RelTol = h.relTol
+	dst.Dropped = h.dropped
 }
 
 // RestoreOnlineHill rebuilds an OnlineHill from a checkpointed state.

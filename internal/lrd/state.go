@@ -1,6 +1,9 @@
 package lrd
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // AggVarState is the checkpointable image of an OnlineAggVar: every
 // dyadic level's partially filled block and Welford moments, verbatim.
@@ -21,9 +24,18 @@ type AggLevelState struct {
 
 // State captures the estimator for checkpointing.
 func (o *OnlineAggVar) State() AggVarState {
-	st := AggVarState{Levels: make([]AggLevelState, len(o.levels)), N: o.n}
+	var st AggVarState
+	o.StateInto(&st)
+	return st
+}
+
+// StateInto captures the estimator into dst, reusing the capacity of
+// dst.Levels.
+func (o *OnlineAggVar) StateInto(dst *AggVarState) {
+	dst.Levels = slices.Grow(dst.Levels[:0], len(o.levels))[:len(o.levels)]
+	dst.N = o.n
 	for j, l := range o.levels {
-		st.Levels[j] = AggLevelState{
+		dst.Levels[j] = AggLevelState{
 			Width:   l.width,
 			Partial: l.partial,
 			Filled:  l.filled,
@@ -32,7 +44,6 @@ func (o *OnlineAggVar) State() AggVarState {
 			M2:      l.m2,
 		}
 	}
-	return st
 }
 
 // RestoreOnlineAggVar rebuilds an OnlineAggVar from a checkpointed

@@ -25,20 +25,26 @@ type StreamerState struct {
 
 // State captures the streamer for checkpointing.
 func (s *Streamer) State() StreamerState {
-	st := StreamerState{
-		Threshold:  s.threshold,
-		Active:     make([]Session, 0, len(s.active)),
-		LastTime:   s.lastTime,
-		SawAny:     s.sawAny,
-		Opened:     s.opened,
-		PeakActive: s.peakActive,
-		Clamped:    s.clamped,
-	}
-	for n := s.head; n != nil; n = n.next {
-		st.Active = append(st.Active, n.Session)
-	}
-	slices.SortFunc(st.Active, func(a, b Session) int { return strings.Compare(a.Host, b.Host) })
+	st := StreamerState{Active: make([]Session, 0, len(s.active))}
+	s.StateInto(&st)
 	return st
+}
+
+// StateInto captures the streamer into dst, reusing the capacity of
+// dst.Active. The sessions' hosts are shared, not copied: strings are
+// immutable and every host is already the streamer's own clone.
+func (s *Streamer) StateInto(dst *StreamerState) {
+	dst.Threshold = s.threshold
+	dst.Active = dst.Active[:0]
+	for n := s.head; n != nil; n = n.next {
+		dst.Active = append(dst.Active, n.Session)
+	}
+	slices.SortFunc(dst.Active, func(a, b Session) int { return strings.Compare(a.Host, b.Host) })
+	dst.LastTime = s.lastTime
+	dst.SawAny = s.sawAny
+	dst.Opened = s.opened
+	dst.PeakActive = s.peakActive
+	dst.Clamped = s.clamped
 }
 
 // RestoreStreamer rebuilds a streamer from a checkpointed state. It

@@ -137,17 +137,9 @@ func (r *arrivalRing) series() *ArrivalSeries {
 	if !r.started {
 		return nil
 	}
-	s := &ArrivalSeries{
-		Start:    r.last - int64(r.n) + 1,
-		Requests: make([]float64, r.n),
-		Sessions: make([]float64, r.n),
-	}
-	for i := 0; i < r.n; i++ {
-		idx := mod(s.Start+int64(i), r.capW)
-		s.Requests[i] = r.req[idx]
-		s.Sessions[i] = r.sess[idx]
-	}
-	return s
+	st := arrivalState{Requests: make([]float64, 0, r.n), Sessions: make([]float64, 0, r.n)}
+	r.stateInto(&st)
+	return &ArrivalSeries{Start: r.last - int64(r.n) + 1, Requests: st.Requests, Sessions: st.Sessions}
 }
 
 // arrivalState is the checkpointable image of an arrivalRing: the
@@ -159,13 +151,31 @@ type arrivalState struct {
 	Sessions []float64
 }
 
+// state captures the ring into a fresh image. The engine captures
+// through stateInto; state is the anchor statesync proves the
+// checkpoint codec against.
 func (r *arrivalRing) state() arrivalState {
-	st := arrivalState{Last: r.last, Started: r.started}
-	if s := r.series(); s != nil {
-		st.Requests = s.Requests
-		st.Sessions = s.Sessions
-	}
+	var st arrivalState
+	r.stateInto(&st)
 	return st
+}
+
+// stateInto captures the ring into dst in chronological order,
+// reusing the capacity of dst's slices.
+func (r *arrivalRing) stateInto(dst *arrivalState) {
+	dst.Last = r.last
+	dst.Started = r.started
+	dst.Requests = dst.Requests[:0]
+	dst.Sessions = dst.Sessions[:0]
+	if !r.started {
+		return
+	}
+	start := r.last - int64(r.n) + 1
+	for i := 0; i < r.n; i++ {
+		idx := mod(start+int64(i), r.capW)
+		dst.Requests = append(dst.Requests, r.req[idx])
+		dst.Sessions = append(dst.Sessions, r.sess[idx])
+	}
 }
 
 func (r *arrivalRing) restore(st arrivalState) error {

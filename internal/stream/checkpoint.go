@@ -14,8 +14,10 @@ import (
 	"bytes"
 	"context"
 	"crypto/sha256"
+	"encoding/binary"
 	"encoding/hex"
 	"fmt"
+	"hash"
 	"io"
 	"os"
 	"time"
@@ -110,8 +112,22 @@ type secondState struct {
 	Flushed bool
 }
 
+// state captures the tracker into a fresh image. The engine captures
+// through stateInto; state is the anchor statesync proves the
+// checkpoint codec against.
 func (t *secondTracker) state() secondState {
-	return secondState{Est: t.est.State(), Cur: t.cur, Count: t.count, Started: t.started, Flushed: t.flushed}
+	var st secondState
+	t.stateInto(&st)
+	return st
+}
+
+// stateInto captures the tracker into dst, reusing its level slice.
+func (t *secondTracker) stateInto(dst *secondState) {
+	t.est.StateInto(&dst.Est)
+	dst.Cur = t.cur
+	dst.Count = t.count
+	dst.Started = t.started
+	dst.Flushed = t.flushed
 }
 
 func (t *secondTracker) restore(st secondState) error {
@@ -172,41 +188,59 @@ func (cp *Checkpoint) SkipLines() int64 { return cp.state.Lines }
 // re-processed rejects are not duplicated.
 func (cp *Checkpoint) QuarantineOffset() int64 { return cp.state.QuarantineOffset }
 
-// state captures the engine.
+// state captures the engine into a fresh image. Like every capture it
+// shares the quantile levels with the live sketches, so it is for
+// encoding, never for editing.
 func (e *Engine) state() engineState {
-	st := engineState{
-		Config:       fingerprint(e.cfg),
-		Lines:        e.lines,
-		Records:      e.records,
-		Bytes:        e.bytes,
-		Started:      e.started,
-		FirstTime:    e.firstTime,
-		LastTime:     e.lastTime,
-		NextSnapshot: e.nextSnapshot,
-		Snapshots:    e.snapshots,
-		Ingest:       e.ingest.detached(),
-		ReqArr:       e.reqArr.state(),
-		SessArr:      e.sessArr.state(),
-		Streamer:     e.streamer.State(),
-		Closed:       e.closed,
-		Chars:        make([]charCheckpoint, 0, len(e.chars)),
-	}
-	if e.arrivals != nil {
-		ast := e.arrivals.state()
-		st.Arrivals = &ast
-	}
-	if e.quar != nil {
-		st.QuarantineOffset = e.quar.N
-	}
-	for _, c := range e.chars {
-		st.Chars = append(st.Chars, charCheckpoint{
-			Name:    c.name,
-			Moments: c.moments.State(),
-			Quant:   c.quant.State(),
-			Hill:    c.hill.State(),
-		})
-	}
+	var st engineState
+	e.captureInto(&st)
 	return st
+}
+
+// captureInto captures the engine into dst, reusing the capacity of
+// every slice an earlier capture left there: the reservoirs, quantile
+// buffers and level lists, open sessions, arrival ring and aggregated-
+// variance levels. The quantile levels themselves are shared, not
+// copied (QuantileSketch.stateInto). Recaptured into the same image, it
+// allocates only the reservoirs' generator states.
+func (e *Engine) captureInto(dst *engineState) {
+	dst.Config = fingerprint(e.cfg)
+	dst.Lines = e.lines
+	dst.QuarantineOffset = 0
+	if e.quar != nil {
+		dst.QuarantineOffset = e.quar.N
+	}
+	dst.Records = e.records
+	dst.Bytes = e.bytes
+	dst.Started = e.started
+	dst.FirstTime = e.firstTime
+	dst.LastTime = e.lastTime
+	dst.NextSnapshot = e.nextSnapshot
+	dst.Snapshots = e.snapshots
+	e.ingest.detachInto(&dst.Ingest)
+	e.reqArr.stateInto(&dst.ReqArr)
+	e.sessArr.stateInto(&dst.SessArr)
+	if e.arrivals == nil {
+		dst.Arrivals = nil
+	} else {
+		if dst.Arrivals == nil {
+			dst.Arrivals = new(arrivalState)
+		}
+		e.arrivals.stateInto(dst.Arrivals)
+	}
+	e.streamer.StateInto(&dst.Streamer)
+	dst.Closed = e.closed
+	if cap(dst.Chars) < len(e.chars) {
+		dst.Chars = make([]charCheckpoint, len(e.chars))
+	}
+	dst.Chars = dst.Chars[:len(e.chars)]
+	for i, c := range e.chars {
+		cc := &dst.Chars[i]
+		cc.Name = c.name
+		cc.Moments = c.moments.State()
+		c.quant.stateInto(&cc.Quant)
+		c.hill.StateInto(&cc.Hill)
+	}
 }
 
 // WriteCheckpoint serializes the engine: a one-line header binding the
@@ -235,62 +269,175 @@ func checkpointHeader(sum [sha256.Size]byte) string {
 // destination plus hash.
 const payloadBuffer = 64 << 10
 
-// encodePayload writes the payload of a captured state to w and
-// returns its SHA-256.
-func encodePayload(w io.Writer, st *engineState) (sum [sha256.Size]byte, err error) {
-	h := sha256.New()
-	if err := encodeState(bufio.NewWriterSize(io.MultiWriter(w, h), payloadBuffer), st); err != nil {
+// encodePayload writes the payload of a captured state to w through a
+// fresh encoder and returns its SHA-256.
+func encodePayload(w io.Writer, st *engineState) ([sha256.Size]byte, error) {
+	return newPayloadEncoder().encode(w, st)
+}
+
+// payloadEncoder encodes payloads through one buffered writer, one
+// SHA-256 state and one codec scratch buffer, reset for each payload,
+// so a writer that keeps it allocates none of them per checkpoint.
+type payloadEncoder struct {
+	dst   io.Writer
+	hash  hash.Hash
+	codec ckptCodec
+}
+
+func newPayloadEncoder() *payloadEncoder {
+	p := &payloadEncoder{hash: sha256.New()}
+	p.codec = ckptCodec{enc: true, w: bufio.NewWriterSize(p, payloadBuffer), tmp: make([]byte, 0, binary.MaxVarintLen64)}
+	return p
+}
+
+// Write is the buffered writer's sink: every byte goes to the
+// destination and into the hash.
+func (p *payloadEncoder) Write(b []byte) (int, error) {
+	n, err := p.dst.Write(b)
+	p.hash.Write(b[:n])
+	return n, err
+}
+
+// encode writes the payload of a captured state to dst and returns its
+// SHA-256.
+func (p *payloadEncoder) encode(dst io.Writer, st *engineState) (sum [sha256.Size]byte, err error) {
+	p.dst = dst
+	p.hash.Reset()
+	p.codec.w.Reset(p)
+	if err := p.codec.encode(st); err != nil {
 		return sum, fmt.Errorf("stream: encoding checkpoint: %w", err)
 	}
-	h.Sum(sum[:0])
+	p.hash.Sum(sum[:0])
 	return sum, nil
 }
 
-// SaveCheckpoint writes the checkpoint atomically: a temp file in the
-// target directory, fsynced, then renamed over the destination — a
-// crash mid-write leaves the previous checkpoint intact.
-func (e *Engine) SaveCheckpoint(path string) error {
-	st := e.state()
-	return saveCheckpoint(path, &st)
+// checkpointWriter persists captured engine states off the fold
+// goroutine. Its one goroutine encodes, hashes, writes, fsyncs and
+// renames each capture while the fold carries on, at most one write in
+// flight. A capture taken while a write is in flight becomes the
+// pending capture, replacing (superseding) any earlier pending one,
+// and goes to the writer once it is idle: the newest capture wins, and
+// a superseded one is never written. At most two images circulate —
+// the one in flight and the pending or free one — and the writer hands
+// each back with its result for the next capture to refill, so
+// captures at consecutive chunks allocate next to nothing. A chunk
+// that folds with the writer idle and nothing to capture releases
+// them: between sparse captures no image stays live. Results come
+// back through done, read only by the fold goroutine, so checkpoint
+// telemetry advances once a rename has committed and never before.
+type checkpointWriter struct {
+	path   string
+	tmp    string
+	jobs   chan *engineState     // capacity 1: handed over only to an idle writer
+	done   chan checkpointResult // capacity 1: the writer never blocks on it
+	exited chan struct{}
+	// hold, when non-nil, keeps the first write from starting until it
+	// is closed: a test seam for a writer that falls behind the fold.
+	hold <-chan struct{}
+	// enc is the writer goroutine's encoder, kept across writes.
+	enc *payloadEncoder
+
+	// The fold goroutine's view. busy: an image was handed over and its
+	// result not yet collected. pending: the newest capture, not yet
+	// handed over. free: images neither in flight nor pending. commits
+	// and superseded count committed writes and replaced captures.
+	busy       bool
+	pending    *engineState
+	free       []*engineState
+	commits    *obs.Counter
+	superseded *obs.Counter
 }
 
-// saveCheckpoint is SaveCheckpoint for a captured state.
-func saveCheckpoint(path string, st *engineState) error {
-	tmp := path + ".tmp"
-	f, err := os.Create(tmp)
+// checkpointResult is one finished write: the image it wrote, returned
+// for reuse, and the write's error.
+type checkpointResult struct {
+	st  *engineState
+	err error
+}
+
+// newCheckpointWriter builds the writer for one ProcessCtx call; start
+// launches it, and the caller must join it with joinCheckpointWriter
+// on every return path.
+func newCheckpointWriter(path string) *checkpointWriter {
+	return &checkpointWriter{
+		path:   path,
+		tmp:    path + ".tmp",
+		jobs:   make(chan *engineState, 1),
+		done:   make(chan checkpointResult, 1),
+		exited: make(chan struct{}),
+		enc:    newPayloadEncoder(),
+		free:   make([]*engineState, 0, 2),
+	}
+}
+
+// start registers the writer's counters and launches its goroutine (a
+// no-op for a nil writer).
+func (w *checkpointWriter) start(ctx context.Context) {
+	if w == nil {
+		return
+	}
+	reg := obs.MetricsFrom(ctx)
+	w.commits = reg.Counter("stream.checkpoints")
+	w.superseded = reg.Counter("stream.checkpoints_superseded")
+	//lint:allow rawgo checkpoint persistence, not an analysis fan-out; one goroutine that ProcessCtx joins on every return path
+	go w.run(ctx)
+}
+
+// run is the writer goroutine: one atomic write per handed-over
+// capture, in order, until the jobs channel closes.
+func (w *checkpointWriter) run(ctx context.Context) {
+	defer close(w.exited)
+	for st := range w.jobs {
+		if w.hold != nil {
+			<-w.hold
+			w.hold = nil
+		}
+		_, sp := obs.StartSpan(ctx, "stream.checkpoint_write")
+		sp.SetInt("lines", st.Lines)
+		err := w.save(st)
+		sp.End()
+		w.done <- checkpointResult{st: st, err: err}
+	}
+}
+
+// save writes a captured state atomically: a temp file in the target
+// directory, fsynced, then renamed over the destination — a crash
+// mid-write leaves the previous checkpoint intact.
+func (w *checkpointWriter) save(st *engineState) error {
+	f, err := os.Create(w.tmp)
 	if err != nil {
 		return fmt.Errorf("stream: creating checkpoint: %w", err)
 	}
-	if err := writeCheckpointFile(f, st); err != nil {
+	if err := w.writeFile(f, st); err != nil {
 		f.Close()
-		os.Remove(tmp)
+		os.Remove(w.tmp)
 		return err
 	}
 	if err := f.Sync(); err != nil {
 		f.Close()
-		os.Remove(tmp)
+		os.Remove(w.tmp)
 		return fmt.Errorf("stream: syncing checkpoint: %w", err)
 	}
 	if err := f.Close(); err != nil {
-		os.Remove(tmp)
+		os.Remove(w.tmp)
 		return fmt.Errorf("stream: closing checkpoint: %w", err)
 	}
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
+	if err := os.Rename(w.tmp, w.path); err != nil {
+		os.Remove(w.tmp)
 		return fmt.Errorf("stream: committing checkpoint: %w", err)
 	}
 	return nil
 }
 
-// writeCheckpointFile writes a captured state to f in the
-// WriteCheckpoint format without holding a copy of the payload: it
-// streams into the file behind a placeholder header of the same
-// length, overwritten once the sum is known.
-func writeCheckpointFile(f *os.File, st *engineState) error {
+// writeFile writes a captured state to f in the WriteCheckpoint format
+// without holding a copy of the payload: it streams into the file
+// behind a placeholder header of the same length, overwritten once the
+// sum is known.
+func (w *checkpointWriter) writeFile(f *os.File, st *engineState) error {
 	if _, err := f.WriteString(checkpointHeader([sha256.Size]byte{})); err != nil {
 		return err
 	}
-	sum, err := encodePayload(f, st)
+	sum, err := w.enc.encode(f, st)
 	if err != nil {
 		return err
 	}
@@ -298,62 +445,13 @@ func writeCheckpointFile(f *os.File, st *engineState) error {
 	return err
 }
 
-// checkpointWriter persists captured engine states off the fold
-// goroutine. Its one goroutine encodes, hashes, writes, fsyncs and
-// renames each capture while the fold carries on; at most one write is
-// in flight, because the fold settles the previous write before it
-// hands over the next capture. Results come back through done, read
-// only by the fold goroutine, so checkpoint telemetry advances once a
-// rename has committed and never before.
-type checkpointWriter struct {
-	path   string
-	jobs   chan *engineState
-	done   chan checkpointResult // capacity 1: the writer never blocks on it
-	exited chan struct{}
-	// busy is the fold goroutine's view: a capture was handed over and
-	// its result not yet settled.
-	busy bool
-}
-
-// checkpointResult is one finished write: the raw-line position the
-// capture recorded, and the write's error.
-type checkpointResult struct {
-	lines int64
-	err   error
-}
-
-// startCheckpointWriter starts the writer for one ProcessCtx call; the
-// caller must join it with joinCheckpointWriter on every return path.
-func startCheckpointWriter(ctx context.Context, path string) *checkpointWriter {
-	w := &checkpointWriter{
-		path:   path,
-		jobs:   make(chan *engineState),
-		done:   make(chan checkpointResult, 1),
-		exited: make(chan struct{}),
-	}
-	//lint:allow rawgo checkpoint persistence, not an analysis fan-out; one goroutine that ProcessCtx joins on every return path
-	go w.run(ctx)
-	return w
-}
-
-// run is the writer goroutine: one atomic write per capture, in
-// order, until the jobs channel closes.
-func (w *checkpointWriter) run(ctx context.Context) {
-	defer close(w.exited)
-	for st := range w.jobs {
-		_, sp := obs.StartSpan(ctx, "stream.checkpoint_write")
-		sp.SetInt("lines", st.Lines)
-		err := saveCheckpoint(w.path, st)
-		sp.End()
-		w.done <- checkpointResult{lines: st.Lines, err: err}
-	}
-}
-
-// settleCheckpoint collects the in-flight write's result — waiting for
-// it when wait is set, otherwise only if it has already finished. A
-// commit advances the checkpoint telemetry and settles any pending
-// RequestCheckpoint; a failed write returns its error.
-func (e *Engine) settleCheckpoint(ctx context.Context, w *checkpointWriter, wait bool) error {
+// collectCheckpoint collects the in-flight write's result — waiting
+// for it when wait is set, otherwise only if it has already finished —
+// and puts its image back on the free list. A commit advances the
+// checkpoint telemetry and settles any pending RequestCheckpoint; a
+// failed write drops the pending capture, which is never written, and
+// returns its error.
+func (e *Engine) collectCheckpoint(w *checkpointWriter, wait bool) error {
 	if !w.busy {
 		return nil
 	}
@@ -368,62 +466,103 @@ func (e *Engine) settleCheckpoint(ctx context.Context, w *checkpointWriter, wait
 		}
 	}
 	w.busy = false
+	w.free = append(w.free, res.st)
 	if res.err != nil {
+		if w.pending != nil {
+			w.free = append(w.free, w.pending)
+			w.pending = nil
+		}
 		return res.err
 	}
-	e.noteCheckpoint(res.lines)
+	e.noteCheckpoint(res.st.Lines)
 	e.ckptReq.Store(false)
-	obs.MetricsFrom(ctx).Counter("stream.checkpoints").Inc()
+	w.commits.Inc()
 	return nil
 }
 
+// handOver gives the pending capture to an idle writer.
+func (w *checkpointWriter) handOver() {
+	if w.busy || w.pending == nil {
+		return
+	}
+	w.jobs <- w.pending
+	w.pending = nil
+	w.busy = true
+}
+
 // checkpointAtChunk runs the checkpoint cadence after a folded chunk —
-// an exact line boundary. A chunk that crossed a snapshot boundary
-// always checkpoints; otherwise a pending RequestCheckpoint does, once
-// no write is in flight.
+// an exact line boundary. It never waits for the writer: it collects a
+// finished write, captures if the chunk crossed a snapshot boundary
+// (or, with nothing in flight or pending, if a RequestCheckpoint is
+// outstanding), and hands the pending capture to an idle writer. A
+// chunk with nothing to capture, nothing in flight and nothing pending
+// releases the free images.
 func (e *Engine) checkpointAtChunk(ctx context.Context, w *checkpointWriter, boundary bool) error {
 	if w == nil {
 		return nil
 	}
-	if err := e.settleCheckpoint(ctx, w, false); err != nil {
+	if err := e.collectCheckpoint(w, false); err != nil {
 		return err
 	}
-	if !boundary && (w.busy || !e.ckptReq.Load()) {
-		return nil
+	switch {
+	case boundary || (e.ckptReq.Load() && !w.busy && w.pending == nil):
+		if err := e.captureCheckpoint(ctx, w); err != nil {
+			return err
+		}
+	case !w.busy && w.pending == nil:
+		// Captures are sparse here: let the images go rather than hold
+		// them, live, until the next one.
+		clear(w.free)
+		w.free = w.free[:0]
 	}
-	return e.saveCheckpointCtx(ctx, w)
-}
-
-// saveCheckpointCtx consults the stream.checkpoint fault site, waits
-// for the previous write, captures the engine state and hands it to
-// the writer. The capture answers every RequestCheckpoint made before
-// it.
-func (e *Engine) saveCheckpointCtx(ctx context.Context, w *checkpointWriter) error {
-	if err := fpCheckpoint.Check(ctx); err != nil {
-		return fmt.Errorf("stream: checkpoint at line %d: %w", e.lines, err)
-	}
-	if err := e.settleCheckpoint(ctx, w, true); err != nil {
-		return err
-	}
-	e.ckptReq.Store(false)
-	_, sp := obs.StartSpan(ctx, "stream.checkpoint")
-	sp.SetInt("lines", e.lines)
-	st := e.state()
-	sp.End()
-	w.jobs <- &st
-	w.busy = true
+	w.handOver()
 	return nil
 }
 
-// joinCheckpointWriter stops the writer after its last write and
-// returns that write's error (nil for a nil writer).
-func (e *Engine) joinCheckpointWriter(ctx context.Context, w *checkpointWriter) error {
+// captureCheckpoint consults the stream.checkpoint fault site, then
+// captures the engine state as the pending capture: into the pending
+// image when there is one, superseding it, otherwise into a free
+// image. The capture answers every RequestCheckpoint made before it.
+func (e *Engine) captureCheckpoint(ctx context.Context, w *checkpointWriter) error {
+	if err := fpCheckpoint.Check(ctx); err != nil {
+		return fmt.Errorf("stream: checkpoint at line %d: %w", e.lines, err)
+	}
+	e.ckptReq.Store(false)
+	st := w.pending
+	switch n := len(w.free); {
+	case st != nil:
+		w.superseded.Inc()
+	case n > 0:
+		st, w.free = w.free[n-1], w.free[:n-1]
+	default:
+		st = new(engineState)
+	}
+	_, sp := obs.StartSpan(ctx, "stream.checkpoint")
+	sp.SetInt("lines", e.lines)
+	e.captureInto(st)
+	sp.End()
+	w.pending = st
+	return nil
+}
+
+// joinCheckpointWriter finishes the writer on every return path (a
+// no-op for a nil writer): it waits for the write in flight, then
+// writes the pending capture, then stops the writer, so the file holds
+// the last capture. It returns the failed write's error; a failure
+// drops the pending capture, as a writer that wrote every capture in
+// turn would have stopped there.
+func (e *Engine) joinCheckpointWriter(w *checkpointWriter) error {
 	if w == nil {
 		return nil
 	}
+	err := e.collectCheckpoint(w, true)
+	if w.pending != nil {
+		w.handOver()
+		err = e.collectCheckpoint(w, true)
+	}
 	close(w.jobs)
 	<-w.exited
-	return e.settleCheckpoint(ctx, w, true)
+	return err
 }
 
 // ReadCheckpoint parses and verifies a checkpoint stream: magic,

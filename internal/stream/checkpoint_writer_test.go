@@ -18,15 +18,18 @@ import (
 	"fullweb/internal/stream"
 )
 
-// spanCounter is a SpanSink counting span starts and ends by name.
+// spanCounter is a SpanSink counting span starts and ends by name and
+// keeping, per name, the "lines" attribute of every ended span in end
+// order.
 type spanCounter struct {
 	mu     sync.Mutex
 	starts map[string]int
 	ends   map[string]int
+	lines  map[string][]int64
 }
 
 func newSpanCounter() *spanCounter {
-	return &spanCounter{starts: map[string]int{}, ends: map[string]int{}}
+	return &spanCounter{starts: map[string]int{}, ends: map[string]int{}, lines: map[string][]int64{}}
 }
 
 func (c *spanCounter) SpanStart(d *obs.SpanData) {
@@ -37,8 +40,17 @@ func (c *spanCounter) SpanStart(d *obs.SpanData) {
 
 func (c *spanCounter) SpanEnd(d *obs.SpanData) {
 	c.mu.Lock()
+	defer c.mu.Unlock()
 	c.ends[d.Name]++
-	c.mu.Unlock()
+	for _, a := range d.Attrs {
+		if a.Key == "lines" {
+			n, err := strconv.ParseInt(a.Value, 10, 64)
+			if err != nil {
+				panic(err)
+			}
+			c.lines[d.Name] = append(c.lines[d.Name], n)
+		}
+	}
 }
 
 // counts returns the started and ended counts of one span name.
@@ -48,10 +60,72 @@ func (c *spanCounter) counts(name string) (started, ended int) {
 	return c.starts[name], c.ends[name]
 }
 
-// tracedCtx attaches a tracer feeding a fresh spanCounter.
-func tracedCtx(ctx context.Context) (context.Context, *spanCounter) {
+// linesOf returns the "lines" attributes of the ended spans of one
+// name, in end order.
+func (c *spanCounter) linesOf(name string) []int64 {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return append([]int64(nil), c.lines[name]...)
+}
+
+// tracedCtx attaches a tracer feeding a fresh spanCounter and a fresh
+// metrics registry.
+func tracedCtx(ctx context.Context) (context.Context, *spanCounter, *obs.Registry) {
 	c := newSpanCounter()
-	return obs.WithTracer(ctx, obs.NewTracer(nil, c)), c
+	reg := obs.NewRegistry()
+	return obs.WithMetrics(obs.WithTracer(ctx, obs.NewTracer(nil, c)), reg), c, reg
+}
+
+// writerTally is what one run's spans and counters say about its
+// checkpoint writer.
+type writerTally struct {
+	captures, writes, ended int
+	superseded, commits     int64
+}
+
+func tallyWriter(spans *spanCounter, reg *obs.Registry) writerTally {
+	var w writerTally
+	w.captures, _ = spans.counts("stream.checkpoint")
+	w.writes, w.ended = spans.counts("stream.checkpoint_write")
+	w.superseded = reg.Counter("stream.checkpoints_superseded").Value()
+	w.commits = reg.Counter("stream.checkpoints").Value()
+	return w
+}
+
+// check enforces the coalescing writer's accounting: every capture is
+// either written or superseded by a newer one, every write started has
+// ended, and every write committed.
+func (w writerTally) check() error {
+	if int64(w.writes)+w.superseded != int64(w.captures) || w.ended != w.writes || w.commits != int64(w.writes) {
+		return fmt.Errorf("captures %d, writes started %d (%d ended, %d committed), superseded %d",
+			w.captures, w.writes, w.ended, w.commits, w.superseded)
+	}
+	return nil
+}
+
+// referenceImage is WriteCheckpoint of an engine without a checkpoint
+// path, run over the fixture in the writer geometry and stopped after
+// the chunk that ends at raw line position lines.
+func referenceImage(t *testing.T, lines int64) []byte {
+	t.Helper()
+	cfg := writerCfg("")
+	ref := &imageAt{lines: lines}
+	cfg.Telemetry = ref
+	eng, err := stream.NewEngine(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref.eng = eng
+	if _, err := eng.ProcessCtx(context.Background(), bytes.NewReader(fixtureBytes(t)), nil); err != nil {
+		t.Fatal(err)
+	}
+	if ref.err != nil {
+		t.Fatal(ref.err)
+	}
+	if ref.image == nil {
+		t.Fatalf("no chunk ends at line %d", lines)
+	}
+	return ref.image
 }
 
 // writerCfg checkpoints hourly over the two-day fixture in 64-line
@@ -113,15 +187,17 @@ func (c *imageAt) PublishSnapshot(*stream.Snapshot) {}
 
 // TestCheckpointWriterCreateErrorJoined: a checkpoint path in a missing
 // directory fails the first write on the writer goroutine; ProcessCtx
-// must return that "creating checkpoint" error, and every write the
-// writer started must have finished before ProcessCtx returned.
+// must return that "creating checkpoint" error, the failure must stop
+// the writer (the pending capture is dropped, so the first write is
+// the only one), and every write the writer started must have finished
+// before ProcessCtx returned.
 func TestCheckpointWriterCreateErrorJoined(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "missing", "stream.ckpt")
 	eng, err := stream.NewEngine(writerCfg(path))
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctx, spans := tracedCtx(context.Background())
+	ctx, spans, _ := tracedCtx(context.Background())
 	_, err = eng.ProcessCtx(ctx, bytes.NewReader(fixtureBytes(t)), nil)
 	if err == nil || !strings.Contains(err.Error(), "creating checkpoint") {
 		t.Fatalf("ProcessCtx error = %v, want the writer's creating-checkpoint error", err)
@@ -130,8 +206,8 @@ func TestCheckpointWriterCreateErrorJoined(t *testing.T) {
 		t.Errorf("error %v does not wrap os.ErrNotExist", err)
 	}
 	started, ended := spans.counts("stream.checkpoint_write")
-	if started == 0 || started != ended {
-		t.Fatalf("checkpoint writes started %d, ended %d by return", started, ended)
+	if started != 1 || started != ended {
+		t.Fatalf("checkpoint writes started %d, ended %d by return; want the one failed write", started, ended)
 	}
 }
 
@@ -162,9 +238,11 @@ func TestCheckpointWriterCommitErrorSurfaces(t *testing.T) {
 // TestCheckpointWriterFinalImage: once ProcessCtx returns, the file on
 // disk is byte for byte what WriteCheckpoint gives for a reference
 // engine (no checkpoint path, same input and geometry) stopped after
-// the last chunk that crossed a snapshot boundary; and the published
-// telemetry counts exactly the committed checkpoints, never one that
-// is not on disk yet.
+// the last chunk that crossed a snapshot boundary — the last capture.
+// Captures taken while a write is in flight coalesce, so not every
+// capture is written: each is written or superseded, exactly once.
+// The published telemetry counts exactly the committed writes, never
+// one that is not on disk yet.
 func TestCheckpointWriterFinalImage(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "stream.ckpt")
 	cfg := writerCfg(path)
@@ -174,7 +252,7 @@ func TestCheckpointWriterFinalImage(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctx, spans := tracedCtx(context.Background())
+	ctx, spans, reg := tracedCtx(context.Background())
 	if _, err := eng.ProcessCtx(ctx, bytes.NewReader(fixtureBytes(t)), nil); err != nil {
 		t.Fatal(err)
 	}
@@ -189,75 +267,76 @@ func TestCheckpointWriterFinalImage(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	refCfg := writerCfg("")
-	ref := &imageAt{lines: cp.SkipLines()}
-	refCfg.Telemetry = ref
-	refEng, err := stream.NewEngine(refCfg)
-	if err != nil {
-		t.Fatal(err)
+	captured := spans.linesOf("stream.checkpoint")
+	if len(captured) == 0 || cp.SkipLines() != captured[len(captured)-1] {
+		t.Fatalf("checkpoint on disk at line %d, captures at %v", cp.SkipLines(), captured)
 	}
-	ref.eng = refEng
-	if _, err := refEng.ProcessCtx(context.Background(), bytes.NewReader(fixtureBytes(t)), nil); err != nil {
-		t.Fatal(err)
-	}
-	if ref.err != nil {
-		t.Fatal(ref.err)
-	}
-	if !bytes.Equal(got, ref.image) {
+	if ref := referenceImage(t, cp.SkipLines()); !bytes.Equal(got, ref) {
 		t.Fatalf("checkpoint on disk (%d bytes) differs from the reference image at line %d (%d bytes)",
-			len(got), cp.SkipLines(), len(ref.image))
+			len(got), cp.SkipLines(), len(ref))
 	}
 
-	// One checkpoint per chunk that crossed a snapshot boundary: every
+	// One capture per chunk that crossed a snapshot boundary: every
 	// periodic snapshot but those sharing a chunk with an earlier one.
-	captures, _ := spans.counts("stream.checkpoint")
-	writes, ended := spans.counts("stream.checkpoint_write")
-	if captures == 0 || writes != captures || ended != writes {
-		t.Fatalf("captures %d, writes started %d, ended %d", captures, writes, ended)
+	w := tallyWriter(spans, reg)
+	if err := w.check(); err != nil {
+		t.Fatal(err)
 	}
-	if periodic := eng.Snapshots() - 1; int64(captures) > periodic {
-		t.Errorf("%d checkpoints for %d periodic snapshots", captures, periodic)
+	if periodic := eng.Snapshots() - 1; int64(w.captures) > periodic {
+		t.Errorf("%d checkpoints for %d periodic snapshots", w.captures, periodic)
 	}
-	if rt.rt.Checkpoints != int64(captures) || rt.rt.LastCheckpointLine != cp.SkipLines() {
+	if rt.rt.Checkpoints != int64(w.writes) || rt.rt.LastCheckpointLine != cp.SkipLines() {
 		t.Errorf("telemetry reports %d checkpoints up to line %d, want %d up to %d",
-			rt.rt.Checkpoints, rt.rt.LastCheckpointLine, captures, cp.SkipLines())
+			rt.rt.Checkpoints, rt.rt.LastCheckpointLine, w.writes, cp.SkipLines())
 	}
 }
 
 // TestCheckpointFaultBeforeCapture: the stream.checkpoint fault site
 // fires on the fold goroutine before the state is captured — the
 // first hit leaves no capture, no write and no file; a later hit
-// leaves exactly the earlier captures, all written.
+// leaves exactly the earlier captures, each written or superseded, and
+// the file holds the last of them.
 func TestCheckpointFaultBeforeCapture(t *testing.T) {
-	for _, hit := range []int{1, 4} {
+	for _, hit := range []int{1, 2, 4, 9} {
 		path := filepath.Join(t.TempDir(), "stream.ckpt")
 		eng, err := stream.NewEngine(writerCfg(path))
 		if err != nil {
 			t.Fatal(err)
 		}
-		ctx, spans := tracedCtx(faultCtx(t, "stream.checkpoint=hit:"+strconv.Itoa(hit)))
+		ctx, spans, reg := tracedCtx(faultCtx(t, "stream.checkpoint=hit:"+strconv.Itoa(hit)))
 		_, err = eng.ProcessCtx(ctx, bytes.NewReader(fixtureBytes(t)), nil)
 		if !faultpoint.IsFault(err) {
 			t.Fatalf("hit %d: ProcessCtx error = %v, want the injected fault", hit, err)
 		}
-		captures, _ := spans.counts("stream.checkpoint")
-		writes, ended := spans.counts("stream.checkpoint_write")
-		if captures != hit-1 || writes != hit-1 || ended != writes {
-			t.Errorf("hit %d: captures %d, writes %d (%d ended), want %d", hit, captures, writes, ended, hit-1)
+		w := tallyWriter(spans, reg)
+		if w.captures != hit-1 {
+			t.Errorf("hit %d: %d captures, want %d", hit, w.captures, hit-1)
 		}
-		_, statErr := os.Stat(path)
+		if err := w.check(); err != nil {
+			t.Errorf("hit %d: %v", hit, err)
+		}
+		got, statErr := os.ReadFile(path)
 		if exists := statErr == nil; exists != (hit > 1) {
 			t.Errorf("hit %d: checkpoint file exists = %v", hit, exists)
+		}
+		if hit == 1 || statErr != nil {
+			continue
+		}
+		captured := spans.linesOf("stream.checkpoint")
+		if ref := referenceImage(t, captured[hit-2]); !bytes.Equal(got, ref) {
+			t.Errorf("hit %d: checkpoint on disk differs from the image of capture %d (line %d)", hit, hit-1, captured[hit-2])
 		}
 	}
 }
 
-// TestResumeFromPipelinedCheckpoints crashes the engine at every chunk
-// fold in turn — each crash lands while the previous chunk's checkpoint
-// write may still be in flight — resumes from whatever checkpoint the
-// writer left, and requires every periodic and final block the resumed
-// run prints to match the uninterrupted run from that point on.
+// TestResumeFromPipelinedCheckpoints is the crash matrix over the
+// engine's fault sites: it crashes at every hit of stream.fold,
+// stream.checkpoint and stream.snapshot in turn — each crash lands
+// while a checkpoint write may be in flight and a newer capture
+// pending — and requires the file to hold the last capture before the
+// crash. It resumes from that file and requires every periodic and
+// final block the resumed run prints to match the uninterrupted run
+// from that point on.
 func TestResumeFromPipelinedCheckpoints(t *testing.T) {
 	text := fixtureBytes(t)
 	base, err := stream.NewEngine(writerCfg(""))
@@ -266,37 +345,56 @@ func TestResumeFromPipelinedCheckpoints(t *testing.T) {
 	}
 	want, _ := renderAll(t, base, context.Background(), text)
 
-	chunks := 0
-	for i := 0; i < len(text); i++ {
-		if text[i] == '\n' {
-			chunks++
-		}
+	// The hit counts of an uninterrupted checkpointing run.
+	full, err := stream.NewEngine(writerCfg(filepath.Join(t.TempDir(), "stream.ckpt")))
+	if err != nil {
+		t.Fatal(err)
 	}
-	chunks = (chunks + 63) / 64
-	for hit := 2; hit <= chunks; hit++ {
-		path := filepath.Join(t.TempDir(), "stream.ckpt")
-		eng, err := stream.NewEngine(writerCfg(path))
-		if err != nil {
-			t.Fatal(err)
+	ctx, spans, _ := tracedCtx(context.Background())
+	if _, err := full.ProcessCtx(ctx, bytes.NewReader(text), nil); err != nil {
+		t.Fatal(err)
+	}
+	folds, _ := spans.counts("stream.fold_chunk")
+	captures, _ := spans.counts("stream.checkpoint")
+	hits := map[string]int{
+		"stream.fold":       folds,
+		"stream.checkpoint": captures,
+		"stream.snapshot":   int(full.Snapshots() - 1),
+	}
+	for _, site := range []string{"stream.fold", "stream.checkpoint", "stream.snapshot"} {
+		if hits[site] < 2 {
+			t.Fatalf("%s: only %d hits in the uninterrupted run", site, hits[site])
 		}
-		spec := "stream.fold=hit:" + strconv.Itoa(hit)
-		if _, err := eng.ProcessCtx(faultCtx(t, spec), bytes.NewReader(text), nil); !faultpoint.IsFault(err) {
-			t.Fatalf("%s: crashed run returned %v", spec, err)
-		}
-		cp, err := stream.LoadCheckpoint(path)
-		if errors.Is(err, os.ErrNotExist) {
-			continue // crashed before the first snapshot boundary
-		}
-		if err != nil {
-			t.Fatalf("%s: %v", spec, err)
-		}
-		resumed, err := stream.ResumeEngine(writerCfg(path), cp)
-		if err != nil {
-			t.Fatalf("%s: %v", spec, err)
-		}
-		got, _ := renderAll(t, resumed, context.Background(), text)
-		if got == "" || !strings.HasSuffix(want, got) {
-			t.Fatalf("%s: resumed from line %d, output is not the uninterrupted run's tail", spec, cp.SkipLines())
+		for hit := 1; hit <= hits[site]; hit++ {
+			spec := site + "=hit:" + strconv.Itoa(hit)
+			path := filepath.Join(t.TempDir(), "stream.ckpt")
+			eng, err := stream.NewEngine(writerCfg(path))
+			if err != nil {
+				t.Fatal(err)
+			}
+			ctx, spans, _ := tracedCtx(faultCtx(t, spec))
+			if _, err := eng.ProcessCtx(ctx, bytes.NewReader(text), nil); !faultpoint.IsFault(err) {
+				t.Fatalf("%s: crashed run returned %v", spec, err)
+			}
+			captured := spans.linesOf("stream.checkpoint")
+			cp, err := stream.LoadCheckpoint(path)
+			if errors.Is(err, os.ErrNotExist) && len(captured) == 0 {
+				continue // crashed before the first capture
+			}
+			if err != nil {
+				t.Fatalf("%s: %v", spec, err)
+			}
+			if last := captured[len(captured)-1]; cp.SkipLines() != last {
+				t.Fatalf("%s: checkpoint on disk at line %d, last capture at line %d", spec, cp.SkipLines(), last)
+			}
+			resumed, err := stream.ResumeEngine(writerCfg(path), cp)
+			if err != nil {
+				t.Fatalf("%s: %v", spec, err)
+			}
+			got, _ := renderAll(t, resumed, context.Background(), text)
+			if got == "" || !strings.HasSuffix(want, got) {
+				t.Fatalf("%s: resumed from line %d, output is not the uninterrupted run's tail", spec, cp.SkipLines())
+			}
 		}
 	}
 }

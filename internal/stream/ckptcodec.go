@@ -61,17 +61,17 @@ func (c *ckptCodec) fail(format string, args ...any) {
 	}
 }
 
-// encodeState writes st's payload.
-func encodeState(w *bufio.Writer, st *engineState) error {
-	c := &ckptCodec{enc: true, w: w, tmp: make([]byte, 0, binary.MaxVarintLen64)}
+// encode writes st's payload through an encoding codec.
+func (c *ckptCodec) encode(st *engineState) error {
+	c.err = nil
 	c.state(st)
 	if c.err != nil {
 		return c.err
 	}
-	return w.Flush()
+	return c.w.Flush()
 }
 
-// decodeState reads a payload written by encodeState, rejecting
+// decodeState reads a payload written by encode, rejecting
 // malformed and trailing bytes.
 func decodeState(payload []byte) (engineState, error) {
 	c := &ckptCodec{b: payload}
@@ -285,10 +285,22 @@ func (c *ckptCodec) encodeFloats(fs []float64) {
 			break
 		}
 	}
-	// The values go to the writer in one call: per-value writes would
-	// cost more than the encoding itself.
-	b := append(c.tmp[:0], form)
+	c.w.WriteByte(form)
+	// The values are appended straight into the writer's free buffer,
+	// which is written out whenever it could not take one more: per-value
+	// writes would cost more than the encoding itself.
+	b := c.w.AvailableBuffer()
 	for _, f := range fs {
+		if cap(b)-len(b) < binary.MaxVarintLen64 {
+			c.w.Write(b)
+			if err := c.w.Flush(); err != nil {
+				if c.err == nil {
+					c.err = err
+				}
+				return
+			}
+			b = c.w.AvailableBuffer()
+		}
 		if form == floatsUvarint {
 			b = binary.AppendUvarint(b, uint64(f))
 		} else {
@@ -296,7 +308,6 @@ func (c *ckptCodec) encodeFloats(fs []float64) {
 		}
 	}
 	c.w.Write(b)
-	c.tmp = b
 }
 
 // codecSlice walks a slice: its length, then each element. Decoding,

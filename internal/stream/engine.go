@@ -307,7 +307,7 @@ func (e *Engine) Snapshots() int64 { return e.snapshots }
 
 // RequestCheckpoint asks the engine to persist a checkpoint at the
 // next chunk-fold boundary at which no checkpoint write is in flight
-// (a no-op without a checkpoint path). Safe to call from any
+// and no capture is pending (a no-op without a checkpoint path). Safe to call from any
 // goroutine; requests coalesce until honored, and a request pending
 // when an in-flight write commits is settled by that commit — the
 // runtime publication that follows shows the new checkpoint line, so
@@ -345,18 +345,27 @@ func (e *Engine) noteClosed(s session.Session) {
 //
 // The fold runs on the calling goroutine. With a checkpoint path, the
 // fold only captures each checkpoint's state; one writer goroutine
-// encodes, fsyncs and renames it, at most one write in flight. A
-// failed write is returned at the next chunk boundary or when
-// ProcessCtx returns, which always joins the writer first, so the
-// checkpoint file is settled whenever ProcessCtx has returned.
+// encodes, fsyncs and renames it, at most one write in flight, and a
+// capture taken meanwhile waits as the pending one, replaced by any
+// newer capture. A failed write is returned at the next chunk boundary
+// or when ProcessCtx returns, which always joins the writer first —
+// writing the pending capture — so the checkpoint file is settled
+// whenever ProcessCtx has returned.
 func (e *Engine) ProcessCtx(ctx context.Context, r io.Reader, emit func(*Snapshot) error) (*Snapshot, error) {
+	var ckpt *checkpointWriter
+	if e.cfg.CheckpointPath != "" {
+		ckpt = newCheckpointWriter(e.cfg.CheckpointPath)
+	}
+	return e.process(ctx, r, emit, ckpt)
+}
+
+// process is ProcessCtx with its checkpoint writer (nil for none),
+// which it starts and joins.
+func (e *Engine) process(ctx context.Context, r io.Reader, emit func(*Snapshot) error, ckpt *checkpointWriter) (*Snapshot, error) {
 	ctx, sp := obs.StartSpan(ctx, "stream.process")
 	defer sp.End()
 	reg := obs.MetricsFrom(ctx)
-	var ckpt *checkpointWriter
-	if e.cfg.CheckpointPath != "" {
-		ckpt = startCheckpointWriter(ctx, e.cfg.CheckpointPath)
-	}
+	ckpt.start(ctx)
 	err := weblog.ReadChunksCtx(ctx, r, e.pool, e.cfg.Chunk, func(ch weblog.Chunk) error {
 		_, csp := obs.StartSpan(ctx, "stream.fold_chunk")
 		csp.SetInt("records", int64(len(ch.Records)))
@@ -393,7 +402,7 @@ func (e *Engine) ProcessCtx(ctx context.Context, r io.Reader, emit func(*Snapsho
 		e.noteChunkFolded()
 		return nil
 	})
-	if werr := e.joinCheckpointWriter(ctx, ckpt); werr != nil {
+	if werr := e.joinCheckpointWriter(ckpt); werr != nil {
 		return nil, errors.Join(err, werr)
 	}
 	if err != nil {

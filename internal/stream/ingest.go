@@ -117,9 +117,18 @@ type IngestStats struct {
 // engine appending to its live stats afterwards (the aliasing class
 // mergealias checks for).
 func (st IngestStats) detached() IngestStats {
-	st.Samples = append([]string(nil), st.Samples...)
-	st.Reasons = append([]string(nil), st.Reasons...)
-	return st
+	var d IngestStats
+	st.detachInto(&d)
+	return d
+}
+
+// detachInto is detached into dst, reusing the capacity of dst's
+// Samples and Reasons.
+func (st *IngestStats) detachInto(dst *IngestStats) {
+	samples, reasons := dst.Samples[:0], dst.Reasons[:0]
+	*dst = *st
+	dst.Samples = append(samples, st.Samples...)
+	dst.Reasons = append(reasons, st.Reasons...)
 }
 
 // Evaluate recomputes the DegradedInput verdict from the counters,

@@ -287,19 +287,28 @@ type QuantileSketchState struct {
 	Flips  []bool
 }
 
-// State captures the sketch for checkpointing.
+// State captures the sketch for checkpointing. The image shares no
+// storage with the sketch.
 func (s *QuantileSketch) State() QuantileSketchState {
-	st := QuantileSketchState{Cap: s.cap, N: s.n}
-	st.Buf = append([]float64(nil), s.buf...)
-	for _, lvl := range s.levels {
-		if lvl == nil {
-			st.Levels = append(st.Levels, nil)
-			continue
-		}
-		st.Levels = append(st.Levels, append([]float64(nil), lvl...))
+	var st QuantileSketchState
+	s.stateInto(&st)
+	for h, lvl := range st.Levels {
+		st.Levels[h] = slices.Clone(lvl)
 	}
-	st.Flips = append([]bool(nil), s.flips...)
 	return st
+}
+
+// stateInto captures the sketch into an image the engine keeps to
+// itself, reusing the capacity of dst's buffer, level list and
+// parities. The levels are shared, not copied: place installs each
+// level as a fresh slice and later replaces it, never writing into it,
+// so a shared level keeps the values it had at the capture.
+func (s *QuantileSketch) stateInto(dst *QuantileSketchState) {
+	dst.Cap = s.cap
+	dst.N = s.n
+	dst.Buf = append(dst.Buf[:0], s.buf...)
+	dst.Levels = append(dst.Levels[:0], s.levels...)
+	dst.Flips = append(dst.Flips[:0], s.flips...)
 }
 
 // RestoreQuantileSketch rebuilds a sketch from a checkpointed state,

@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 
@@ -351,6 +352,41 @@ func TestQuantileReadOffsLeaveStateUntouched(t *testing.T) {
 			if restored, err = RestoreQuantileSketch(read.State()); err != nil {
 				t.Fatal(err)
 			}
+		}
+	}
+}
+
+// TestQuantileCaptureSurvivesCompaction: a checkpoint capture
+// (stateInto) shares the sketch's levels instead of copying them, which
+// is sound only while no later observation writes into a level. Each
+// round recaptures into the same image, keeps feeding through several
+// promotions and compactions, and requires the image to still equal
+// the deep copy State took at the capture.
+func TestQuantileCaptureSurvivesCompaction(t *testing.T) {
+	const capacity = 16
+	rng := rand.New(rand.NewSource(31))
+	s, err := NewQuantileSketch(capacity)
+	if err != nil {
+		t.Fatal(err)
+	}
+	feed := func(n int) {
+		for i := 0; i < n; i++ {
+			s.Observe(math.Exp(rng.NormFloat64()))
+		}
+	}
+	var img QuantileSketchState
+	for round := 0; round < 12; round++ {
+		feed(37)
+		s.stateInto(&img)
+		want := s.State()
+		feed(9 * capacity)
+		same := img.Cap == want.Cap && img.N == want.N && len(img.Levels) == len(want.Levels) &&
+			slices.Equal(img.Buf, want.Buf) && slices.Equal(img.Flips, want.Flips)
+		for h := 0; same && h < len(want.Levels); h++ {
+			same = slices.Equal(img.Levels[h], want.Levels[h])
+		}
+		if !same {
+			t.Fatalf("round %d: the capture changed after %d more observations", round, 9*capacity)
 		}
 	}
 }

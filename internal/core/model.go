@@ -29,7 +29,7 @@ func AllCharacteristics() []string {
 // session: the single definition both the batch tail tables and the
 // streaming engine feed their estimators from, so the two pipelines
 // cannot drift. Unknown names panic — the name set is a closed enum.
-func CharacteristicValue(char string, s session.Session) float64 {
+func CharacteristicValue(char string, s *session.Session) float64 {
 	switch char {
 	case CharSessionLength:
 		return s.Duration().Seconds()
@@ -44,8 +44,8 @@ func CharacteristicValue(char string, s session.Session) float64 {
 // CharacteristicValues extracts one characteristic from every session.
 func CharacteristicValues(char string, sessions []session.Session) []float64 {
 	out := make([]float64, len(sessions))
-	for i, s := range sessions {
-		out[i] = CharacteristicValue(char, s)
+	for i := range sessions {
+		out[i] = CharacteristicValue(char, &sessions[i])
 	}
 	return out
 }

@@ -59,6 +59,7 @@ var HotSet = map[string]bool{
 	"fullweb/internal/weblog.parseCLFInto":         true,
 	"fullweb/internal/weblog.parseChunk":           true,
 	"(*fullweb/internal/session.Streamer).Observe": true,
+	"(*fullweb/internal/session.Streamer).observe": true,
 	"(*fullweb/internal/session.Streamer).evict":   true,
 	"(*fullweb/internal/stream.Engine).observe":    true,
 }

@@ -323,7 +323,7 @@ func (e *Engine) PeakActiveSessions() int { return e.streamer.PeakActiveSessions
 
 // noteClosed folds one finalized session into the per-characteristic
 // sketches.
-func (e *Engine) noteClosed(s session.Session) {
+func (e *Engine) noteClosed(s *session.Session) {
 	e.closed++
 	for _, c := range e.chars {
 		c.observe(core.CharacteristicValue(c.name, s))
@@ -380,7 +380,7 @@ func (e *Engine) process(ctx context.Context, r io.Reader, emit func(*Snapshot) 
 		next := 0
 		for k := range ch.Errs {
 			for next < ch.ErrRecIndex[k] {
-				if err := e.observe(ctx, ch.Records[next], emit); err != nil {
+				if err := e.observe(ctx, &ch.Records[next], emit); err != nil {
 					return err
 				}
 				next++
@@ -390,7 +390,7 @@ func (e *Engine) process(ctx context.Context, r io.Reader, emit func(*Snapshot) 
 			}
 		}
 		for ; next < len(ch.Records); next++ {
-			if err := e.observe(ctx, ch.Records[next], emit); err != nil {
+			if err := e.observe(ctx, &ch.Records[next], emit); err != nil {
 				return err
 			}
 		}
@@ -424,8 +424,9 @@ func (e *Engine) process(ctx context.Context, r io.Reader, emit func(*Snapshot) 
 	}
 	// End of stream: close every still-open session and the open
 	// seconds, then build the final snapshot.
-	for _, s := range e.streamer.Flush() {
-		e.noteClosed(s)
+	open := e.streamer.Flush()
+	for i := range open {
+		e.noteClosed(&open[i])
 	}
 	e.reqArr.flush()
 	e.sessArr.flush()
@@ -453,10 +454,12 @@ func (e *Engine) process(ctx context.Context, r io.Reader, emit func(*Snapshot) 
 // reversed time), or rejected outright in strict mode.
 //
 // This is the engine's per-record fold: every allocation here is
-// multiplied by the trace length (DESIGN.md §13).
+// multiplied by the trace length (DESIGN.md §13). The record is the
+// chunk's own slot, taken by reference rather than copied; a clamp
+// rewrites its Time in place.
 //
 //hot:path
-func (e *Engine) observe(ctx context.Context, rec weblog.Record, emit func(*Snapshot) error) error {
+func (e *Engine) observe(ctx context.Context, rec *weblog.Record, emit func(*Snapshot) error) error {
 	if e.started && rec.Time.Before(e.lastTime) {
 		if e.cfg.Mode == ModeStrict {
 			return fmt.Errorf("stream: strict mode: non-monotonic timestamp %v after %v (host %s)",
@@ -491,12 +494,12 @@ func (e *Engine) observe(ctx context.Context, rec weblog.Record, emit func(*Snap
 		}
 	}
 	openedBefore := e.streamer.OpenedTotal()
-	closed, err := e.streamer.ObserveClamped(rec)
+	closed, err := e.streamer.ObserveClampedRef(rec)
 	if err != nil {
 		return err
 	}
-	for _, s := range closed {
-		e.noteClosed(s)
+	for i := range closed {
+		e.noteClosed(&closed[i])
 	}
 	sec := rec.Time.Unix()
 	opened := e.streamer.OpenedTotal() > openedBefore

@@ -44,6 +44,18 @@ func FuzzChunkedIngest(f *testing.F) {
 	// its missing-bytes flag.
 	f.Add([]byte(strings.Repeat("x", 300) + " - - [12/Jan/2004:10:30:45 -0500] \"GET /a HTTP/1.0\" 200 -\n" +
 		"h2 - - [12/Jan/2004:10:30:46 -0500] \"GET /b HTTP/1.0\" 200 7\n"))
+	// A stamp only time.Parse decodes (a lowercase month) is never
+	// memoized: the line repeating it, and the canonical spelling of
+	// the same instant after it, must each be decoded afresh.
+	f.Add([]byte("h1 - - [12/jan/2004:10:30:45 -0500] \"GET /a HTTP/1.0\" 200 1\n" +
+		"h1 - - [12/jan/2004:10:30:45 -0500] \"GET /a HTTP/1.0\" 200 1\n" +
+		"h1 - - [12/Jan/2004:10:30:45 -0500] \"GET /b HTTP/1.0\" 200 2\n" +
+		"h2 - - [12/jan/2004:10:30:45 -0500] \"GET /c HTTP/1.0\" 200 3\n"))
+	// A line whose bracket text starts with the memoized stamp but
+	// runs past it is not a memo hit.
+	f.Add([]byte("h1 - - [12/Jan/2004:10:30:45 -0500] \"GET /a HTTP/1.0\" 200 1\n" +
+		"h1 - - [12/Jan/2004:10:30:45 -0500x] \"GET /a HTTP/1.0\" 200 1\n" +
+		"h1 - - [12/Jan/2004:10:30:45 -0500]] \"GET /a HTTP/1.0\" 200 1\n"))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		type emitted struct {
 			chunks []string
@@ -143,7 +155,7 @@ func FuzzChunkedIngest(f *testing.F) {
 			}
 			var recs []string
 			for _, rec := range all {
-				if Oversized(rec, maxField) == nil {
+				if Oversized(&rec, maxField) == nil {
 					recs = append(recs, rec.FormatCLF())
 				}
 			}

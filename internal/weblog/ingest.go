@@ -40,7 +40,7 @@ var ErrOversized = errors.New("weblog: oversized field")
 // Oversized reports whether a parsed record breaches the per-field
 // byte bound (0 disables the check), returning a descriptive error
 // wrapping ErrOversized, or nil.
-func Oversized(r Record, maxFieldBytes int) error {
+func Oversized(r *Record, maxFieldBytes int) error {
 	if maxFieldBytes <= 0 {
 		return nil
 	}

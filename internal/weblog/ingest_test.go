@@ -64,17 +64,17 @@ func TestOpenRetryExhaustsBudget(t *testing.T) {
 
 func TestOversized(t *testing.T) {
 	rec := Record{Host: "host", Path: strings.Repeat("/p", 50)}
-	if err := Oversized(rec, 0); err != nil {
+	if err := Oversized(&rec, 0); err != nil {
 		t.Fatalf("disabled check rejected: %v", err)
 	}
-	if err := Oversized(rec, 200); err != nil {
+	if err := Oversized(&rec, 200); err != nil {
 		t.Fatalf("in-bounds record rejected: %v", err)
 	}
-	if err := Oversized(rec, 16); !errors.Is(err, ErrOversized) {
+	if err := Oversized(&rec, 16); !errors.Is(err, ErrOversized) {
 		t.Fatalf("oversized path not rejected: %v", err)
 	}
 	rec2 := Record{Host: strings.Repeat("h", 300), Path: "/"}
-	if err := Oversized(rec2, 16); !errors.Is(err, ErrOversized) {
+	if err := Oversized(&rec2, 16); !errors.Is(err, ErrOversized) {
 		t.Fatalf("oversized host not rejected: %v", err)
 	}
 }

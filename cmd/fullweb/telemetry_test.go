@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"os"
 	"path/filepath"
@@ -241,5 +242,73 @@ func TestAnalyzeRunReport(t *testing.T) {
 	}
 	if len(rep.Obs.Counters) == 0 {
 		t.Error("obs snapshot has no counters")
+	}
+}
+
+// TestStreamHealthzReadsEngineFlags: the /healthz rules of `fullweb
+// stream -listen` follow the engine flags they watch — the parse
+// window, the quarantine sink and the checkpoint path.
+func TestStreamHealthzReadsEngineFlags(t *testing.T) {
+	log := streamTestLog(t)
+	cases := []struct {
+		name  string
+		flags func(dir string) []string
+		// detail substrings of the three rules
+		backpressure, quarantine, checkpoint string
+	}{
+		{"configured", func(dir string) []string {
+			return []string{"-chunk-window", "3", "-quarantine", filepath.Join(dir, "q"), "-checkpoint", filepath.Join(dir, "c")}
+		}, "of window 3", "(max 1048576)", "last checkpoint"},
+		{"defaults", func(string) []string { return nil },
+			"of window 8", "no quarantine growth bound configured", "checkpointing disabled"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			addrFile := filepath.Join(dir, "addr.txt")
+			args := append([]string{"stream", "-log", log, "-listen", "127.0.0.1:0", "-listen-addr-file", addrFile, "-linger", "2s"}, tc.flags(dir)...)
+			done := make(chan error, 1)
+			//lint:allow rawgo in-process CLI run; joined on done before the test returns
+			go func() { done <- run(args, io.Discard) }()
+			defer func() {
+				if err := <-done; err != nil {
+					t.Errorf("stream: %v", err)
+				}
+			}()
+
+			// Ready means the first runtime view is published; the final
+			// one lands before -linger, so poll until the quarantine rule
+			// has two publications to compare.
+			base := waitServeAddr(t, addrFile)
+			var rep telemetry.HealthReport
+			rules := map[string]string{}
+			for deadline := time.Now().Add(10 * time.Second); ; {
+				resp, err := http.Get(base + "/healthz")
+				if err != nil {
+					t.Fatal(err)
+				}
+				err = json.NewDecoder(resp.Body).Decode(&rep)
+				resp.Body.Close()
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, r := range rep.Rules {
+					rules[r.Rule] = r.Detail
+				}
+				if !strings.HasPrefix(rules["quarantine"], "warming up") || time.Now().After(deadline) {
+					break
+				}
+				time.Sleep(10 * time.Millisecond)
+			}
+			for rule, want := range map[string]string{
+				"backpressure": tc.backpressure,
+				"quarantine":   tc.quarantine,
+				"checkpoint":   tc.checkpoint,
+			} {
+				if !strings.Contains(rules[rule], want) {
+					t.Errorf("%s detail %q, want it to contain %q", rule, rules[rule], want)
+				}
+			}
+		})
 	}
 }

@@ -112,11 +112,6 @@ func (e *engineFlags) armFaults(ctx context.Context) (context.Context, error) {
 	return faultpoint.With(ctx, faults), nil
 }
 
-// budget is the budgeted-mode degradation budget.
-func (e *engineFlags) budget() stream.Budget {
-	return stream.Budget{MaxRejects: e.maxRejects, MaxRejectRate: e.maxRejectRate, MaxClamped: e.maxClamped}
-}
-
 // engineConfig assembles the engine config and opens the quarantine
 // sink. On resume the sink is truncated to the offset the checkpoint
 // recorded, discarding lines quarantined after the last durable state,
@@ -133,7 +128,7 @@ func (e *engineFlags) engineConfig(cp *stream.Checkpoint, metrics *obs.Registry)
 	cfg.Seed = e.seed
 	cfg.Chunk = weblog.ChunkConfig{Lines: e.chunkLines, Window: e.chunkWindow, MaxFieldBytes: e.maxFieldBytes}
 	cfg.Mode = e.ingestMode
-	cfg.Budget = e.budget()
+	cfg.Budget = stream.Budget{MaxRejects: e.maxRejects, MaxRejectRate: e.maxRejectRate, MaxClamped: e.maxClamped}
 	cfg.CheckpointPath = e.checkpointPath
 	cfg.Metrics = metrics
 	if e.quarantinePath == "" {
@@ -149,25 +144,6 @@ func (e *engineFlags) engineConfig(cp *stream.Checkpoint, metrics *obs.Registry)
 	}
 	cfg.Quarantine = qf
 	return cfg, qf, nil
-}
-
-// defaultMaxQuarantineRate bounds quarantine growth for the health
-// rule when a quarantine sink is configured: a sustained megabyte per
-// second of rejected lines means the input is mostly garbage.
-const defaultMaxQuarantineRate = 1 << 20
-
-// healthConfig is the health-rule configuration the engine flags imply.
-func (e *engineFlags) healthConfig() telemetry.HealthConfig {
-	hcfg := telemetry.HealthConfig{
-		Mode:          e.ingestMode,
-		Budget:        e.budget(),
-		ChunkWindow:   e.chunkWindow,
-		Checkpointing: e.checkpointPath != "",
-	}
-	if e.quarantinePath != "" {
-		hcfg.MaxQuarantineRate = defaultMaxQuarantineRate
-	}
-	return hcfg
 }
 
 // writeHeader prints the run's header line, the resume note when

@@ -14,7 +14,6 @@ import (
 	"fullweb/internal/obs"
 	"fullweb/internal/serve"
 	"fullweb/internal/stream"
-	"fullweb/internal/telemetry"
 )
 
 // cmdServe is the live intake server: CLF lines arrive from declared
@@ -49,7 +48,6 @@ func cmdServe(args []string, out io.Writer) (err error) {
 	intakeTCPAddrFile := fs.String("intake-tcp-addr-file", "", "write the TCP intake listener's bound address to this file")
 	bufferBytes := fs.Int64("buffer-bytes", serve.DefaultBufferBytes, "per-source intake buffer cap in bytes; a full buffer returns 429 on HTTP and blocks on TCP")
 	whatifWindow := fs.Int("whatif-window", stream.DefaultArrivalWindow, "trailing arrival-series window in trace seconds for /whatif")
-	staleAfter := fs.Duration("stale-after", telemetry.DefaultSourceStaleAfter, "source-staleness health rule: warn when an incomplete source has been silent this long")
 	ef := bindEngineFlags(fs, "serve",
 		"resume from the -checkpoint file and/or replay the -wal journal instead of starting fresh",
 		"serve.read=hit:3")
@@ -128,8 +126,6 @@ func cmdServe(args []string, out io.Writer) (err error) {
 		}()
 	}
 	cfg.ArrivalWindow = *whatifWindow
-	hcfg := ef.healthConfig()
-	hcfg.SourceStaleAfter = *staleAfter
 
 	var walCfg *serve.WALConfig
 	if *walDir != "" {
@@ -150,7 +146,6 @@ func cmdServe(args []string, out io.Writer) (err error) {
 		Engine:      cfg,
 		Checkpoint:  cp,
 		WAL:         walCfg,
-		Health:      hcfg,
 		Clock:       obs.SystemClock(),
 		Log:         os.Stderr,
 	})

@@ -141,7 +141,7 @@ func cmdStream(args []string, out io.Writer) (err error) {
 	// the run — output stays byte-identical with -listen on or off.
 	if *listen != "" {
 		holder := telemetry.NewHolder(obs.SystemClock())
-		health := telemetry.NewHealth(ef.healthConfig(), holder, osess.Metrics, obs.SystemClock())
+		health := telemetry.NewHealth(telemetry.HealthConfig{Engine: cfg}, holder, osess.Metrics, obs.SystemClock())
 		ln, lerr := net.Listen("tcp", *listen)
 		if lerr != nil {
 			return fmt.Errorf("stream: telemetry listener: %w", lerr)

@@ -74,8 +74,6 @@ type Config struct {
 	// deduplicated by delivery ID, and Run replays the journal into
 	// the fold on restart (DESIGN.md §16).
 	WAL *WALConfig
-	// Health parameterizes the health rules; Intake is forced on.
-	Health telemetry.HealthConfig
 	// Clock stamps publications; nil means obs.SystemClock().
 	Clock obs.Clock
 	// Log receives operational messages (accept errors, drain
@@ -123,15 +121,14 @@ func New(cfg Config) (*Server, error) {
 	if cfg.Engine.ArrivalWindow == 0 {
 		cfg.Engine.ArrivalWindow = stream.DefaultArrivalWindow
 	}
-	cfg.Health.Intake = true
 	if cfg.WAL != nil {
 		w := cfg.WAL.withDefaults()
 		cfg.WAL = &w
-		cfg.Health.WAL = true
 	}
 	s := &Server{cfg: cfg}
 	s.holder = telemetry.NewHolder(cfg.Clock)
-	s.health = telemetry.NewHealth(cfg.Health, s.holder, cfg.Engine.Metrics, cfg.Clock)
+	hcfg := telemetry.HealthConfig{Engine: cfg.Engine, Intake: true, WAL: cfg.WAL != nil}
+	s.health = telemetry.NewHealth(hcfg, s.holder, cfg.Engine.Metrics, cfg.Clock)
 	in, err := newIntake(cfg.Sources, cfg.BufferBytes, cfg.Clock, s.holder, cfg.WAL != nil)
 	if err != nil {
 		return nil, err

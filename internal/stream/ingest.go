@@ -143,23 +143,59 @@ func (st *IngestStats) Evaluate(mode Mode, b Budget, records int64) {
 	if mode == ModeLenient {
 		return
 	}
-	add := func(reason string) {
-		st.Degraded = true
-		st.Reasons = append(st.Reasons, reason)
-	}
-	if b.MaxRejects > 0 && st.Rejected > b.MaxRejects {
-		add(fmt.Sprintf("rejects %d > budget %d", st.Rejected, b.MaxRejects))
-	}
-	if attempts := records + st.Rejected; b.MaxRejectRate > 0 && attempts > 0 {
-		rate := float64(st.Rejected) / float64(attempts)
-		if rate > b.MaxRejectRate {
-			add(fmt.Sprintf("reject rate %.4f > budget %.4f", rate, b.MaxRejectRate))
+	st.budgetDims(b, records, func(_ float64, breach string) {
+		if breach != "" {
+			st.Degraded = true
+			st.Reasons = append(st.Reasons, breach)
 		}
-	}
-	if b.MaxClamped > 0 && st.Clamped > b.MaxClamped {
-		add(fmt.Sprintf("clamped timestamps %d > budget %d", st.Clamped, b.MaxClamped))
-	}
+	})
 	if st.Truncated {
-		add("input truncated by read failure")
+		st.Degraded = true
+		st.Reasons = append(st.Reasons, "input truncated by read failure")
+	}
+}
+
+// BudgetBurn returns the largest fraction of its allowance any budget
+// dimension has used, and how many dimensions b bounds. Only
+// ModeBudgeted spends a budget; other modes report no dimensions.
+func (st *IngestStats) BudgetBurn(mode Mode, b Budget, records int64) (burn float64, dims int) {
+	if mode != ModeBudgeted {
+		return 0, 0
+	}
+	st.budgetDims(b, records, func(f float64, _ string) {
+		dims++
+		burn = max(burn, f)
+	})
+	return burn, dims
+}
+
+// budgetDims calls fn for each dimension b bounds, in the fixed order
+// of Reasons, with the fraction of its allowance used (0 for a reject
+// rate before any parse attempt) and, when the dimension is strictly
+// past its allowance, the breach reason; otherwise breach is "".
+func (st *IngestStats) budgetDims(b Budget, records int64, fn func(burn float64, breach string)) {
+	if b.MaxRejects > 0 {
+		breach := ""
+		if st.Rejected > b.MaxRejects {
+			breach = fmt.Sprintf("rejects %d > budget %d", st.Rejected, b.MaxRejects)
+		}
+		fn(float64(st.Rejected)/float64(b.MaxRejects), breach)
+	}
+	if b.MaxRejectRate > 0 {
+		rate, breach := 0.0, ""
+		if attempts := records + st.Rejected; attempts > 0 {
+			rate = float64(st.Rejected) / float64(attempts)
+		}
+		if rate > b.MaxRejectRate {
+			breach = fmt.Sprintf("reject rate %.4f > budget %.4f", rate, b.MaxRejectRate)
+		}
+		fn(rate/b.MaxRejectRate, breach)
+	}
+	if b.MaxClamped > 0 {
+		breach := ""
+		if st.Clamped > b.MaxClamped {
+			breach = fmt.Sprintf("clamped timestamps %d > budget %d", st.Clamped, b.MaxClamped)
+		}
+		fn(float64(st.Clamped)/float64(b.MaxClamped), breach)
 	}
 }

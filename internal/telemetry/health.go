@@ -2,6 +2,7 @@ package telemetry
 
 import (
 	"fmt"
+	"strings"
 	"time"
 
 	"fullweb/internal/obs"
@@ -9,26 +10,30 @@ import (
 	"fullweb/internal/weblog"
 )
 
-// Health-rule defaults. Warn thresholds deliberately trip before fail
+// Health-rule bounds. Warn thresholds deliberately trip before fail
 // thresholds so a scraper sees the burn coming.
 const (
-	// DefaultMaxCheckpointAge fails /healthz when a checkpointing run
-	// has not persisted a checkpoint for this long.
-	DefaultMaxCheckpointAge = 10 * time.Minute
+	// maxCheckpointAge fails /healthz when a checkpointing run has not
+	// persisted a checkpoint for this long.
+	maxCheckpointAge = 10 * time.Minute
+	// maxQuarantineRate bounds quarantine growth in bytes/second when
+	// the engine has a quarantine sink: a sustained megabyte per second
+	// of rejected lines means the input is mostly garbage.
+	maxQuarantineRate = 1 << 20
 	// budgetWarnFraction warns when any error-budget dimension has
 	// burned this fraction of its allowance.
 	budgetWarnFraction = 0.8
-	// DefaultSourceStaleAfter is the intake source-staleness bound: an
+	// SourceStaleAfter is the intake source-staleness bound: an
 	// incomplete source silent longer than this draws a warning.
-	DefaultSourceStaleAfter = 2 * time.Minute
+	SourceStaleAfter = 2 * time.Minute
 	// intakeBufferWarnFraction warns when any source's intake buffer
 	// occupancy reaches this fraction of the per-source cap; a
 	// completely full buffer fails.
 	intakeBufferWarnFraction = 0.8
-	// DefaultMaxWALLagBytes bounds journaled-but-unfolded intake: a
-	// crash now replays this much, so growth past it means the engine
-	// is not keeping up with acknowledged deliveries.
-	DefaultMaxWALLagBytes int64 = 256 << 20
+	// maxWALLagBytes bounds journaled-but-unfolded intake: a crash now
+	// replays this much, so growth past it means the engine is not
+	// keeping up with acknowledged deliveries.
+	maxWALLagBytes int64 = 256 << 20
 	// walDiskWarnFraction warns when the journal's on-disk footprint
 	// reaches this fraction of its budget; exhaustion (shedding) fails.
 	walDiskWarnFraction = 0.8
@@ -54,58 +59,23 @@ type HealthReport struct {
 	Rules []RuleResult `json:"rules"`
 }
 
-// HealthConfig parameterizes the health rules from the run's
-// configuration.
+// HealthConfig is what the health rules watch: the engine's config
+// and which serve-mode rules apply.
 type HealthConfig struct {
-	// Mode and Budget mirror the engine's ingestion config; the
-	// error-budget rule re-evaluates the engine's own verdict logic
-	// against the live counters.
-	Mode   stream.Mode
-	Budget stream.Budget
-	// ChunkWindow is the parser's backpressure bound (chunks in
-	// flight); 0 means weblog.DefaultChunkWindow.
-	ChunkWindow int
-	// Checkpointing enables the checkpoint-staleness rule.
-	Checkpointing bool
-	// MaxCheckpointAge overrides DefaultMaxCheckpointAge.
-	MaxCheckpointAge time.Duration
-	// MaxQuarantineRate bounds quarantine growth in bytes/second
-	// between consecutive runtime publications; 0 disables the rule.
-	MaxQuarantineRate float64
-	// MaxFoldLag bounds how many parsed chunks may wait unfolded; 0
-	// means the chunk window (the parser cannot run further ahead than
-	// its backpressure bound, so exceeding it means accounting broke).
-	MaxFoldLag int64
+	// Engine is the watched engine's config. The error-budget rule
+	// re-evaluates its Mode and Budget against the live counters; the
+	// backpressure and fold-lag rules bound at its parse window
+	// (Chunk.Window, 0 meaning weblog.DefaultChunkWindow); the
+	// checkpoint rule runs when CheckpointPath is set and the
+	// quarantine rule when Quarantine is.
+	Engine stream.Config
 	// Intake enables the serve-mode intake rules (source staleness,
 	// buffer occupancy), appended after the five stream rules in the
 	// fixed order. Off for `fullweb stream`, which has no intake.
 	Intake bool
-	// SourceStaleAfter overrides DefaultSourceStaleAfter.
-	SourceStaleAfter time.Duration
 	// WAL enables the journal rules (wal-lag, wal-disk), appended after
 	// the intake rules. Off unless serve runs with a journal.
 	WAL bool
-	// MaxWALLagBytes overrides DefaultMaxWALLagBytes.
-	MaxWALLagBytes int64
-}
-
-func (c HealthConfig) withDefaults() HealthConfig {
-	if c.ChunkWindow <= 0 {
-		c.ChunkWindow = weblog.DefaultChunkWindow
-	}
-	if c.MaxCheckpointAge <= 0 {
-		c.MaxCheckpointAge = DefaultMaxCheckpointAge
-	}
-	if c.MaxFoldLag <= 0 {
-		c.MaxFoldLag = int64(c.ChunkWindow)
-	}
-	if c.SourceStaleAfter <= 0 {
-		c.SourceStaleAfter = DefaultSourceStaleAfter
-	}
-	if c.MaxWALLagBytes <= 0 {
-		c.MaxWALLagBytes = DefaultMaxWALLagBytes
-	}
-	return c
 }
 
 // Health evaluates the live health rules against the holder's latest
@@ -113,6 +83,7 @@ func (c HealthConfig) withDefaults() HealthConfig {
 // safe to run concurrently with publication.
 type Health struct {
 	cfg    HealthConfig
+	window int64 // the parse window: backpressure and fold-lag bound
 	holder *Holder
 	reg    *obs.Registry
 	clock  obs.Clock
@@ -121,13 +92,18 @@ type Health struct {
 // NewHealth builds a health evaluator. reg may be nil (the
 // parser-side rules then read zero counters).
 func NewHealth(cfg HealthConfig, holder *Holder, reg *obs.Registry, clock obs.Clock) *Health {
-	return &Health{cfg: cfg.withDefaults(), holder: holder, reg: reg, clock: clock}
+	window := cfg.Engine.Chunk.Window
+	if window <= 0 {
+		window = weblog.DefaultChunkWindow
+	}
+	return &Health{cfg: cfg, window: int64(window), holder: holder, reg: reg, clock: clock}
 }
 
 // Evaluate runs every rule, in the fixed order of the DESIGN.md §14
 // table: ingest-budget, backpressure, fold-lag, checkpoint,
 // quarantine — then, in serve mode (cfg.Intake), source-staleness and
-// intake-buffer (DESIGN.md §15).
+// intake-buffer (DESIGN.md §15), and with a journal (cfg.WAL), wal-lag
+// and wal-disk (DESIGN.md §16).
 func (h *Health) Evaluate() HealthReport {
 	cur, prev, ready := h.holder.LatestRuntime()
 	rep := HealthReport{Healthy: true, Ready: ready}
@@ -169,14 +145,15 @@ func (h *Health) ruleIngestBudget(cur PublishedRuntime, ready bool) RuleResult {
 		r.Detail = "no runtime published yet"
 		return r
 	}
+	mode, budget := h.cfg.Engine.Mode, h.cfg.Engine.Budget
 	st := cur.Stats.Ingest
-	st.Evaluate(h.cfg.Mode, h.cfg.Budget, cur.Stats.Records)
+	st.Evaluate(mode, budget, cur.Stats.Records)
 	if st.Degraded {
 		r.Status = "fail"
-		r.Detail = "error budget breached: " + joinReasons(st.Reasons)
+		r.Detail = "error budget breached: " + strings.Join(st.Reasons, "; ")
 		return r
 	}
-	burn, dims := h.budgetBurn(st, cur.Stats.Records)
+	burn, dims := st.BudgetBurn(mode, budget, cur.Stats.Records)
 	if dims == 0 {
 		r.Detail = "no error budget configured"
 		return r
@@ -194,53 +171,24 @@ func (h *Health) ruleIngestBudget(cur PublishedRuntime, ready bool) RuleResult {
 	return r
 }
 
-// budgetBurn returns the worst burned fraction across the configured
-// budget dimensions and how many dimensions are configured.
-func (h *Health) budgetBurn(st stream.IngestStats, records int64) (burn float64, dims int) {
-	b := h.cfg.Budget
-	if h.cfg.Mode != stream.ModeBudgeted {
-		return 0, 0
-	}
-	acc := func(used, allowed float64) {
-		dims++
-		if f := used / allowed; f > burn {
-			burn = f
-		}
-	}
-	if b.MaxRejects > 0 {
-		acc(float64(st.Rejected), float64(b.MaxRejects))
-	}
-	if b.MaxRejectRate > 0 {
-		if den := records + st.Rejected; den > 0 {
-			acc(float64(st.Rejected)/float64(den), b.MaxRejectRate)
-		} else {
-			dims++
-		}
-	}
-	if b.MaxClamped > 0 {
-		acc(float64(st.Clamped), float64(b.MaxClamped))
-	}
-	return burn, dims
-}
-
 // ruleBackpressure reports the parser's in-flight chunk depth against
 // its window. Saturation is the design operating point under load, so
 // this rule warns and never fails.
 func (h *Health) ruleBackpressure() RuleResult {
 	r := RuleResult{Rule: "backpressure", Status: "ok"}
 	depth := h.reg.Gauge("weblog.chunks_in_flight").Value()
-	window := int64(h.cfg.ChunkWindow)
-	r.Detail = fmt.Sprintf("parse queue depth %d of window %d", depth, window)
-	if depth >= window {
+	r.Detail = fmt.Sprintf("parse queue depth %d of window %d", depth, h.window)
+	if depth >= h.window {
 		r.Status = "warn"
-		r.Detail = fmt.Sprintf("parse window saturated (depth %d of %d)", depth, window)
+		r.Detail = fmt.Sprintf("parse window saturated (depth %d of %d)", depth, h.window)
 	}
 	return r
 }
 
 // ruleFoldLag compares chunks parsed against chunks folded. The fold
-// drains the parse window in order, so lag beyond the window means the
-// fold stalled (or accounting broke): warn past the bound, fail past
+// drains the parse window in order and the parser cannot run further
+// ahead than it, so the window is the bound: lag beyond it means the
+// fold stalled (or accounting broke). Warn past the bound, fail past
 // twice the bound.
 func (h *Health) ruleFoldLag() RuleResult {
 	r := RuleResult{Rule: "fold-lag", Status: "ok"}
@@ -249,23 +197,23 @@ func (h *Health) ruleFoldLag() RuleResult {
 	lag := parsed - folded
 	r.Detail = fmt.Sprintf("%d chunks parsed, %d folded (lag %d)", parsed, folded, lag)
 	switch {
-	case lag > 2*h.cfg.MaxFoldLag:
+	case lag > 2*h.window:
 		r.Status = "fail"
-		r.Detail = fmt.Sprintf("fold stalled: lag %d exceeds twice the bound %d", lag, h.cfg.MaxFoldLag)
-	case lag > h.cfg.MaxFoldLag:
+		r.Detail = fmt.Sprintf("fold stalled: lag %d exceeds twice the bound %d", lag, h.window)
+	case lag > h.window:
 		r.Status = "warn"
-		r.Detail = fmt.Sprintf("fold lagging: %d chunks behind (bound %d)", lag, h.cfg.MaxFoldLag)
+		r.Detail = fmt.Sprintf("fold lagging: %d chunks behind (bound %d)", lag, h.window)
 	}
 	return r
 }
 
 // ruleCheckpoint fails a checkpointing run whose last persisted
-// checkpoint is older than the configured age — the signal that a
+// checkpoint is older than maxCheckpointAge — the signal that a
 // crash now would replay an unbounded amount of input. Warns at half
 // the age. Runs without checkpointing always pass.
 func (h *Health) ruleCheckpoint(ready bool) RuleResult {
 	r := RuleResult{Rule: "checkpoint", Status: "ok"}
-	if !h.cfg.Checkpointing {
+	if h.cfg.Engine.CheckpointPath == "" {
 		r.Detail = "checkpointing disabled"
 		return r
 	}
@@ -274,24 +222,24 @@ func (h *Health) ruleCheckpoint(ready bool) RuleResult {
 		return r
 	}
 	age := h.clock.Now().Sub(h.holder.LastCheckpointAt())
-	r.Detail = fmt.Sprintf("last checkpoint %s ago (max %s)", age.Round(time.Second), h.cfg.MaxCheckpointAge)
+	r.Detail = fmt.Sprintf("last checkpoint %s ago (max %s)", age.Round(time.Second), maxCheckpointAge)
 	switch {
-	case age > h.cfg.MaxCheckpointAge:
+	case age > maxCheckpointAge:
 		r.Status = "fail"
-		r.Detail = fmt.Sprintf("checkpoint stale: %s since last persist (max %s)", age.Round(time.Second), h.cfg.MaxCheckpointAge)
-	case age > h.cfg.MaxCheckpointAge/2:
+		r.Detail = fmt.Sprintf("checkpoint stale: %s since last persist (max %s)", age.Round(time.Second), maxCheckpointAge)
+	case age > maxCheckpointAge/2:
 		r.Status = "warn"
-		r.Detail = fmt.Sprintf("checkpoint aging: %s since last persist (max %s)", age.Round(time.Second), h.cfg.MaxCheckpointAge)
+		r.Detail = fmt.Sprintf("checkpoint aging: %s since last persist (max %s)", age.Round(time.Second), maxCheckpointAge)
 	}
 	return r
 }
 
 // ruleQuarantine bounds quarantine growth between the last two runtime
-// publications: warn past the configured bytes/second, fail past twice
-// it. Disabled (always ok) when no rate is configured.
+// publications: warn past maxQuarantineRate, fail past twice it.
+// Disabled (always ok) when the engine has no quarantine sink.
 func (h *Health) ruleQuarantine(cur PublishedRuntime, prev *PublishedRuntime, ready bool) RuleResult {
 	r := RuleResult{Rule: "quarantine", Status: "ok"}
-	if h.cfg.MaxQuarantineRate <= 0 {
+	if h.cfg.Engine.Quarantine == nil {
 		r.Detail = "no quarantine growth bound configured"
 		return r
 	}
@@ -305,12 +253,12 @@ func (h *Health) ruleQuarantine(cur PublishedRuntime, prev *PublishedRuntime, re
 		return r
 	}
 	rate := float64(cur.Stats.QuarantineBytes-prev.Stats.QuarantineBytes) / dt
-	r.Detail = fmt.Sprintf("quarantine growing at %.0f B/s (max %.0f)", rate, h.cfg.MaxQuarantineRate)
+	r.Detail = fmt.Sprintf("quarantine growing at %.0f B/s (max %.0f)", rate, float64(maxQuarantineRate))
 	switch {
-	case rate > 2*h.cfg.MaxQuarantineRate:
+	case rate > 2*float64(maxQuarantineRate):
 		r.Status = "fail"
-		r.Detail = fmt.Sprintf("quarantine flooding: %.0f B/s exceeds twice the bound %.0f B/s", rate, h.cfg.MaxQuarantineRate)
-	case rate > h.cfg.MaxQuarantineRate:
+		r.Detail = fmt.Sprintf("quarantine flooding: %.0f B/s exceeds twice the bound %.0f B/s", rate, float64(maxQuarantineRate))
+	case rate > float64(maxQuarantineRate):
 		r.Status = "warn"
 	}
 	return r
@@ -334,23 +282,21 @@ func (h *Health) ruleSourceStaleness() RuleResult {
 		return r
 	}
 	now := h.clock.Now()
-	stale, total := "", 0
+	var stale []string
+	total := 0
 	for _, src := range pub.Stats.Sources {
 		if src.Complete {
 			continue
 		}
 		total++
-		if now.Sub(src.LastAt) > h.cfg.SourceStaleAfter {
-			if stale != "" {
-				stale += ", "
-			}
-			stale += src.Name
+		if now.Sub(src.LastAt) > SourceStaleAfter {
+			stale = append(stale, src.Name)
 		}
 	}
-	r.Detail = fmt.Sprintf("%d incomplete sources, none stale (bound %s)", total, h.cfg.SourceStaleAfter)
-	if stale != "" {
+	r.Detail = fmt.Sprintf("%d incomplete sources, none stale (bound %s)", total, SourceStaleAfter)
+	if len(stale) > 0 {
 		r.Status = "warn"
-		r.Detail = fmt.Sprintf("stale sources (silent > %s): %s", h.cfg.SourceStaleAfter, stale)
+		r.Detail = fmt.Sprintf("stale sources (silent > %s): %s", SourceStaleAfter, strings.Join(stale, ", "))
 	}
 	return r
 }
@@ -402,7 +348,7 @@ func (h *Health) ruleWALLag() RuleResult {
 		r.Detail = "no journal published yet"
 		return r
 	}
-	lag, bound := pub.Stats.LagBytes, h.cfg.MaxWALLagBytes
+	lag, bound := pub.Stats.LagBytes, maxWALLagBytes
 	r.Detail = fmt.Sprintf("%d journaled bytes not yet folded (bound %d)", lag, bound)
 	switch {
 	case lag > bound:
@@ -443,17 +389,4 @@ func (h *Health) ruleWALDisk() RuleResult {
 		r.Detail = fmt.Sprintf("journal disk budget burning: %d of %d bytes (%.0f%%)", st.DiskBytes, st.DiskBudgetBytes, frac*100)
 	}
 	return r
-}
-
-// joinReasons renders the breach reasons as one detail line without
-// pulling in strings for a single call site.
-func joinReasons(reasons []string) string {
-	out := ""
-	for i, s := range reasons {
-		if i > 0 {
-			out += "; "
-		}
-		out += s
-	}
-	return out
 }

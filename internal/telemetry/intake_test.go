@@ -56,10 +56,10 @@ func TestIntakeRuleOrder(t *testing.T) {
 // comparison is strictly greater-than), one nanosecond past it warns,
 // and completed or draining sources never age.
 func TestSourceStalenessBoundaries(t *testing.T) {
-	const bound = 2 * time.Minute
+	const bound = telemetry.SourceStaleAfter
 	clock := newSetClock(epoch)
 	holder := telemetry.NewHolder(clock)
-	h := telemetry.NewHealth(telemetry.HealthConfig{Intake: true, SourceStaleAfter: bound}, holder, obs.NewRegistry(), clock)
+	h := telemetry.NewHealth(telemetry.HealthConfig{Intake: true}, holder, obs.NewRegistry(), clock)
 
 	eval := func() telemetry.RuleResult {
 		return ruleByName(t, h.Evaluate(), "source-staleness")

@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -126,10 +127,10 @@ func TestHolderCheckpointStamps(t *testing.T) {
 // engine's breach comparisons are strictly greater-than, so a budget
 // exactly exhausted is a warn, one past it a fail.
 func TestHealthBudgetBoundaries(t *testing.T) {
-	cfg := telemetry.HealthConfig{
+	cfg := telemetry.HealthConfig{Engine: stream.Config{
 		Mode:   stream.ModeBudgeted,
 		Budget: stream.Budget{MaxRejects: 10},
-	}
+	}}
 	cases := []struct {
 		name       string
 		rejected   int64
@@ -171,11 +172,11 @@ func TestHealthBudgetBoundaries(t *testing.T) {
 func TestHealthZeroRecordRun(t *testing.T) {
 	clock := newSetClock(epoch)
 	holder := telemetry.NewHolder(clock)
-	cfg := telemetry.HealthConfig{
-		Mode:          stream.ModeBudgeted,
-		Budget:        stream.Budget{MaxRejects: 1},
-		Checkpointing: true,
-	}
+	cfg := telemetry.HealthConfig{Engine: stream.Config{
+		Mode:           stream.ModeBudgeted,
+		Budget:         stream.Budget{MaxRejects: 1},
+		CheckpointPath: "engine.ckpt",
+	}}
 	h := telemetry.NewHealth(cfg, holder, obs.NewRegistry(), clock)
 	clock.Set(epoch.Add(24 * time.Hour)) // way past any staleness bound
 	rep := h.Evaluate()
@@ -209,7 +210,7 @@ func TestHealthZeroRecordRun(t *testing.T) {
 func TestHealthCheckpointStaleness(t *testing.T) {
 	clock := newSetClock(epoch)
 	holder := telemetry.NewHolder(clock)
-	cfg := telemetry.HealthConfig{Checkpointing: true} // default max age 10m
+	cfg := telemetry.HealthConfig{Engine: stream.Config{CheckpointPath: "engine.ckpt"}} // max age 10m
 	h := telemetry.NewHealth(cfg, holder, obs.NewRegistry(), clock)
 
 	holder.PublishRuntime(stream.RuntimeStats{Checkpoints: 1})
@@ -255,7 +256,7 @@ func TestHealthFoldLagAndBackpressure(t *testing.T) {
 	clock := newSetClock(epoch)
 	holder := telemetry.NewHolder(clock)
 	reg := obs.NewRegistry()
-	cfg := telemetry.HealthConfig{ChunkWindow: 4} // fold-lag bound defaults to the window
+	cfg := telemetry.HealthConfig{Engine: stream.Config{Chunk: weblog.ChunkConfig{Window: 4}}} // the fold-lag bound is the window
 	h := telemetry.NewHealth(cfg, holder, reg, clock)
 
 	parsed := reg.Counter("weblog.chunks_parsed")
@@ -307,8 +308,8 @@ func TestHealthReadsPipelineLag(t *testing.T) {
 	reg := obs.NewRegistry()
 	clock := newSetClock(epoch)
 	holder := telemetry.NewHolder(clock)
-	h := telemetry.NewHealth(telemetry.HealthConfig{ChunkWindow: window}, holder, reg, clock)
-	tight := telemetry.NewHealth(telemetry.HealthConfig{ChunkWindow: window, MaxFoldLag: window - 1}, holder, reg, clock)
+	h := telemetry.NewHealth(telemetry.HealthConfig{Engine: stream.Config{Chunk: weblog.ChunkConfig{Window: window}}}, holder, reg, clock)
+	tight := telemetry.NewHealth(telemetry.HealthConfig{Engine: stream.Config{Chunk: weblog.ChunkConfig{Window: window - 1}}}, holder, reg, clock)
 	parsed := reg.Counter("weblog.chunks_parsed")
 	folded := reg.Counter("stream.chunks_folded")
 	inFlight := reg.Gauge("weblog.chunks_in_flight")
@@ -364,8 +365,9 @@ func TestHealthReadsPipelineLag(t *testing.T) {
 func TestHealthQuarantineRate(t *testing.T) {
 	clock := newSetClock(epoch)
 	holder := telemetry.NewHolder(clock)
-	cfg := telemetry.HealthConfig{MaxQuarantineRate: 100} // bytes/second
+	cfg := telemetry.HealthConfig{Engine: stream.Config{Quarantine: io.Discard}}
 	h := telemetry.NewHealth(cfg, holder, obs.NewRegistry(), clock)
+	const rate = telemetry.MaxQuarantineRate // bytes/second
 
 	holder.PublishRuntime(stream.RuntimeStats{QuarantineBytes: 0})
 	if r := ruleByName(t, h.Evaluate(), "quarantine"); r.Status != "ok" || !strings.Contains(r.Detail, "warming up") {
@@ -377,10 +379,10 @@ func TestHealthQuarantineRate(t *testing.T) {
 		bytes  int64 // growth over 10 seconds
 		status string
 	}{
-		{"under bound", 500, "ok"},   // 50 B/s
-		{"at bound", 1000, "ok"},     // 100 B/s, strictly greater-than
-		{"past bound", 1500, "warn"}, // 150 B/s
-		{"past twice", 2500, "fail"}, // 250 B/s
+		{"under bound", 5 * rate, "ok"},
+		{"at bound", 10 * rate, "ok"}, // strictly greater-than
+		{"past bound", 15 * rate, "warn"},
+		{"past twice", 25 * rate, "fail"},
 	}
 	base := int64(0)
 	at := epoch
@@ -401,7 +403,7 @@ func TestHealthQuarantineRate(t *testing.T) {
 		})
 	}
 
-	// No bound configured: rule is disabled.
+	// No quarantine sink: rule is disabled.
 	hOff := telemetry.NewHealth(telemetry.HealthConfig{}, holder, obs.NewRegistry(), clock)
 	if r := ruleByName(t, hOff.Evaluate(), "quarantine"); r.Status != "ok" || !strings.Contains(r.Detail, "no quarantine growth bound") {
 		t.Errorf("unbounded quarantine rule: %q (%s)", r.Status, r.Detail)
@@ -507,10 +509,10 @@ func TestServerEndpoints(t *testing.T) {
 // TestServerHealthz503 wires a failing rule end to end: a breached
 // error budget must turn /healthz into a 503.
 func TestServerHealthz503(t *testing.T) {
-	cfg := telemetry.HealthConfig{
+	cfg := telemetry.HealthConfig{Engine: stream.Config{
 		Mode:   stream.ModeBudgeted,
 		Budget: stream.Budget{MaxRejects: 1},
-	}
+	}}
 	holder, _, handler := newTestServer(t, cfg)
 	holder.PublishRuntime(stream.RuntimeStats{
 		Records: 100,

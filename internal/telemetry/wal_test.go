@@ -36,10 +36,10 @@ func TestWALRuleOrder(t *testing.T) {
 // the bound still ok (strictly greater-than), past half warns, at the
 // bound still warn, past the bound fails the report.
 func TestWALLagBoundaries(t *testing.T) {
-	const bound = 1000
+	const bound = telemetry.MaxWALLagBytes
 	clock := newSetClock(epoch)
 	holder := telemetry.NewHolder(clock)
-	h := telemetry.NewHealth(telemetry.HealthConfig{WAL: true, MaxWALLagBytes: bound}, holder, obs.NewRegistry(), clock)
+	h := telemetry.NewHealth(telemetry.HealthConfig{WAL: true}, holder, obs.NewRegistry(), clock)
 
 	eval := func(lag int64) telemetry.RuleResult {
 		holder.PublishWAL(telemetry.WALStats{LagBytes: lag})

@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race vet fmt lint check bench fuzz fuzz-smoke
+.PHONY: all build test race vet fmt lint deadcode check bench fuzz fuzz-smoke
 
 all: build
 
@@ -34,12 +34,20 @@ fmt:
 lint:
 	$(GO) run ./cmd/fullweb-lint ./...
 
+# deadcode links every main (./cmd/..., ./examples/..., the bench
+# module) with the linker's dependency dump and fails on a non-test
+# function under internal/ that no binary reaches and that
+# scripts/deadcode.allow does not list with a reason, or on an allowed
+# symbol that a binary now reaches or that is gone.
+deadcode:
+	GO=$(GO) bash scripts/deadcode.sh
+
 # check is the tier-1 gate (see README "Testing"): everything must be
-# gofmt-clean, compile, pass vet and the custom lint suite, pass the
-# full test suite (shuffled) under the race detector, and survive a
-# short fuzz smoke over the log parsers, the checkpoint decoder and
-# journal recovery.
-check: fmt vet lint build race fuzz-smoke
+# gofmt-clean, compile, pass vet, the custom lint suite and the
+# reachability gate, pass the full test suite (shuffled) under the race
+# detector, and survive a short fuzz smoke over the log parsers, the
+# checkpoint decoder and journal recovery.
+check: fmt vet lint deadcode build race fuzz-smoke
 
 # bench runs the repository benchmark (bench/README.md) once for each
 # workload BENCHMARK.json lists, at the harness defaults (seed 1, 10

@@ -100,10 +100,6 @@ type Span struct {
 	data *SpanData
 }
 
-// Active reports whether the span records anything — false for the
-// zero Span handed out when no tracer is in the context.
-func (s Span) Active() bool { return s.data != nil }
-
 // SetAttr attaches a string attribute. No-op on an inert span.
 func (s Span) SetAttr(key, value string) {
 	if s.data == nil {

@@ -39,10 +39,6 @@ func (e *ECDF) CCDF(v float64) float64 {
 	return 1 - e.CDF(v)
 }
 
-// Sorted returns the underlying sorted sample. The caller must not modify
-// the returned slice.
-func (e *ECDF) Sorted() []float64 { return e.sorted }
-
 // LLCDPoint is one point of a log-log complementary distribution plot.
 type LLCDPoint struct {
 	LogX    float64 // log10 of the value

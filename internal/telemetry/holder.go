@@ -83,9 +83,6 @@ func NewHolder(clock obs.Clock) *Holder {
 	return &Holder{clock: clock, started: clock.Now()}
 }
 
-// StartedAt returns the holder's construction stamp.
-func (h *Holder) StartedAt() time.Time { return h.started }
-
 // PublishRuntime implements stream.Telemetry. Single-publisher: the
 // engine's fold goroutine is the only caller, so read-modify-write on
 // the cell pointer needs no CAS loop.

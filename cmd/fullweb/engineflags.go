@@ -90,6 +90,30 @@ func (e *engineFlags) validate() error {
 		return fmt.Errorf("%s: %w", e.cmd, err)
 	}
 	e.ingestMode = mode
+	return checkBudgetMode(e.cmd, mode, e.budget())
+}
+
+// budget is the error budget the -max-* flags set.
+func (e *engineFlags) budget() stream.Budget {
+	return stream.Budget{MaxRejects: e.maxRejects, MaxRejectRate: e.maxRejectRate, MaxClamped: e.maxClamped}
+}
+
+// checkBudgetMode rejects an error budget under a mode that never
+// spends one: strict fails on the first reject and lenient only
+// counts, so a -max-rejects, -max-reject-rate or -max-clamped there
+// would be silently ignored.
+func checkBudgetMode(cmd string, mode stream.Mode, b stream.Budget) error {
+	if mode == stream.ModeBudgeted {
+		return nil
+	}
+	for _, f := range []struct {
+		name string
+		set  bool
+	}{{"max-rejects", b.MaxRejects != 0}, {"max-reject-rate", b.MaxRejectRate != 0}, {"max-clamped", b.MaxClamped != 0}} {
+		if f.set {
+			return fmt.Errorf("%s: -%s applies only to -mode budgeted, got -mode %s", cmd, f.name, mode)
+		}
+	}
 	return nil
 }
 
@@ -128,7 +152,7 @@ func (e *engineFlags) engineConfig(cp *stream.Checkpoint, metrics *obs.Registry)
 	cfg.Seed = e.seed
 	cfg.Chunk = weblog.ChunkConfig{Lines: e.chunkLines, Window: e.chunkWindow, MaxFieldBytes: e.maxFieldBytes}
 	cfg.Mode = e.ingestMode
-	cfg.Budget = stream.Budget{MaxRejects: e.maxRejects, MaxRejectRate: e.maxRejectRate, MaxClamped: e.maxClamped}
+	cfg.Budget = e.budget()
 	cfg.CheckpointPath = e.checkpointPath
 	cfg.Metrics = metrics
 	if e.quarantinePath == "" {

@@ -90,3 +90,33 @@ func TestEngineFlagsRejectNegative(t *testing.T) {
 		}
 	}
 }
+
+// TestBudgetFlagsNeedBudgetedMode: strict and lenient modes spend no
+// error budget, so every command that takes -mode refuses a non-zero
+// -max-rejects, -max-reject-rate or -max-clamped under them instead of
+// ignoring it. TestStreamModesCLI and TestAnalyzeInputHealth run
+// the budgeted mode that spends them.
+func TestBudgetFlagsNeedBudgetedMode(t *testing.T) {
+	required := map[string][]string{
+		"stream":  {"-log", "does-not-exist.log"},
+		"serve":   {"-source", "s", "-listen", "127.0.0.1:-1"},
+		"analyze": {"-log", "does-not-exist.log"},
+	}
+	budgetFlags := map[string][]string{
+		"stream":  {"max-rejects", "max-reject-rate", "max-clamped"},
+		"serve":   {"max-rejects", "max-reject-rate", "max-clamped"},
+		"analyze": {"max-rejects", "max-reject-rate"},
+	}
+	for cmd, base := range required {
+		for _, name := range budgetFlags[cmd] {
+			for _, mode := range []string{"strict", "lenient"} {
+				args := append(append([]string{cmd}, base...), "-mode", mode, "-"+name, "1")
+				err := run(args, io.Discard)
+				want := "-" + name + " applies only to -mode budgeted, got -mode " + mode
+				if err == nil || !strings.Contains(err.Error(), want) {
+					t.Errorf("%s -mode %s -%s 1: %v, want %q", cmd, mode, name, err, want)
+				}
+			}
+		}
+	}
+}

@@ -227,6 +227,10 @@ func cmdAnalyze(args []string, out io.Writer) (err error) {
 	if err != nil {
 		return fmt.Errorf("analyze: %w", err)
 	}
+	budget := stream.Budget{MaxRejects: *maxRejects, MaxRejectRate: *maxRejectRate}
+	if err := checkBudgetMode("analyze", ingestMode, budget); err != nil {
+		return err
+	}
 	sess, err := obsCfg.Start(obs.SystemClock(), os.Stderr)
 	if err != nil {
 		return err
@@ -237,7 +241,6 @@ func cmdAnalyze(args []string, out io.Writer) (err error) {
 		}
 	}()
 	ctx := sess.Context(context.Background())
-	budget := stream.Budget{MaxRejects: *maxRejects, MaxRejectRate: *maxRejectRate}
 	store, ingest, err := loadLogHardened(ctx, *logPath, ingestMode, budget, *quarantinePath)
 	if err != nil {
 		return err

@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -189,9 +190,15 @@ func TestStreamModesCLI(t *testing.T) {
 		t.Errorf("quarantine content:\n%q\nwant:\n%q", got, want)
 	}
 
-	lenient := runStream(t, "-log", log, "-snapshot", "0", "-mode", "lenient", "-max-rejects", "1")
+	lenient := runStream(t, "-log", log, "-snapshot", "0", "-mode", "lenient")
 	if !strings.Contains(lenient, "input: ok") || strings.Contains(lenient, "DEGRADED") {
 		t.Errorf("lenient mode degraded:\n%s", lenient)
+	}
+	// Lenient mode spends no budget, so a budget flag there is a usage
+	// error rather than a silently ignored setting.
+	err = run([]string{"stream", "-log", log, "-snapshot", "0", "-mode", "lenient", "-max-rejects", "1"}, io.Discard)
+	if err == nil || !strings.Contains(err.Error(), "-max-rejects applies only to -mode budgeted") {
+		t.Errorf("lenient mode with -max-rejects: %v, want a usage error", err)
 	}
 }
 

@@ -22,7 +22,9 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"log"
+	"os"
 
 	"fullweb/internal/admission"
 	"fullweb/internal/dist"
@@ -38,13 +40,13 @@ const (
 )
 
 func main() {
-	if err := run(); err != nil {
+	if err := run(os.Stdout); err != nil {
 		log.SetFlags(0)
 		log.Fatal("admission: ", err)
 	}
 }
 
-func run() error {
+func run(w io.Writer) error {
 	// Exponential assumption of the original admission-control papers.
 	exponential, err := dist.NewExponential(1 / meanLength)
 	if err != nil {
@@ -61,9 +63,9 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	fmt.Printf("loss system: capacity=%d, lambda=%.3f/s, mean session=%.0fs, offered load=%.1f erlang\n",
+	fmt.Fprintf(w, "loss system: capacity=%d, lambda=%.3f/s, mean session=%.0fs, offered load=%.1f erlang\n",
 		capacity, arrivalRate, meanLength, offered)
-	fmt.Printf("Erlang-B blocking (distribution-independent): %.4f\n\n", analytic)
+	fmt.Fprintf(w, "Erlang-B blocking (distribution-independent): %.4f\n\n", analytic)
 
 	tb := report.NewTable("session length model", "arrivals", "blocking",
 		"hourly-rejection dispersion", "max in one hour", "longest rejecting streak (h)")
@@ -91,11 +93,11 @@ func run() error {
 			fmt.Sprintf("%.0f", res.MaxHourlyRejections()),
 			fmt.Sprint(res.LongestRejectingStreak()))
 	}
-	fmt.Print(tb.String())
+	fmt.Fprint(w, tb.String())
 
-	fmt.Println("\nreading: blocking probabilities match each other and Erlang-B (insensitivity")
-	fmt.Println("to the service distribution), but under heavy-tailed session lengths the")
-	fmt.Println("rejections cluster: hourly counts are far more dispersed and outage streaks")
-	fmt.Println("far longer — tail risk an exponential-based capacity plan never sees.")
+	fmt.Fprintln(w, "\nreading: blocking probabilities match each other and Erlang-B (insensitivity")
+	fmt.Fprintln(w, "to the service distribution), but under heavy-tailed session lengths the")
+	fmt.Fprintln(w, "rejections cluster: hourly counts are far more dispersed and outage streaks")
+	fmt.Fprintln(w, "far longer — tail risk an exponential-based capacity plan never sees.")
 	return nil
 }

@@ -1,0 +1,35 @@
+package main
+
+import (
+	"bytes"
+	"flag"
+	"os"
+	"path/filepath"
+	"testing"
+)
+
+var update = flag.Bool("update", false, "rewrite testdata/stdout.golden from this build")
+
+// TestOutputGolden pins the example's stdout byte for byte at its real
+// constants: Erlang-B next to the exponential and Pareto simulations,
+// whose blocking agrees while the Pareto rejections cluster (§5.2.1).
+// `go test ./examples/admission -update` rewrites the golden file.
+func TestOutputGolden(t *testing.T) {
+	var out bytes.Buffer
+	if err := run(&out); err != nil {
+		t.Fatal(err)
+	}
+	golden := filepath.Join("testdata", "stdout.golden")
+	if *update {
+		if err := os.WriteFile(golden, out.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(out.Bytes(), want) {
+		t.Fatalf("stdout differs from %s; got:\n%s", golden, out.Bytes())
+	}
+}

@@ -15,9 +15,11 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"log"
 	"math"
 	"math/rand"
+	"os"
 
 	"fullweb/internal/dist"
 	"fullweb/internal/fgn"
@@ -34,7 +36,7 @@ const (
 )
 
 func main() {
-	if err := run(); err != nil {
+	if err := run(os.Stdout); err != nil {
 		log.SetFlags(0)
 		log.Fatal("capacity: ", err)
 	}
@@ -72,7 +74,7 @@ func lrdCounts(rng *rand.Rand, n int) ([]float64, error) {
 	return out, nil
 }
 
-func run() error {
+func run(w io.Writer) error {
 	serviceRate := meanRate / utilization
 	// What the analytic Poisson model promises at this utilization.
 	mm1, err := queueing.NewMM1(meanRate, serviceRate)
@@ -83,9 +85,9 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	fmt.Printf("fluid queue: service=%.0f req/s, target utilization=%.0f%%, horizon=%s s\n",
+	fmt.Fprintf(w, "fluid queue: service=%.0f req/s, target utilization=%.0f%%, horizon=%s s\n",
 		serviceRate, utilization*100, report.Count(int64(horizon)))
-	fmt.Printf("analytic M/M/1 promise: mean queue %.1f, p99 queue %d\n\n",
+	fmt.Fprintf(w, "analytic M/M/1 promise: mean queue %.1f, p99 queue %d\n\n",
 		mm1.MeanQueueLength(), p99)
 
 	rng := rand.New(rand.NewSource(seed))
@@ -113,9 +115,9 @@ func run() error {
 		tb.AddRow(c.label, report.F2(res.Utilization), report.F2(res.MeanBacklog),
 			report.F2(res.P99Backlog), report.F2(res.MaxBacklog), report.F2(res.BusyFraction))
 	}
-	fmt.Print(tb.String())
-	fmt.Println("\nreading: at the same utilization the LRD arrivals build backlogs orders of")
-	fmt.Println("magnitude deeper than the Poisson model predicts — the 'misleading results'")
-	fmt.Println("the paper warns about in Section 4.2.")
+	fmt.Fprint(w, tb.String())
+	fmt.Fprintln(w, "\nreading: at the same utilization the LRD arrivals build backlogs orders of")
+	fmt.Fprintln(w, "magnitude deeper than the Poisson model predicts — the 'misleading results'")
+	fmt.Fprintln(w, "the paper warns about in Section 4.2.")
 	return nil
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"math"
 	"math/rand"
@@ -72,7 +73,7 @@ func TestAnalyzeArrivalSeriesOnFGNCounts(t *testing.T) {
 	cfg.Stationarize.MaxPeriod = 16384
 	cfg.Stationarize.SNRThreshold = 20
 	a := mustAnalyzer(t, cfg)
-	res, err := a.AnalyzeArrivalSeries(counts)
+	res, err := a.AnalyzeArrivalSeriesCtx(context.Background(), counts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,7 +93,7 @@ func TestAnalyzeArrivalSeriesOnFGNCounts(t *testing.T) {
 	if w.H < 0.65 || w.H > 0.95 {
 		t.Errorf("stationary Whittle H = %v, planted 0.8", w.H)
 	}
-	higher, total := res.OverestimationCount()
+	higher, total := overestimationCount(res)
 	if total < 4 {
 		t.Fatalf("only %d comparable estimates", total)
 	}
@@ -114,7 +115,7 @@ func TestAnalyzeArrivalSeriesOnFGNCounts(t *testing.T) {
 
 func TestAnalyzeArrivalSeriesTooShort(t *testing.T) {
 	a := mustAnalyzer(t, DefaultConfig())
-	if _, err := a.AnalyzeArrivalSeries(make([]float64, 100)); !errors.Is(err, ErrNoData) {
+	if _, err := a.AnalyzeArrivalSeriesCtx(context.Background(), make([]float64, 100)); !errors.Is(err, ErrNoData) {
 		t.Error("short series should return ErrNoData")
 	}
 }
@@ -136,7 +137,7 @@ func TestAnalyzeTailParetoData(t *testing.T) {
 		values[i] = 30 * math.Pow(u, -1/1.7) // Pareto(1.7, 30)
 	}
 	a := mustAnalyzer(t, DefaultConfig())
-	res, err := a.AnalyzeTail(CharSessionLength, "High", values)
+	res, err := a.AnalyzeTailCtx(context.Background(), CharSessionLength, "High", values)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,7 +160,7 @@ func TestAnalyzeTailParetoData(t *testing.T) {
 
 func TestAnalyzeTailNA(t *testing.T) {
 	a := mustAnalyzer(t, DefaultConfig())
-	res, err := a.AnalyzeTail(CharSessionLength, "Low", []float64{1, 2, 3})
+	res, err := a.AnalyzeTailCtx(context.Background(), CharSessionLength, "Low", []float64{1, 2, 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,7 +169,7 @@ func TestAnalyzeTailNA(t *testing.T) {
 	}
 	// Zero-duration sessions are excluded before the NA check.
 	zeros := make([]float64, 1000)
-	res, err = a.AnalyzeTail(CharSessionLength, "Low", zeros)
+	res, err = a.AnalyzeTailCtx(context.Background(), CharSessionLength, "Low", zeros)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,10 +180,10 @@ func TestAnalyzeTailNA(t *testing.T) {
 
 func TestAnalyzeEmptyStore(t *testing.T) {
 	a := mustAnalyzer(t, DefaultConfig())
-	if _, err := a.Analyze("x", weblog.NewStore(nil)); !errors.Is(err, ErrNoData) {
+	if _, err := a.AnalyzeCtx(context.Background(), "x", weblog.NewStore(nil)); !errors.Is(err, ErrNoData) {
 		t.Error("empty store should return ErrNoData")
 	}
-	if _, err := a.Analyze("x", nil); !errors.Is(err, ErrNoData) {
+	if _, err := a.AnalyzeCtx(context.Background(), "x", nil); !errors.Is(err, ErrNoData) {
 		t.Error("nil store should return ErrNoData")
 	}
 }
@@ -195,7 +196,7 @@ func TestAnalyzeTailCrossValidation(t *testing.T) {
 		values[i] = 10 * math.Pow(u, -1/1.6) // Pareto(1.6, 10)
 	}
 	a := mustAnalyzer(t, DefaultConfig())
-	res, err := a.AnalyzeTail(CharBytesPerSession, "Week", values)
+	res, err := a.AnalyzeTailCtx(context.Background(), CharBytesPerSession, "Week", values)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -217,4 +218,25 @@ func TestAnalyzeTailCrossValidation(t *testing.T) {
 	if na.CrossValidated(1) {
 		t.Error("NA row cross-validated")
 	}
+}
+
+// overestimationCount returns how many estimators reported a higher H
+// on the raw series than on the stationary one — the paper's evidence
+// that ignoring trend and periodicity overestimates long-range
+// dependence (Figures 4 vs 6).
+func overestimationCount(a *ArrivalAnalysis) (higher, total int) {
+	if a.RawHurst == nil || a.StationaryHurst == nil {
+		return 0, 0
+	}
+	for _, raw := range a.RawHurst.Estimates {
+		st, ok := a.StationaryHurst.ByMethod(raw.Method)
+		if !ok {
+			continue
+		}
+		total++
+		if raw.H > st.H {
+			higher++
+		}
+	}
+	return higher, total
 }

@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"context"
 	"math"
 	"testing"
 	"time"
@@ -34,7 +35,7 @@ func TestAnalyzeFullModelOnSyntheticTrace(t *testing.T) {
 	cfg := core.DefaultConfig()
 	cfg.Curvature.Replications = 40 // keep the e2e test quick
 	a := newAnalyzer(t, cfg)
-	model, err := a.Analyze("NASA-Pub2", store)
+	model, err := a.AnalyzeCtx(context.Background(), "NASA-Pub2", store)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,7 +109,7 @@ func TestAnalyzePoissonOnPoissonTrace(t *testing.T) {
 			secs = append(secs, r.Time.Unix())
 		}
 	}
-	pa, err := a.AnalyzePoisson(weblog.Med, w, secs)
+	pa, err := a.AnalyzePoissonCtx(context.Background(), weblog.Med, w, secs)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -87,19 +87,15 @@ type FullWebModel struct {
 	Tails map[string]*TailTable
 }
 
-// Analyze runs the full FULL-Web pipeline on a log store: request-level
-// arrival analysis, sessionization, session-level arrival analysis,
-// Poisson batteries on the typical windows at both levels, and the
-// heavy-tail tables for the three intra-session characteristics.
-func (a *Analyzer) Analyze(server string, store *weblog.Store) (*FullWebModel, error) {
-	return a.AnalyzeCtx(context.Background(), server, store)
-}
-
-// AnalyzeCtx is Analyze with the pipeline's independent experiments
-// fanned out on the analyzer's worker pool: the request-level and
-// session-level arrival analyses run concurrently, then the per-window
-// Poisson batteries and the twelve tail analyses (four intervals × three
-// characteristics) fan out together. Results land in fields and map keys
+// AnalyzeCtx runs the full FULL-Web pipeline on a log store:
+// request-level arrival analysis, sessionization, session-level arrival
+// analysis, Poisson batteries on the typical windows at both levels, and
+// the heavy-tail tables for the three intra-session characteristics.
+// The independent experiments fan out on the analyzer's worker pool:
+// the request-level and session-level arrival analyses run
+// concurrently, then the per-window Poisson batteries and the twelve
+// tail analyses (four intervals × three characteristics) fan out
+// together. Results land in fields and map keys
 // fixed per task, so the model is identical at any pool size; a failing
 // experiment cancels its unstarted siblings through ctx.
 func (a *Analyzer) AnalyzeCtx(ctx context.Context, server string, store *weblog.Store) (*FullWebModel, error) {

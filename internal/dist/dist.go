@@ -1,9 +1,8 @@
 // Package dist implements the probability distributions used by the
 // workload models and statistical tests in this library: exponential,
 // Pareto and lognormal, plus Poisson event-time generation. Each
-// distribution provides its CDF, quantile function, moments, random
-// sampling from a caller-supplied source, and maximum likelihood
-// fitting where the paper requires it.
+// distribution provides random sampling from a caller-supplied source,
+// and maximum likelihood fitting where the paper requires it.
 //
 // All samplers take a *rand.Rand so experiments are reproducible from
 // fixed seeds; nothing in this package touches global randomness.
@@ -14,8 +13,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-
-	"fullweb/internal/spec"
 )
 
 var (
@@ -30,13 +27,8 @@ var (
 )
 
 // Continuous is the interface shared by the continuous distributions in
-// this package. Mean and Var return +Inf where the moment does not exist
-// (heavy-tailed Pareto cases).
+// this package.
 type Continuous interface {
-	CDF(x float64) float64
-	Quantile(p float64) (float64, error)
-	Mean() float64
-	Var() float64
 	Sample(rng *rand.Rand) float64
 }
 
@@ -54,28 +46,6 @@ func NewExponential(lambda float64) (Exponential, error) {
 	}
 	return Exponential{Lambda: lambda}, nil
 }
-
-// CDF returns P[X <= x].
-func (d Exponential) CDF(x float64) float64 {
-	if x <= 0 {
-		return 0
-	}
-	return -math.Expm1(-d.Lambda * x)
-}
-
-// Quantile returns the p-quantile for p in [0, 1).
-func (d Exponential) Quantile(p float64) (float64, error) {
-	if p < 0 || p >= 1 || math.IsNaN(p) {
-		return 0, fmt.Errorf("%w: quantile probability %v", ErrParam, p)
-	}
-	return -math.Log1p(-p) / d.Lambda, nil
-}
-
-// Mean returns 1/lambda.
-func (d Exponential) Mean() float64 { return 1 / d.Lambda }
-
-// Var returns 1/lambda^2.
-func (d Exponential) Var() float64 { return 1 / (d.Lambda * d.Lambda) }
 
 // Sample draws one variate.
 func (d Exponential) Sample(rng *rand.Rand) float64 {
@@ -105,39 +75,6 @@ func NewPareto(alpha, xm float64) (Pareto, error) {
 		return Pareto{}, fmt.Errorf("%w: pareto scale %v", ErrParam, xm)
 	}
 	return Pareto{Alpha: alpha, Xm: xm}, nil
-}
-
-// CDF returns P[X <= x].
-func (d Pareto) CDF(x float64) float64 {
-	if x <= d.Xm {
-		return 0
-	}
-	return 1 - math.Pow(d.Xm/x, d.Alpha)
-}
-
-// Quantile returns the p-quantile for p in [0, 1).
-func (d Pareto) Quantile(p float64) (float64, error) {
-	if p < 0 || p >= 1 || math.IsNaN(p) {
-		return 0, fmt.Errorf("%w: quantile probability %v", ErrParam, p)
-	}
-	return d.Xm * math.Pow(1-p, -1/d.Alpha), nil
-}
-
-// Mean returns alpha*xm/(alpha-1) for alpha > 1, +Inf otherwise.
-func (d Pareto) Mean() float64 {
-	if d.Alpha <= 1 {
-		return math.Inf(1)
-	}
-	return d.Alpha * d.Xm / (d.Alpha - 1)
-}
-
-// Var returns the variance for alpha > 2, +Inf otherwise.
-func (d Pareto) Var() float64 {
-	if d.Alpha <= 2 {
-		return math.Inf(1)
-	}
-	a := d.Alpha
-	return d.Xm * d.Xm * a / ((a - 1) * (a - 1) * (a - 2))
 }
 
 // Sample draws one variate by inversion.
@@ -190,34 +127,6 @@ func NewLognormal(mu, sigma float64) (Lognormal, error) {
 		return Lognormal{}, fmt.Errorf("%w: lognormal mu=%v sigma=%v", ErrParam, mu, sigma)
 	}
 	return Lognormal{Mu: mu, Sigma: sigma}, nil
-}
-
-// CDF returns P[X <= x].
-func (d Lognormal) CDF(x float64) float64 {
-	if x <= 0 {
-		return 0
-	}
-	return spec.NormalCDF((math.Log(x) - d.Mu) / d.Sigma)
-}
-
-// Quantile returns the p-quantile for p in (0, 1).
-func (d Lognormal) Quantile(p float64) (float64, error) {
-	z, err := spec.NormalQuantile(p)
-	if err != nil {
-		return 0, fmt.Errorf("dist: lognormal quantile: %w", err)
-	}
-	return math.Exp(d.Mu + d.Sigma*z), nil
-}
-
-// Mean returns exp(mu + sigma^2/2).
-func (d Lognormal) Mean() float64 {
-	return math.Exp(d.Mu + d.Sigma*d.Sigma/2)
-}
-
-// Var returns (exp(sigma^2)-1) * exp(2mu + sigma^2).
-func (d Lognormal) Var() float64 {
-	s2 := d.Sigma * d.Sigma
-	return math.Expm1(s2) * math.Exp(2*d.Mu+s2)
 }
 
 // Sample draws one variate.

@@ -68,9 +68,6 @@ func NewSite(name string) *Site {
 	return &Site{name: name}
 }
 
-// Name returns the site's registered name.
-func (s *Site) Name() string { return s.name }
-
 // Sites returns the sorted names of every registered site — the
 // vocabulary Parse validates specs against.
 func Sites() []string {

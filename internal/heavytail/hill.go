@@ -30,7 +30,7 @@ type HillResult struct {
 	WindowLow, WindowHigh int
 }
 
-// HillPlot computes the Hill estimator alpha_{k,n} = 1 / H_{k,n} with
+// hillPlotInto computes the Hill estimator alpha_{k,n} = 1 / H_{k,n} with
 //
 //	H_{k,n} = (1/k) sum_{i=1..k} (log X_(i) - log X_(k+1))
 //
@@ -41,15 +41,11 @@ type HillResult struct {
 // must still be at least 2 (a one-point plot carries no stability
 // information) and is capped at n-1. The sample must be positive; it
 // is not modified.
-func HillPlot(x []float64, kMax int) ([]HillPoint, error) {
-	return hillPlotInto(nil, x, kMax)
-}
-
-// hillPlotInto is HillPlot with its working copy of x built in
-// scratch's backing array, which is reallocated only when shorter than
-// x. A caller that reads off the same sample repeatedly (OnlineHill at
-// every snapshot) keeps one scratch instead of cloning the sample each
-// time; x itself is never modified.
+//
+// The working copy of x is built in scratch's backing array, which is
+// reallocated only when shorter than x (nil allocates). A caller that
+// reads off the same sample repeatedly (OnlineHill at every snapshot)
+// keeps one scratch instead of cloning the sample each time.
 func hillPlotInto(scratch, x []float64, kMax int) ([]HillPoint, error) {
 	n := len(x)
 	if n < 3 {

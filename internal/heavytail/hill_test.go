@@ -14,7 +14,7 @@ import (
 func TestHillPlotRecoversPareto(t *testing.T) {
 	for _, alpha := range []float64{1.0, 1.6, 2.2} {
 		x := paretoSample(t, alpha, 1, 30000, int64(alpha*1000))
-		plot, err := HillPlot(x, len(x)/5)
+		plot, err := hillPlotInto(nil, x, len(x)/5)
 		if err != nil {
 			t.Fatalf("alpha=%v: %v", alpha, err)
 		}
@@ -31,7 +31,7 @@ func TestHillPlotStartsAtKOne(t *testing.T) {
 	// reciprocal of log X_(1) - log X_(2). A regression dropped this first
 	// order statistic.
 	x := []float64{math.E * math.E * math.E, math.E, 1, 1}
-	plot, err := HillPlot(x, 2)
+	plot, err := hillPlotInto(nil, x, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,7 +45,7 @@ func TestHillPlotStartsAtKOne(t *testing.T) {
 	// Ties at the top are still skipped, not emitted as infinities: with
 	// X_(1) == X_(2) the k=1 spacing is zero.
 	tied := []float64{7, 7, 2, 1}
-	plot, err = HillPlot(tied, 3)
+	plot, err = hillPlotInto(nil, tied, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,23 +55,23 @@ func TestHillPlotStartsAtKOne(t *testing.T) {
 }
 
 func TestHillPlotErrors(t *testing.T) {
-	if _, err := HillPlot([]float64{1, 2}, 2); !errors.Is(err, ErrTooFewTail) {
+	if _, err := hillPlotInto(nil, []float64{1, 2}, 2); !errors.Is(err, ErrTooFewTail) {
 		t.Error("tiny sample should return ErrTooFewTail")
 	}
-	if _, err := HillPlot([]float64{1, 2, 3}, 1); !errors.Is(err, ErrBadParam) {
+	if _, err := hillPlotInto(nil, []float64{1, 2, 3}, 1); !errors.Is(err, ErrBadParam) {
 		t.Error("kMax < 2 should return ErrBadParam")
 	}
-	if _, err := HillPlot([]float64{1, 0, 3}, 2); !errors.Is(err, ErrSupport) {
+	if _, err := hillPlotInto(nil, []float64{1, 0, 3}, 2); !errors.Is(err, ErrSupport) {
 		t.Error("non-positive data should return ErrSupport")
 	}
-	if _, err := HillPlot([]float64{5, 5, 5, 5}, 3); !errors.Is(err, ErrTooFewTail) {
+	if _, err := hillPlotInto(nil, []float64{5, 5, 5, 5}, 3); !errors.Is(err, ErrTooFewTail) {
 		t.Error("constant sample should return ErrTooFewTail (degenerate tail)")
 	}
 }
 
 func TestHillPlotKMaxCapped(t *testing.T) {
 	x := paretoSample(t, 1.5, 1, 100, 1)
-	plot, err := HillPlot(x, 1000)
+	plot, err := hillPlotInto(nil, x, 1000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,8 +141,8 @@ func TestHillScaleInvarianceProperty(t *testing.T) {
 		for i, v := range base {
 			scaled[i] = v * scale
 		}
-		a, err1 := HillPlot(base, 200)
-		b, err2 := HillPlot(scaled, 200)
+		a, err1 := hillPlotInto(nil, base, 200)
+		b, err2 := hillPlotInto(nil, scaled, 200)
 		if err1 != nil || err2 != nil || len(a) != len(b) {
 			return false
 		}
@@ -162,7 +162,7 @@ func TestHillScaleInvarianceProperty(t *testing.T) {
 func TestHillPositiveProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		x := paretoSample(t, 1.2, 1, 500, seed)
-		plot, err := HillPlot(x, 100)
+		plot, err := hillPlotInto(nil, x, 100)
 		if err != nil {
 			return false
 		}
@@ -198,9 +198,10 @@ func TestHillConsistentWithLLCD(t *testing.T) {
 	}
 }
 
-// refHillPlot is the full reverse-sort HillPlot replaced: sort the
-// whole sample descending and log every order statistic. It is the
-// oracle the tail-only plot must match bit for bit.
+// refHillPlot is the full reverse-sort Hill plot hillPlotInto
+// replaced: sort the whole sample descending and log every order
+// statistic. It is the oracle the tail-only plot must match bit for
+// bit.
 func refHillPlot(x []float64, kMax int) []HillPoint {
 	n := len(x)
 	if kMax > n-1 {
@@ -223,16 +224,16 @@ func refHillPlot(x []float64, kMax int) []HillPoint {
 	return out
 }
 
-// checkPlotAgainstOracle runs HillPlot on x and requires the
+// checkPlotAgainstOracle runs hillPlotInto on x and requires the
 // reference's points bit for bit (or ErrTooFewTail where the reference
 // plot is empty), and x left exactly as it was.
 func checkPlotAgainstOracle(t *testing.T, label string, x []float64, kMax int) {
 	t.Helper()
 	before := slices.Clone(x)
 	want := refHillPlot(x, kMax)
-	got, err := HillPlot(x, kMax)
+	got, err := hillPlotInto(nil, x, kMax)
 	if !slices.Equal(x, before) {
-		t.Fatalf("%s: HillPlot modified its input", label)
+		t.Fatalf("%s: hillPlotInto modified its input", label)
 	}
 	if len(want) == 0 {
 		if !errors.Is(err, ErrTooFewTail) {

@@ -24,44 +24,6 @@ var (
 	ErrSupport = errors.New("heavytail: data must be positive")
 )
 
-// TailClass classifies the moments implied by a Pareto tail index.
-type TailClass int
-
-const (
-	// FiniteMeanAndVariance: alpha > 2.
-	FiniteMeanAndVariance TailClass = iota + 1
-	// InfiniteVariance: 1 < alpha <= 2 (finite mean).
-	InfiniteVariance
-	// InfiniteMean: alpha <= 1.
-	InfiniteMean
-)
-
-// String describes the class.
-func (c TailClass) String() string {
-	switch c {
-	case FiniteMeanAndVariance:
-		return "finite mean and variance"
-	case InfiniteVariance:
-		return "finite mean, infinite variance"
-	case InfiniteMean:
-		return "infinite mean and variance"
-	default:
-		return fmt.Sprintf("class(%d)", int(c))
-	}
-}
-
-// ClassifyAlpha returns the moment class of a Pareto tail index.
-func ClassifyAlpha(alpha float64) TailClass {
-	switch {
-	case alpha > 2:
-		return FiniteMeanAndVariance
-	case alpha > 1:
-		return InfiniteVariance
-	default:
-		return InfiniteMean
-	}
-}
-
 // LLCDResult is the outcome of the LLCD slope estimation.
 type LLCDResult struct {
 	// Alpha is the estimated tail index (negated LLCD slope).
@@ -78,9 +40,6 @@ type LLCDResult struct {
 	// TailFraction is the fraction of observations above Theta.
 	TailFraction float64
 }
-
-// Class returns the moment classification of the estimate.
-func (r LLCDResult) Class() TailClass { return ClassifyAlpha(r.Alpha) }
 
 // EstimateLLCD estimates the tail index by least-squares regression on
 // the log-log complementary distribution plot, using only points with

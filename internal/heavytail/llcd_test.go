@@ -39,29 +39,6 @@ func lognormalSample(t testing.TB, mu, sigma float64, n int, seed int64) []float
 	return x
 }
 
-func TestClassifyAlpha(t *testing.T) {
-	cases := map[float64]TailClass{
-		2.5: FiniteMeanAndVariance,
-		2.0: InfiniteVariance,
-		1.5: InfiniteVariance,
-		1.0: InfiniteMean,
-		0.8: InfiniteMean,
-	}
-	for a, want := range cases {
-		if got := ClassifyAlpha(a); got != want {
-			t.Errorf("ClassifyAlpha(%v) = %v, want %v", a, got, want)
-		}
-	}
-}
-
-func TestTailClassString(t *testing.T) {
-	for _, c := range []TailClass{FiniteMeanAndVariance, InfiniteVariance, InfiniteMean, TailClass(9)} {
-		if c.String() == "" {
-			t.Errorf("class %d should stringify", int(c))
-		}
-	}
-}
-
 func TestEstimateLLCDRecoversPareto(t *testing.T) {
 	// On exact Pareto data the LLCD slope equals -alpha over the whole
 	// support; the paper's Table 2-4 workflow should recover alpha.
@@ -129,9 +106,6 @@ func TestEstimateLLCDAuto(t *testing.T) {
 	}
 	if math.Abs(res.Alpha-1.4) > 0.15 {
 		t.Errorf("auto LLCD alpha = %v, want ~1.4", res.Alpha)
-	}
-	if res.Class() != InfiniteVariance {
-		t.Errorf("class = %v, want infinite variance", res.Class())
 	}
 }
 

@@ -61,17 +61,6 @@ func (r *Reservoir) Seen() int64 { return r.seen }
 // Len returns the current sample size (min(seen, capacity)).
 func (r *Reservoir) Len() int { return len(r.items) }
 
-// Sample returns a defensive copy of the current sample in retention
-// order (a deterministic function of the input stream and seed). The
-// copy is the contract: callers sort, truncate or otherwise mutate the
-// returned slice freely — between a snapshot estimate and a checkpoint,
-// for instance — without perturbing the sketch state behind it.
-func (r *Reservoir) Sample() []float64 {
-	out := make([]float64, len(r.items))
-	copy(out, r.items)
-	return out
-}
-
 // OnlineHill is the streaming variant of EstimateHill: a seeded
 // reservoir collects the positive observations of an unbounded stream
 // and the Hill plot with stability detection runs over the sample at

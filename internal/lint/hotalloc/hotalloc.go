@@ -55,13 +55,13 @@ var Analyzer = &analysis.Analyzer{
 // pinned here so removing an annotation cannot silently shrink lint
 // coverage.
 var HotSet = map[string]bool{
-	"fullweb/internal/weblog.ParseCLF":             true,
-	"fullweb/internal/weblog.parseCLFInto":         true,
-	"fullweb/internal/weblog.parseChunk":           true,
-	"(*fullweb/internal/session.Streamer).Observe": true,
-	"(*fullweb/internal/session.Streamer).observe": true,
-	"(*fullweb/internal/session.Streamer).evict":   true,
-	"(*fullweb/internal/stream.Engine).observe":    true,
+	"fullweb/internal/weblog.ParseCLF":                       true,
+	"fullweb/internal/weblog.parseCLFInto":                   true,
+	"fullweb/internal/weblog.parseChunk":                     true,
+	"(*fullweb/internal/session.Streamer).ObserveClampedRef": true,
+	"(*fullweb/internal/session.Streamer).observe":           true,
+	"(*fullweb/internal/session.Streamer).evict":             true,
+	"(*fullweb/internal/stream.Engine).observe":              true,
 }
 
 func run(pass *analysis.Pass) (any, error) {

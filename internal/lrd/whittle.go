@@ -18,31 +18,10 @@ const (
 	whittleTerms = 8
 )
 
-// fgnSpectralB returns B(lambda, H) = sum_{j in Z} |lambda + 2*pi*j|^{-2H-1},
-// truncated at |j| <= terms with an integral tail correction. lambda must
-// lie in (0, pi].
-func fgnSpectralB(lambda, h float64, terms int) float64 {
-	e := 2*h + 1
-	sum := math.Pow(lambda, -e)
-	twoPi := 2 * math.Pi
-	for j := 1; j <= terms; j++ {
-		sum += math.Pow(twoPi*float64(j)+lambda, -e)
-		sum += math.Pow(twoPi*float64(j)-lambda, -e)
-	}
-	return sum + fgnSpectralTail(e, terms)
-}
-
 // fgnSpectralTail approximates the truncated remainder of the aliasing
 // sum by the integral 2 * int_{terms+1/2}^inf (2*pi*x)^{-e} dx.
 func fgnSpectralTail(e float64, terms int) float64 {
 	return 2 * math.Pow(2*math.Pi, -e) * math.Pow(float64(terms)+0.5, 1-e) / (e - 1)
-}
-
-// fgnLogSpectrum returns log f1(lambda; H) for the normalized fGn
-// spectral density f1(lambda; H) = (1 - cos lambda) * B(lambda, H). The
-// overall scale is immaterial to the profile Whittle likelihood.
-func fgnLogSpectrum(lambda, h float64) float64 {
-	return math.Log(1-math.Cos(lambda)) + math.Log(fgnSpectralB(lambda, h, whittleTerms))
 }
 
 // whittleWorkspace precomputes, per Fourier frequency, the logarithms of

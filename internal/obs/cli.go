@@ -41,11 +41,6 @@ func (c *CLIConfig) RegisterFlags(fs *flag.FlagSet) {
 	fs.StringVar(&c.PprofAddr, "pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060)")
 }
 
-// Enabled reports whether any observability output was requested.
-func (c *CLIConfig) Enabled() bool {
-	return c.Progress || c.TracePath != "" || c.MetricsPath != "" || c.PprofAddr != ""
-}
-
 // Session is a running observability setup: the tracer and registry to
 // thread into the engine (either may be nil — the no-op defaults),
 // plus the output files to finalize. Close is idempotent.
@@ -121,15 +116,6 @@ func PprofMux() *http.ServeMux {
 	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
 	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 	return mux
-}
-
-// PprofAddr returns the bound address of the -pprof listener, or ""
-// when pprof is not being served.
-func (s *Session) PprofAddr() string {
-	if s == nil || s.pprofLn == nil {
-		return ""
-	}
-	return s.pprofLn.Addr().String()
 }
 
 // Context returns ctx with the session's tracer and registry attached

@@ -117,14 +117,6 @@ func (s Span) SetInt(key string, v int64) {
 	s.data.Attrs = append(s.data.Attrs, Attr{Key: key, Value: strconv.FormatInt(v, 10)})
 }
 
-// SetFloat attaches a float attribute ('g' format, full precision).
-func (s Span) SetFloat(key string, v float64) {
-	if s.data == nil {
-		return
-	}
-	s.data.Attrs = append(s.data.Attrs, Attr{Key: key, Value: strconv.FormatFloat(v, 'g', -1, 64)})
-}
-
 // End stamps the span's end time and emits it to the tracer's sink.
 // No-op on an inert span; calling End twice emits twice, so don't.
 func (s Span) End() {
@@ -139,13 +131,4 @@ func (s Span) End() {
 		s.tr.sink.SpanEnd(s.data)
 		s.tr.mu.Unlock()
 	}
-}
-
-// Duration returns End-Start of a finished span (zero while in
-// flight or on an inert span).
-func (s Span) Duration() time.Duration {
-	if s.data == nil {
-		return 0
-	}
-	return s.data.End.Sub(s.data.Start)
 }

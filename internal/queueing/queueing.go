@@ -1,5 +1,5 @@
 // Package queueing provides the performance models the paper's Section
-// 4.2 criticizes — analytic M/M/1 and M/G/1 queues built on the Poisson
+// 4.2 criticizes — analytic M/M/1 and M/M/c queues built on the Poisson
 // arrival assumption — together with a trace-driven fluid queue that
 // replays arbitrary arrival series. Feeding both with the same mean rate
 // quantifies how badly the Poisson assumption underestimates backlog
@@ -49,9 +49,6 @@ func (q MM1) MeanQueueLength() float64 {
 	return rho / (1 - rho)
 }
 
-// MeanWait returns the mean time in system (Little's law), 1/(mu-lambda).
-func (q MM1) MeanWait() float64 { return 1 / (q.Mu - q.Lambda) }
-
 // QueueLengthQuantile returns the p-quantile of the number in system
 // (geometric distribution).
 func (q MM1) QueueLengthQuantile(p float64) (int, error) {
@@ -66,41 +63,6 @@ func (q MM1) QueueLengthQuantile(p float64) (int, error) {
 	}
 	return int(math.Ceil(n)), nil
 }
-
-// MG1 is the M/G/1 queue: Poisson arrivals at rate Lambda, general
-// service with the given first two moments.
-type MG1 struct {
-	Lambda      float64
-	MeanService float64
-	ServiceSCV  float64 // squared coefficient of variation of service
-}
-
-// NewMG1 validates and returns an M/G/1 model. scv is Var(S)/E[S]^2; an
-// infinite-variance (heavy-tailed) service distribution has no finite
-// scv, which is exactly why these models break on Web workloads.
-func NewMG1(lambda, meanService, scv float64) (MG1, error) {
-	if lambda <= 0 || meanService <= 0 || scv < 0 ||
-		math.IsNaN(lambda) || math.IsNaN(meanService) || math.IsNaN(scv) || math.IsInf(scv, 0) {
-		return MG1{}, fmt.Errorf("%w: lambda=%v meanService=%v scv=%v", ErrBadParam, lambda, meanService, scv)
-	}
-	if lambda*meanService >= 1 {
-		return MG1{}, fmt.Errorf("%w: rho=%v", ErrUnstable, lambda*meanService)
-	}
-	return MG1{Lambda: lambda, MeanService: meanService, ServiceSCV: scv}, nil
-}
-
-// Utilization returns rho = lambda * E[S].
-func (q MG1) Utilization() float64 { return q.Lambda * q.MeanService }
-
-// MeanWait returns the mean waiting time in queue by the
-// Pollaczek-Khinchine formula: rho*E[S]*(1+scv) / (2*(1-rho)).
-func (q MG1) MeanWait() float64 {
-	rho := q.Utilization()
-	return rho * q.MeanService * (1 + q.ServiceSCV) / (2 * (1 - rho))
-}
-
-// MeanQueueLength returns the mean number waiting (Little's law).
-func (q MG1) MeanQueueLength() float64 { return q.Lambda * q.MeanWait() }
 
 // FluidResult summarizes a trace-driven fluid-queue run.
 type FluidResult struct {

@@ -108,7 +108,7 @@ func (s *Streamer) PeakActiveSessions() int { return s.peakActive }
 
 // OpenedTotal returns the number of sessions opened so far (closed and
 // still active alike). A caller that compares the value before and
-// after Observe learns whether the record initiated a session — the
+// after feeding a record learns whether it initiated a session — the
 // streaming source of the sessions-initiated-per-second arrival series,
 // known at open time rather than at close time.
 func (s *Streamer) OpenedTotal() int64 { return s.opened }
@@ -124,17 +124,9 @@ func (s *Streamer) NextExpiry() (time.Time, bool) {
 	return s.head.End.Add(s.threshold), true
 }
 
-// Clamped returns how many records ObserveClamped pulled forward to
-// the stream clock because their timestamps ran backwards.
-func (s *Streamer) Clamped() int64 { return s.clamped }
-
-// LastTime returns the stream clock — the largest timestamp observed
-// so far (zero before any record).
-func (s *Streamer) LastTime() time.Time { return s.lastTime }
-
 // ObserveClamped feeds one record, tolerating non-monotonic input:
 // a record timestamped before the current stream clock is clamped
-// forward to the clock and counted (Clamped), never rejected. This is
+// forward to the clock and counted, never rejected. This is
 // the deterministic policy for the clock skew real multi-server traces
 // carry — the record keeps its host/bytes/status contribution, its
 // arrival lands in the current second, and sessions can only extend,
@@ -154,14 +146,11 @@ func (s *Streamer) ObserveClampedRef(r *weblog.Record) ([]Session, error) {
 	return s.observe(r)
 }
 
-// Observe feeds one record. Records must arrive in non-decreasing time
-// order (access logs are written that way). It returns the sessions
-// whose inactivity window closed strictly before this record's
-// timestamp, in close order (closeOrder).
-func (s *Streamer) Observe(r weblog.Record) ([]Session, error) { return s.observe(&r) }
-
-// observe is Observe by reference: the record is read, never copied
-// or kept.
+// observe feeds one record, read by reference and never copied or
+// kept. Records must arrive in non-decreasing time order (access logs
+// are written that way). It returns the sessions whose inactivity
+// window closed strictly before this record's timestamp, in close
+// order (closeOrder).
 //
 // One call per record: the intrusive list exists so this path
 // allocates nothing but the node and host of each opened session and
@@ -202,7 +191,7 @@ func (s *Streamer) observe(r *weblog.Record) ([]Session, error) {
 // evict closes every session whose inactivity window ended strictly
 // before now: a prefix of the list, sorted into close order.
 //
-//hot:path — called from Observe on every record.
+//hot:path — called from observe on every record.
 func (s *Streamer) evict(now time.Time) []Session {
 	var closed []Session
 	for n := s.head; n != nil && now.Sub(n.End) > s.threshold; n = s.head {

@@ -317,10 +317,6 @@ func (e *Engine) Snapshots() int64 { return e.snapshots }
 // crash-replay by journal growth.
 func (e *Engine) RequestCheckpoint() { e.ckptReq.Store(true) }
 
-// PeakActiveSessions returns the sessionizer's live-state high-water
-// mark — the quantity that bounds the engine's memory.
-func (e *Engine) PeakActiveSessions() int { return e.streamer.PeakActiveSessions() }
-
 // noteClosed folds one finalized session into the per-characteristic
 // sketches.
 func (e *Engine) noteClosed(s *session.Session) {

@@ -62,9 +62,6 @@ func NewQuantileSketch(capacity int) (*QuantileSketch, error) {
 // Cap returns the level-0 buffer capacity.
 func (s *QuantileSketch) Cap() int { return s.cap }
 
-// N returns the observation count.
-func (s *QuantileSketch) N() int64 { return s.n }
-
 // Stored returns the number of retained items across the level-0
 // buffer and the compacted ladder — the sketch's live memory footprint
 // in items, surfaced as a telemetry gauge.
@@ -142,11 +139,6 @@ func compactHalf(m []float64, odd bool) []float64 {
 	}
 	return out
 }
-
-// Quantile returns the current estimate of the p-quantile (0 <= p <=
-// 1): NaN before any observation or for p outside [0, 1], otherwise
-// the weighted-rank read-off of Quantiles.
-func (s *QuantileSketch) Quantile(p float64) float64 { return s.Quantiles(p)[0] }
 
 // Quantiles returns the estimates of several quantiles from one
 // read-off, in the order asked. Each follows the stats.Quantile

@@ -17,18 +17,6 @@ const (
 	KPSSTrend
 )
 
-// String returns the test variant name.
-func (t KPSSType) String() string {
-	switch t {
-	case KPSSLevel:
-		return "level"
-	case KPSSTrend:
-		return "trend"
-	default:
-		return fmt.Sprintf("kpss(%d)", int(t))
-	}
-}
-
 // KPSSResult holds the outcome of a Kwiatkowski-Phillips-Schmidt-Shin
 // stationarity test.
 type KPSSResult struct {

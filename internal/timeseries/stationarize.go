@@ -16,18 +16,6 @@ const (
 	SeasonalMeans
 )
 
-// String returns the method name.
-func (m SeasonalMethod) String() string {
-	switch m {
-	case SeasonalDifferencing:
-		return "differencing"
-	case SeasonalMeans:
-		return "seasonal-means"
-	default:
-		return fmt.Sprintf("seasonal(%d)", int(m))
-	}
-}
-
 // StationarizeConfig controls the stationarizing pipeline.
 type StationarizeConfig struct {
 	// MinPeriod and MaxPeriod bound the periodogram search for a seasonal

@@ -29,18 +29,6 @@ const (
 	Daubechies4
 )
 
-// String returns the filter name.
-func (f Filter) String() string {
-	switch f {
-	case Haar:
-		return "haar"
-	case Daubechies4:
-		return "db4"
-	default:
-		return fmt.Sprintf("filter(%d)", int(f))
-	}
-}
-
 // coefficients returns the low-pass filter taps; the high-pass taps are
 // derived by the quadrature mirror relation.
 func (f Filter) coefficients() ([]float64, error) {
@@ -66,9 +54,6 @@ type Decomposition struct {
 	// Approx holds the final approximation (scaling) coefficients.
 	Approx []float64
 }
-
-// Levels returns the number of decomposition octaves.
-func (d *Decomposition) Levels() int { return len(d.Details) }
 
 // Transform computes a periodic pyramid DWT of x down to maxLevels
 // octaves (or as many as the length allows, each level requiring at least

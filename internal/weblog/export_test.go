@@ -9,3 +9,13 @@ package weblog
 func ParseChunkText(text string, lines int, slab []Record) []Record {
 	return parseChunk(rawChunk{firstLine: 1, lines: lines, text: text}, slab, 0).Records
 }
+
+// EventSeconds returns every record timestamp as Unix seconds, sorted —
+// the input format of the Poisson test battery.
+func (s *Store) EventSeconds() []int64 {
+	out := make([]int64, len(s.records))
+	for i, r := range s.records {
+		out[i] = r.Time.Unix()
+	}
+	return out
+}

@@ -55,17 +55,6 @@ func (s *Store) TotalBytes() int64 {
 	return sum
 }
 
-// ErrorCount returns the number of 4xx/5xx records.
-func (s *Store) ErrorCount() int {
-	n := 0
-	for _, r := range s.records {
-		if r.IsError() {
-			n++
-		}
-	}
-	return n
-}
-
 // CountsPerSecond returns the counting series the paper analyzes: the
 // number of requests in each one-second bin from the first record's
 // second through the last, inclusive. Empty seconds count zero.
@@ -90,16 +79,6 @@ func (s *Store) CountsPerBin(bin time.Duration) ([]float64, error) {
 		counts[idx]++
 	}
 	return counts, nil
-}
-
-// EventSeconds returns every record timestamp as Unix seconds, sorted —
-// the input format of the Poisson test battery.
-func (s *Store) EventSeconds() []int64 {
-	out := make([]int64, len(s.records))
-	for i, r := range s.records {
-		out[i] = r.Time.Unix()
-	}
-	return out
 }
 
 // Window is a contiguous time interval with its request count, used for

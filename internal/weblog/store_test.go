@@ -36,9 +36,6 @@ func TestStoreBasics(t *testing.T) {
 	if s.TotalBytes() != 175 {
 		t.Fatalf("bytes = %d", s.TotalBytes())
 	}
-	if s.ErrorCount() != 1 {
-		t.Fatalf("errors = %d", s.ErrorCount())
-	}
 	// Input untouched (copy at boundary).
 	if recs[0].Time.Unix() != 30 {
 		t.Fatal("NewStore must not reorder its input")

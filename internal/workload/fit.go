@@ -22,7 +22,7 @@ var ErrUnfittable = errors.New("workload: model not fittable")
 // of the stationary session arrival series; the tail indices from the
 // Week rows of the heavy-tail tables.
 //
-// Round trip: Generate -> Analyze -> FitProfile recovers the generating
+// Round trip: Generate -> AnalyzeCtx -> FitProfile recovers the generating
 // profile up to estimation error (see the fit tests), so a profile
 // fitted from a real log can synthesize arbitrarily many statistically
 // faithful traces.

@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"context"
 	"errors"
 	"math"
 	"testing"
@@ -10,7 +11,7 @@ import (
 )
 
 func TestFitProfileRoundTrip(t *testing.T) {
-	// Generate -> Analyze -> FitProfile must recover the generating
+	// Generate -> AnalyzeCtx -> FitProfile must recover the generating
 	// profile's volumes and tail indices up to estimation error.
 	original := NASAPub2()
 	trace, err := Generate(original, Config{Scale: 1, Seed: 21})
@@ -23,7 +24,7 @@ func TestFitProfileRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	model, err := analyzer.Analyze(original.Name, weblog.NewStore(trace.Records))
+	model, err := analyzer.AnalyzeCtx(context.Background(), original.Name, weblog.NewStore(trace.Records))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -60,18 +60,6 @@ const (
 	OnOffAggregate
 )
 
-// String names the source.
-func (s ArrivalSource) String() string {
-	switch s {
-	case FGNModulated:
-		return "fgn"
-	case OnOffAggregate:
-		return "onoff"
-	default:
-		return fmt.Sprintf("source(%d)", int(s))
-	}
-}
-
 // Config controls trace generation.
 type Config struct {
 	// Scale multiplies the Table 1 volumes; 1.0 reproduces full-size
@@ -86,11 +74,6 @@ type Config struct {
 	Days int
 	// Source selects the LRD mechanism; zero value means FGNModulated.
 	Source ArrivalSource
-}
-
-// DefaultConfig returns a 1/10-scale, one-week configuration.
-func DefaultConfig() Config {
-	return Config{Scale: 0.1, Seed: 1}
 }
 
 func (c Config) withDefaults() Config {

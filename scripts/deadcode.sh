@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # deadcode.sh fails when a non-test function under internal/ is reached
-# by no binary and is not in scripts/deadcode.allow, or when an allowed
-# symbol is reached or gone. It links every main in ./cmd/...,
+# by no binary and is not in scripts/deadcode.allow, when an allowed
+# symbol is reached or gone, or when an allow line's reason does not
+# begin with a kind the file's "Reason kinds:" header declares. It links every main in ./cmd/...,
 # ./examples/... and the bench module with inlining off and the
 # linker's dependency dump on, and takes a function as reached when its
 # symbol appears in any of those graphs. Generic instantiations are
@@ -47,11 +48,21 @@ find internal -name '*.go' ! -name '*_test.go' ! -path '*/testdata/*' -print0 | 
 		if (name != "init") print pkg "." name
 	}' | sort -u >"$work/declared"
 
-# The allowlist: "<symbol> <reason>" per line; # starts a comment.
-sed -e 's/#.*//' -e '/^[[:space:]]*$/d' scripts/deadcode.allow | awk '{ print $1 }' | sort -u >"$work/allowed"
+# The allowlist: "<symbol> <kind>: <reason>" per line; # starts a
+# comment. The kinds are the words the header indents by three spaces
+# under "Reason kinds:".
+sed -e 's/#.*//' -e '/^[[:space:]]*$/d' scripts/deadcode.allow >"$work/allow"
+awk '/^# Reason kinds:/ { on = 1; next } on && /^#   [a-z]/ { print $2 ":"; next } on && !/^#    / { on = 0 }' \
+	scripts/deadcode.allow >"$work/kinds"
+awk '{ print $1 }' "$work/allow" | sort -u >"$work/allowed"
 
 comm -23 "$work/declared" "$work/reached" >"$work/unreached"
 fail=0
+if bad=$(awk 'NR == FNR { kind[$1] = 1; next } NF < 3 || !($2 in kind)' "$work/kinds" "$work/allow") && [ -n "$bad" ]; then
+	echo "deadcode: scripts/deadcode.allow lines whose reason does not begin with $(tr '\n' ' ' <"$work/kinds")(the header's kinds):"
+	echo "$bad" | sed 's/^/  /'
+	fail=1
+fi
 if new=$(comm -23 "$work/unreached" "$work/allowed") && [ -n "$new" ]; then
 	echo "deadcode: reached by no binary and not in scripts/deadcode.allow:"
 	echo "$new" | sed 's/^/  /'

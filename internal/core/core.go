@@ -113,9 +113,6 @@ func NewAnalyzer(cfg Config) (*Analyzer, error) {
 	return &Analyzer{cfg: cfg, pool: pool}, nil
 }
 
-// Config returns the analyzer's configuration.
-func (a *Analyzer) Config() Config { return a.cfg }
-
 // Pool exposes the analyzer's worker pool so callers that fan out their
 // own experiments (e.g. the repro harness) share one global bound
 // instead of multiplying pools.

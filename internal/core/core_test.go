@@ -37,8 +37,8 @@ func TestNewAnalyzerValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if good.Config().ACFMaxLag != 1000 {
-		t.Error("Config() should echo the configuration")
+	if good.cfg.ACFMaxLag != 1000 {
+		t.Error("the analyzer should keep its configuration")
 	}
 }
 

@@ -3,11 +3,15 @@ package core_test
 import (
 	"context"
 	"math"
+	"reflect"
+	"sync"
 	"testing"
 	"time"
 
 	"fullweb/internal/core"
 	"fullweb/internal/lrd"
+	"fullweb/internal/obs"
+	"fullweb/internal/session"
 	"fullweb/internal/weblog"
 	"fullweb/internal/workload"
 )
@@ -131,5 +135,87 @@ func TestAnalyzePoissonOnPoissonTrace(t *testing.T) {
 		if rejected > total/2 {
 			t.Errorf("%d/%d batteries rejected a true Poisson window", rejected, total)
 		}
+	}
+}
+
+func TestAnalysisComputesEachPartOnce(t *testing.T) {
+	// Concurrent readers of one Analysis share each part: every
+	// goroutine gets the same cached values, and the sessions that four
+	// parts read are built exactly once.
+	trace, err := workload.Generate(workload.NASAPub2(), workload.Config{Scale: 0.3, Seed: 5, Days: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := core.DefaultConfig()
+	cfg.Stationarize.MinPeriod = 600
+	cfg.Stationarize.MaxPeriod = 43200
+	cfg.Curvature.Replications = 25
+	cfg.Workers = 2
+	x := newAnalyzer(t, cfg).NewAnalysis(weblog.NewStore(trace.Records))
+	reg := obs.NewRegistry()
+	ctx := obs.WithMetrics(context.Background(), reg)
+
+	type parts struct {
+		sessions        []session.Session
+		requestArrivals *core.ArrivalAnalysis
+		sessionArrivals *core.ArrivalAnalysis
+		requestPoisson  map[weblog.WorkloadLevel]*core.PoissonAnalysis
+		sessionPoisson  map[weblog.WorkloadLevel]*core.PoissonAnalysis
+		tails           []*core.TailTable
+	}
+	const readers = 4
+	got := make([]parts, readers)
+	var wg sync.WaitGroup
+	for g := 0; g < readers; g++ {
+		wg.Add(1)
+		go func(p *parts) {
+			defer wg.Done()
+			var err error
+			check := func() {
+				if err != nil {
+					t.Error(err)
+				}
+			}
+			// Tails first, so the readers race to the shared sessions
+			// through different parts.
+			for _, char := range core.AllCharacteristics() {
+				var table *core.TailTable
+				table, err = x.Tails(ctx, char)
+				check()
+				p.tails = append(p.tails, table)
+			}
+			p.sessionPoisson, err = x.SessionPoisson(ctx)
+			check()
+			p.requestPoisson, err = x.RequestPoisson(ctx)
+			check()
+			p.sessionArrivals, err = x.SessionArrivals(ctx)
+			check()
+			p.requestArrivals, err = x.RequestArrivals(ctx)
+			check()
+			p.sessions, err = x.Sessions(ctx)
+			check()
+		}(&got[g])
+	}
+	wg.Wait()
+	first := got[0]
+	for g, p := range got[1:] {
+		if p.requestArrivals != first.requestArrivals || p.sessionArrivals != first.sessionArrivals {
+			t.Errorf("reader %d got its own arrival analyses", g+1)
+		}
+		if reflect.ValueOf(p.requestPoisson).Pointer() != reflect.ValueOf(first.requestPoisson).Pointer() ||
+			reflect.ValueOf(p.sessionPoisson).Pointer() != reflect.ValueOf(first.sessionPoisson).Pointer() {
+			t.Errorf("reader %d got its own Poisson maps", g+1)
+		}
+		for i := range p.tails {
+			if p.tails[i] != first.tails[i] {
+				t.Errorf("reader %d got its own %s table", g+1, core.AllCharacteristics()[i])
+			}
+		}
+	}
+	if built := reg.Counter("session.sessions_built").Value(); built != int64(len(first.sessions)) {
+		t.Errorf("session.sessions_built = %d for %d sessions: sessionized more than once", built, len(first.sessions))
+	}
+	if _, err := x.Tails(ctx, "no-such-characteristic"); err == nil {
+		t.Error("unknown characteristic accepted")
 	}
 }

@@ -91,13 +91,11 @@ type FullWebModel struct {
 // request-level arrival analysis, sessionization, session-level arrival
 // analysis, Poisson batteries on the typical windows at both levels, and
 // the heavy-tail tables for the three intra-session characteristics.
-// The independent experiments fan out on the analyzer's worker pool:
-// the request-level and session-level arrival analyses run
-// concurrently, then the per-window Poisson batteries and the twelve
-// tail analyses (four intervals × three characteristics) fan out
-// together. Results land in fields and map keys
-// fixed per task, so the model is identical at any pool size; a failing
-// experiment cancels its unstarted siblings through ctx.
+// It asks a fresh Analysis for every part at once, fanned out on the
+// analyzer's worker pool; each part waits only for the parts it reads
+// (the sessions, the typical windows) and lands in its own field, so
+// the model is identical at any pool size. A failing part cancels its
+// unstarted siblings through ctx.
 func (a *Analyzer) AnalyzeCtx(ctx context.Context, server string, store *weblog.Store) (*FullWebModel, error) {
 	ctx, sp := obs.StartSpan(ctx, "core.analyze")
 	sp.SetAttr("server", server)
@@ -116,125 +114,35 @@ func (a *Analyzer) AnalyzeCtx(ctx context.Context, server string, store *weblog.
 		BytesTransferred: store.TotalBytes(),
 		Span:             last.Sub(first),
 	}
-	// Stage 1: the two arrival analyses are independent once the session
-	// list exists; sessionization rides in the session-level task.
-	var sessions []session.Session
-	err = a.pool.ForEach(ctx, 2, func(ctx context.Context, i int) error {
+	x := a.NewAnalysis(store)
+	chars := AllCharacteristics()
+	tails := make([]*TailTable, len(chars))
+	err = a.pool.ForEach(ctx, 4+len(chars), func(ctx context.Context, i int) error {
+		var err error
 		switch i {
 		case 0:
-			// Request-level arrival analysis (Section 4.1).
-			counts, err := store.CountsPerSecond()
-			if err != nil {
-				return fmt.Errorf("core: request series: %w", err)
-			}
-			if model.RequestArrivals, err = a.AnalyzeArrivalSeriesCtx(ctx, counts); err != nil {
-				return fmt.Errorf("core: request arrivals: %w", err)
-			}
+			model.RequestArrivals, err = x.RequestArrivals(ctx)
 		case 1:
-			// Sessionization, then the session-level arrival analysis
-			// (Section 5.1.1).
-			var err error
-			if sessions, err = session.SessionizeCtx(ctx, store.All(), a.cfg.SessionThreshold); err != nil {
-				return fmt.Errorf("core: sessionizing: %w", err)
-			}
-			sessionCounts, err := session.InitiatedPerSecond(sessions)
-			if err != nil {
-				return fmt.Errorf("core: session series: %w", err)
-			}
-			if model.SessionArrivals, err = a.AnalyzeArrivalSeriesCtx(ctx, sessionCounts); err != nil {
-				return fmt.Errorf("core: session arrivals: %w", err)
-			}
+			model.SessionArrivals, err = x.SessionArrivals(ctx)
+		case 2:
+			model.RequestPoisson, err = x.RequestPoisson(ctx)
+		case 3:
+			model.SessionPoisson, err = x.SessionPoisson(ctx)
+		default:
+			tails[i-4], err = x.Tails(ctx, chars[i-4])
 		}
-		return nil
+		return err
 	})
 	if err != nil {
 		return nil, err
 	}
+	// Every part has run, so these return the cached values.
+	sessions, _ := x.Sessions(ctx)
 	model.Sessions = len(sessions)
-	// Typical windows (Sections 4.2 and 5.1.2).
-	model.TypicalWindows, err = store.SelectTypicalWindows(a.cfg.WindowDuration)
-	if err != nil {
-		return nil, fmt.Errorf("core: window selection: %w", err)
-	}
-	model.RequestPoisson = make(map[weblog.WorkloadLevel]*PoissonAnalysis)
-	model.SessionPoisson = make(map[weblog.WorkloadLevel]*PoissonAnalysis)
-	model.Tails = make(map[string]*TailTable)
-	for _, char := range AllCharacteristics() {
-		model.Tails[char] = &TailTable{
-			Characteristic: char,
-			Rows:           make(map[string]TailAnalysis),
-		}
-	}
-	// Stage 2: every remaining experiment is independent. Build the task
-	// list in a fixed order (levels ascending, then tail rows) and fan
-	// out; each task owns one map slot, assigned after the barrier.
-	sessionStarts := session.StartSeconds(sessions)
-	levels := orderedLevels(model.TypicalWindows)
-	type poissonTask struct {
-		level   weblog.WorkloadLevel
-		window  weblog.Window
-		session bool
-	}
-	var ptasks []poissonTask
-	for _, level := range levels {
-		w := model.TypicalWindows[level]
-		ptasks = append(ptasks,
-			poissonTask{level: level, window: w, session: false},
-			poissonTask{level: level, window: w, session: true})
-	}
-	type tailTask struct {
-		char   string
-		level  string
-		values []float64
-	}
-	var ttasks []tailTask
-	addRows := func(level string, subset []session.Session) {
-		for _, char := range AllCharacteristics() {
-			ttasks = append(ttasks, tailTask{char, level, CharacteristicValues(char, subset)})
-		}
-	}
-	addRows(IntervalWeek, sessions)
-	for _, level := range levels {
-		addRows(level.String(), sessionsInWindow(sessions, model.TypicalWindows[level]))
-	}
-	poissonOut := make([]*PoissonAnalysis, len(ptasks))
-	tailOut := make([]TailAnalysis, len(ttasks))
-	err = a.pool.ForEach(ctx, len(ptasks)+len(ttasks), func(ctx context.Context, i int) error {
-		if i < len(ptasks) {
-			t := ptasks[i]
-			secs := recordSeconds(store, t.window)
-			kind := "request"
-			if t.session {
-				secs = secondsInWindow(sessionStarts, t.window)
-				kind = "session"
-			}
-			pa, err := a.AnalyzePoissonCtx(ctx, t.level, t.window, secs)
-			if err != nil {
-				return fmt.Errorf("core: %s Poisson %v: %w", kind, t.level, err)
-			}
-			poissonOut[i] = pa
-			return nil
-		}
-		t := ttasks[i-len(ptasks)]
-		row, err := a.AnalyzeTailCtx(ctx, t.char, t.level, t.values)
-		if err != nil {
-			return err
-		}
-		tailOut[i-len(ptasks)] = row
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	for i, t := range ptasks {
-		if t.session {
-			model.SessionPoisson[t.level] = poissonOut[i]
-		} else {
-			model.RequestPoisson[t.level] = poissonOut[i]
-		}
-	}
-	for i, t := range ttasks {
-		model.Tails[t.char].Rows[t.level] = tailOut[i]
+	model.TypicalWindows, _ = x.TypicalWindows(ctx)
+	model.Tails = make(map[string]*TailTable, len(chars))
+	for i, char := range chars {
+		model.Tails[char] = tails[i]
 	}
 	return model, nil
 }

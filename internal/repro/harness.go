@@ -22,14 +22,15 @@ import (
 var ErrUnknownServer = errors.New("repro: unknown server")
 
 // Harness regenerates the paper's experiments from synthetic traces.
-// Traces and derived artifacts are generated lazily and cached, so
-// experiments sharing a server reuse the work. A Harness is safe for
-// concurrent use: each per-server artifact (trace, arrival analyses,
-// typical windows) is computed once under its own singleflight latch, so
-// concurrent experiments wait for — rather than duplicate or race — the
-// generation work, and the multi-server experiments fan out on a bounded
-// worker pool. All randomness derives from Seed per server and per
-// battery, so results are identical at any Workers setting.
+// Each server's trace is generated once, under a singleflight latch, and
+// handed to a core.Analysis — the same per-log pipeline `fullweb
+// analyze` runs — which computes and caches each part of the FULL-Web
+// model the first time an experiment reads it. Experiments sharing a
+// server therefore reuse the work, and concurrent experiments wait for —
+// rather than duplicate or race — it. A Harness is safe for concurrent
+// use; the multi-server experiments fan out on a bounded worker pool.
+// All randomness derives from Seed per server and per battery, so
+// results are identical at any Workers setting.
 type Harness struct {
 	// Scale multiplies the paper's Table 1 volumes (DESIGN.md documents
 	// the default 0.1 substitution); Seed fixes all randomness.
@@ -46,10 +47,10 @@ type Harness struct {
 	// near-sequential execution. Set before the first experiment runs.
 	Workers int
 	// Tracer and Metrics observe the experiments: every public experiment
-	// opens a root span ("repro.table1", ...) and the singleflight caches
-	// report hits and recomputes. Both default to nil — the free no-op
-	// path — and never influence computed results. Set before the first
-	// experiment runs.
+	// opens a root span ("repro.table1", ...) and each per-server lookup
+	// reports whether it generated the trace or reused it. Both default
+	// to nil — the free no-op path — and never influence computed
+	// results. Set before the first experiment runs.
 	Tracer  *obs.Tracer
 	Metrics *obs.Registry
 
@@ -61,28 +62,14 @@ type Harness struct {
 	analyzerErr  error
 }
 
-// serverData holds one server's lazily generated artifacts. Each
-// artifact has its own sync.Once: the first goroutine to need it
-// computes it (errors are latched alongside), later goroutines reuse it.
+// serverData holds one server's lazily generated trace and the analysis
+// over it. The first goroutine to need it generates it (the error is
+// latched alongside); later goroutines reuse it.
 type serverData struct {
 	genOnce  sync.Once
 	genErr   error
-	profile  workload.Profile
-	trace    *workload.Trace
 	store    *weblog.Store
-	sessions []session.Session
-
-	reqOnce         sync.Once
-	reqErr          error
-	requestArrivals *core.ArrivalAnalysis
-
-	sessOnce        sync.Once
-	sessErr         error
-	sessionArrivals *core.ArrivalAnalysis
-
-	winOnce sync.Once
-	winErr  error
-	windows map[weblog.WorkloadLevel]weblog.Window
+	analysis *core.Analysis
 }
 
 // NewHarness returns a harness at the given scale and seed.
@@ -117,9 +104,9 @@ func (h *Harness) obsCtx(experiment string) (context.Context, obs.Span) {
 	return obs.StartSpan(ctx, "repro."+experiment)
 }
 
-// cached reports a singleflight outcome to the harness metrics: ran
-// means this call did the work (harness.recomputes), otherwise it reused
-// a cached artifact (harness.cache_hits).
+// cached reports a server lookup to the harness metrics: ran means this
+// call generated the trace (harness.recomputes), otherwise it reused the
+// server's trace and analysis (harness.cache_hits).
 func (h *Harness) cached(ran bool) {
 	if ran {
 		h.Metrics.Counter("harness.recomputes").Inc()
@@ -161,16 +148,21 @@ func (h *Harness) slot(name string) *serverData {
 	return sd
 }
 
-// server lazily generates and caches the trace and sessionization of one
-// server.
+// server lazily generates and caches the trace of one server, with the
+// (still empty) analysis over it.
 func (h *Harness) server(ctx context.Context, name string) (*serverData, error) {
 	sd := h.slot(name)
 	ran := false
 	sd.genOnce.Do(func() {
 		ran = true
-		gctx, sp := obs.StartSpan(ctx, "repro.generate")
+		_, sp := obs.StartSpan(ctx, "repro.generate")
 		sp.SetAttr("server", name)
 		defer sp.End()
+		a, err := h.analyzer()
+		if err != nil {
+			sd.genErr = err
+			return
+		}
 		profile, err := h.profileFor(name)
 		if err != nil {
 			sd.genErr = err
@@ -182,15 +174,8 @@ func (h *Harness) server(ctx context.Context, name string) (*serverData, error) 
 			return
 		}
 		sp.SetInt("records", int64(len(trace.Records)))
-		sessions, err := session.SessionizeCtx(gctx, trace.Records, session.DefaultThreshold)
-		if err != nil {
-			sd.genErr = fmt.Errorf("repro: sessionizing %s: %w", name, err)
-			return
-		}
-		sd.profile = profile
-		sd.trace = trace
 		sd.store = weblog.NewStore(trace.Records)
-		sd.sessions = sessions
+		sd.analysis = a.NewAnalysis(sd.store)
 	})
 	h.cached(ran)
 	if sd.genErr != nil {
@@ -199,88 +184,36 @@ func (h *Harness) server(ctx context.Context, name string) (*serverData, error) 
 	return sd, nil
 }
 
-// requestArrivals lazily runs the Section 4 arrival analysis.
-func (h *Harness) requestArrivals(ctx context.Context, name string) (*core.ArrivalAnalysis, error) {
+// analysis returns one server's analysis, generating its trace first if
+// needed.
+func (h *Harness) analysis(ctx context.Context, name string) (*core.Analysis, error) {
 	sd, err := h.server(ctx, name)
 	if err != nil {
 		return nil, err
 	}
-	ran := false
-	sd.reqOnce.Do(func() {
-		ran = true
-		a, err := h.analyzer()
-		if err != nil {
-			sd.reqErr = err
-			return
-		}
-		counts, err := sd.store.CountsPerSecond()
-		if err != nil {
-			sd.reqErr = fmt.Errorf("repro: %s request series: %w", name, err)
-			return
-		}
-		res, err := a.AnalyzeArrivalSeriesCtx(ctx, counts)
-		if err != nil {
-			sd.reqErr = fmt.Errorf("repro: %s request arrivals: %w", name, err)
-			return
-		}
-		sd.requestArrivals = res
-	})
-	h.cached(ran)
-	return sd.requestArrivals, sd.reqErr
+	return sd.analysis, nil
 }
 
-// sessionArrivals lazily runs the Section 5.1.1 arrival analysis.
-func (h *Harness) sessionArrivals(ctx context.Context, name string) (*core.ArrivalAnalysis, error) {
-	sd, err := h.server(ctx, name)
+// perServer reads one part of every server's analysis, one server per
+// pool task; a failing server cancels the servers not yet started.
+func perServer[T any](ctx context.Context, h *Harness, part func(*core.Analysis, context.Context) (T, error)) (map[string]T, error) {
+	servers := Servers()
+	vals, err := parallel.Map(ctx, h.pool(), len(servers), func(ctx context.Context, i int) (T, error) {
+		x, err := h.analysis(ctx, servers[i])
+		if err != nil {
+			var zero T
+			return zero, err
+		}
+		return part(x, ctx)
+	})
 	if err != nil {
 		return nil, err
 	}
-	ran := false
-	sd.sessOnce.Do(func() {
-		ran = true
-		a, err := h.analyzer()
-		if err != nil {
-			sd.sessErr = err
-			return
-		}
-		counts, err := session.InitiatedPerSecond(sd.sessions)
-		if err != nil {
-			sd.sessErr = fmt.Errorf("repro: %s session series: %w", name, err)
-			return
-		}
-		res, err := a.AnalyzeArrivalSeriesCtx(ctx, counts)
-		if err != nil {
-			sd.sessErr = fmt.Errorf("repro: %s session arrivals: %w", name, err)
-			return
-		}
-		sd.sessionArrivals = res
-	})
-	h.cached(ran)
-	return sd.sessionArrivals, sd.sessErr
-}
-
-func (h *Harness) typicalWindows(ctx context.Context, name string) (map[weblog.WorkloadLevel]weblog.Window, error) {
-	sd, err := h.server(ctx, name)
-	if err != nil {
-		return nil, err
+	out := make(map[string]T, len(servers))
+	for i, name := range servers {
+		out[name] = vals[i]
 	}
-	ran := false
-	sd.winOnce.Do(func() {
-		ran = true
-		a, err := h.analyzer()
-		if err != nil {
-			sd.winErr = err
-			return
-		}
-		windows, err := sd.store.SelectTypicalWindows(a.Config().WindowDuration)
-		if err != nil {
-			sd.winErr = fmt.Errorf("repro: %s windows: %w", name, err)
-			return
-		}
-		sd.windows = windows
-	})
-	h.cached(ran)
-	return sd.windows, sd.winErr
+	return out, nil
 }
 
 // Table1Row is one measured row of Table 1.
@@ -303,10 +236,14 @@ func (h *Harness) Table1() ([]Table1Row, error) {
 		if err != nil {
 			return Table1Row{}, err
 		}
+		sessions, err := sd.analysis.Sessions(ctx)
+		if err != nil {
+			return Table1Row{}, err
+		}
 		return Table1Row{
 			Server:   servers[i],
 			Requests: sd.store.Len(),
-			Sessions: len(sd.sessions),
+			Sessions: len(sessions),
 			MB:       float64(sd.store.TotalBytes()) / 1e6,
 		}, nil
 	})
@@ -332,7 +269,7 @@ func (h *Harness) Figure2() ([]float64, error) {
 func (h *Harness) Figure3() ([]float64, error) {
 	ctx, sp := h.obsCtx("figure3")
 	defer sp.End()
-	ra, err := h.requestArrivals(ctx, "WVU")
+	ra, err := h.wvuRequestArrivals(ctx)
 	if err != nil {
 		return nil, err
 	}
@@ -343,11 +280,21 @@ func (h *Harness) Figure3() ([]float64, error) {
 func (h *Harness) Figure5() ([]float64, error) {
 	ctx, sp := h.obsCtx("figure5")
 	defer sp.End()
-	ra, err := h.requestArrivals(ctx, "WVU")
+	ra, err := h.wvuRequestArrivals(ctx)
 	if err != nil {
 		return nil, err
 	}
 	return ra.ACFStationary, nil
+}
+
+// wvuRequestArrivals returns the request arrival analysis of WVU, the
+// server of the single-server arrival figures.
+func (h *Harness) wvuRequestArrivals(ctx context.Context) (*core.ArrivalAnalysis, error) {
+	x, err := h.analysis(ctx, "WVU")
+	if err != nil {
+		return nil, err
+	}
+	return x.RequestArrivals(ctx)
 }
 
 // HurstMatrix maps server name to the five-estimator battery.
@@ -358,7 +305,7 @@ type HurstMatrix map[string]*lrd.BatteryResult
 func (h *Harness) Figure4() (HurstMatrix, error) {
 	ctx, sp := h.obsCtx("figure4")
 	defer sp.End()
-	return h.hurstMatrix(ctx, h.requestArrivals, true)
+	return h.hurstMatrix(ctx, (*core.Analysis).RequestArrivals, true)
 }
 
 // Figure6 regenerates Figure 6: Hurst estimates on the stationary
@@ -366,7 +313,7 @@ func (h *Harness) Figure4() (HurstMatrix, error) {
 func (h *Harness) Figure6() (HurstMatrix, error) {
 	ctx, sp := h.obsCtx("figure6")
 	defer sp.End()
-	return h.hurstMatrix(ctx, h.requestArrivals, false)
+	return h.hurstMatrix(ctx, (*core.Analysis).RequestArrivals, false)
 }
 
 // Figure9 regenerates Figure 9: Hurst estimates on the raw
@@ -374,7 +321,7 @@ func (h *Harness) Figure6() (HurstMatrix, error) {
 func (h *Harness) Figure9() (HurstMatrix, error) {
 	ctx, sp := h.obsCtx("figure9")
 	defer sp.End()
-	return h.hurstMatrix(ctx, h.sessionArrivals, true)
+	return h.hurstMatrix(ctx, (*core.Analysis).SessionArrivals, true)
 }
 
 // Figure10 regenerates Figure 10: Hurst estimates on the stationary
@@ -382,15 +329,14 @@ func (h *Harness) Figure9() (HurstMatrix, error) {
 func (h *Harness) Figure10() (HurstMatrix, error) {
 	ctx, sp := h.obsCtx("figure10")
 	defer sp.End()
-	return h.hurstMatrix(ctx, h.sessionArrivals, false)
+	return h.hurstMatrix(ctx, (*core.Analysis).SessionArrivals, false)
 }
 
-// hurstMatrix runs one arrival analysis per server concurrently; a
-// failing server cancels analyses not yet started on the others.
-func (h *Harness) hurstMatrix(ctx context.Context, get func(context.Context, string) (*core.ArrivalAnalysis, error), raw bool) (HurstMatrix, error) {
-	servers := Servers()
-	batteries, err := parallel.Map(ctx, h.pool(), len(servers), func(ctx context.Context, i int) (*lrd.BatteryResult, error) {
-		aa, err := get(ctx, servers[i])
+// hurstMatrix runs one arrival analysis per server concurrently and
+// keeps its raw or stationary battery.
+func (h *Harness) hurstMatrix(ctx context.Context, arrivals func(*core.Analysis, context.Context) (*core.ArrivalAnalysis, error), raw bool) (HurstMatrix, error) {
+	return perServer(ctx, h, func(x *core.Analysis, ctx context.Context) (*lrd.BatteryResult, error) {
+		aa, err := arrivals(x, ctx)
 		if err != nil {
 			return nil, err
 		}
@@ -399,14 +345,6 @@ func (h *Harness) hurstMatrix(ctx context.Context, get func(context.Context, str
 		}
 		return aa.StationaryHurst, nil
 	})
-	if err != nil {
-		return nil, err
-	}
-	out := make(HurstMatrix, len(servers))
-	for i, name := range servers {
-		out[name] = batteries[i]
-	}
-	return out, nil
 }
 
 // Figure7 returns the Whittle aggregation sweep of the stationary WVU
@@ -414,7 +352,7 @@ func (h *Harness) hurstMatrix(ctx context.Context, get func(context.Context, str
 func (h *Harness) Figure7() ([]lrd.SweepPoint, error) {
 	ctx, sp := h.obsCtx("figure7")
 	defer sp.End()
-	ra, err := h.requestArrivals(ctx, "WVU")
+	ra, err := h.wvuRequestArrivals(ctx)
 	if err != nil {
 		return nil, err
 	}
@@ -425,7 +363,7 @@ func (h *Harness) Figure7() ([]lrd.SweepPoint, error) {
 func (h *Harness) Figure8() ([]lrd.SweepPoint, error) {
 	ctx, sp := h.obsCtx("figure8")
 	defer sp.End()
-	ra, err := h.requestArrivals(ctx, "WVU")
+	ra, err := h.wvuRequestArrivals(ctx)
 	if err != nil {
 		return nil, err
 	}
@@ -441,14 +379,7 @@ type PoissonVerdicts map[string]map[weblog.WorkloadLevel]*core.PoissonAnalysis
 func (h *Harness) Section42() (PoissonVerdicts, error) {
 	ctx, sp := h.obsCtx("section42")
 	defer sp.End()
-	return h.poissonVerdicts(ctx, func(sd *serverData, w weblog.Window) []int64 {
-		recs := sd.store.Range(w.Start, w.Start.Add(w.Duration))
-		secs := make([]int64, len(recs))
-		for i, r := range recs {
-			secs[i] = r.Time.Unix()
-		}
-		return secs
-	})
+	return perServer(ctx, h, (*core.Analysis).RequestPoisson)
 }
 
 // Section512 regenerates the Section 5.1.2 experiment: the Poisson
@@ -457,79 +388,7 @@ func (h *Harness) Section42() (PoissonVerdicts, error) {
 func (h *Harness) Section512() (PoissonVerdicts, error) {
 	ctx, sp := h.obsCtx("section512")
 	defer sp.End()
-	return h.poissonVerdicts(ctx, func(sd *serverData, w weblog.Window) []int64 {
-		end := w.Start.Add(w.Duration)
-		var secs []int64
-		for _, s := range sd.sessions {
-			if !s.Start.Before(w.Start) && s.Start.Before(end) {
-				secs = append(secs, s.Start.Unix())
-			}
-		}
-		return secs
-	})
-}
-
-// poissonVerdicts fans the batteries out at two grains: one task per
-// server (generation plus window selection), and inside it one task per
-// typical window. Windows run in fixed Low/Med/High order and land in
-// indexed slots, so the verdicts match the sequential run exactly.
-func (h *Harness) poissonVerdicts(ctx context.Context, events func(*serverData, weblog.Window) []int64) (PoissonVerdicts, error) {
-	a, err := h.analyzer()
-	if err != nil {
-		return nil, err
-	}
-	servers := Servers()
-	type serverVerdicts struct {
-		levels   []weblog.WorkloadLevel
-		analyses []*core.PoissonAnalysis
-	}
-	results, err := parallel.Map(ctx, h.pool(), len(servers), func(ctx context.Context, i int) (serverVerdicts, error) {
-		name := servers[i]
-		sd, err := h.server(ctx, name)
-		if err != nil {
-			return serverVerdicts{}, err
-		}
-		windows, err := h.typicalWindows(ctx, name)
-		if err != nil {
-			return serverVerdicts{}, err
-		}
-		levels := levelOrder(windows)
-		sv := serverVerdicts{levels: levels, analyses: make([]*core.PoissonAnalysis, len(levels))}
-		err = h.pool().ForEach(ctx, len(levels), func(ctx context.Context, j int) error {
-			level := levels[j]
-			w := windows[level]
-			pa, err := a.AnalyzePoissonCtx(ctx, level, w, events(sd, w))
-			if err != nil {
-				return fmt.Errorf("repro: %s %v Poisson battery: %w", name, level, err)
-			}
-			sv.analyses[j] = pa
-			return nil
-		})
-		return sv, err
-	})
-	if err != nil {
-		return nil, err
-	}
-	out := make(PoissonVerdicts, len(servers))
-	for i, name := range servers {
-		out[name] = make(map[weblog.WorkloadLevel]*core.PoissonAnalysis, len(results[i].levels))
-		for j, level := range results[i].levels {
-			out[name][level] = results[i].analyses[j]
-		}
-	}
-	return out, nil
-}
-
-// levelOrder returns the window map's keys in ascending workload order —
-// the fixed fan-out order behind deterministic scheduling.
-func levelOrder(windows map[weblog.WorkloadLevel]weblog.Window) []weblog.WorkloadLevel {
-	var out []weblog.WorkloadLevel
-	for _, level := range []weblog.WorkloadLevel{weblog.Low, weblog.Med, weblog.High} {
-		if _, ok := windows[level]; ok {
-			out = append(out, level)
-		}
-	}
-	return out
+	return perServer(ctx, h, (*core.Analysis).SessionPoisson)
 }
 
 // Figure11Result bundles the LLCD analysis of the WVU High-interval
@@ -580,25 +439,18 @@ func (h *Harness) Figure12() (heavytail.HillResult, error) {
 	return res, nil
 }
 
+// wvuHighDurations returns the positive session lengths, in seconds, of
+// the WVU sessions initiated in the High window.
 func (h *Harness) wvuHighDurations(ctx context.Context) ([]float64, error) {
-	sd, err := h.server(ctx, "WVU")
+	x, err := h.analysis(ctx, "WVU")
 	if err != nil {
 		return nil, err
 	}
-	windows, err := h.typicalWindows(ctx, "WVU")
+	sessions, err := x.WindowSessions(ctx, weblog.High)
 	if err != nil {
 		return nil, err
 	}
-	w := windows[weblog.High]
-	end := w.Start.Add(w.Duration)
-	var durations []float64
-	for _, s := range sd.sessions {
-		if !s.Start.Before(w.Start) && s.Start.Before(end) {
-			if d := s.Duration().Seconds(); d > 0 {
-				durations = append(durations, d)
-			}
-		}
-	}
+	durations := session.PositiveOnly(core.CharacteristicValues(core.CharSessionLength, sessions))
 	if len(durations) == 0 {
 		return nil, fmt.Errorf("repro: no WVU High sessions")
 	}
@@ -610,11 +462,15 @@ func (h *Harness) wvuHighDurations(ctx context.Context) ([]float64, error) {
 func (h *Harness) Figure13() (*Figure11Result, error) {
 	ctx, sp := h.obsCtx("figure13")
 	defer sp.End()
-	sd, err := h.server(ctx, "ClarkNet")
+	x, err := h.analysis(ctx, "ClarkNet")
 	if err != nil {
 		return nil, err
 	}
-	counts := session.PositiveOnly(session.RequestCounts(sd.sessions))
+	sessions, err := x.Sessions(ctx)
+	if err != nil {
+		return nil, err
+	}
+	counts := session.PositiveOnly(core.CharacteristicValues(core.CharRequestsPerSession, sessions))
 	llcd, err := heavytail.EstimateLLCDAuto(counts)
 	if err != nil {
 		return nil, fmt.Errorf("repro: figure 13 fit: %w", err)
@@ -637,81 +493,28 @@ type MeasuredTable struct {
 func (h *Harness) Table2() (*MeasuredTable, error) {
 	ctx, sp := h.obsCtx("table2")
 	defer sp.End()
-	return h.tailTable(ctx, core.CharSessionLength, func(s []session.Session) []float64 {
-		return session.Durations(s)
-	})
+	return h.tailTable(ctx, core.CharSessionLength)
 }
 
 // Table3 regenerates Table 3 (requests per session).
 func (h *Harness) Table3() (*MeasuredTable, error) {
 	ctx, sp := h.obsCtx("table3")
 	defer sp.End()
-	return h.tailTable(ctx, core.CharRequestsPerSession, func(s []session.Session) []float64 {
-		return session.RequestCounts(s)
-	})
+	return h.tailTable(ctx, core.CharRequestsPerSession)
 }
 
 // Table4 regenerates Table 4 (bytes per session).
 func (h *Harness) Table4() (*MeasuredTable, error) {
 	ctx, sp := h.obsCtx("table4")
 	defer sp.End()
-	return h.tailTable(ctx, core.CharBytesPerSession, func(s []session.Session) []float64 {
-		return session.ByteCounts(s)
-	})
+	return h.tailTable(ctx, core.CharBytesPerSession)
 }
 
-// tailTable fans one task per server out on the pool; inside each, the
-// Week row and the Low/Med/High rows fan out again. Rows are built in a
-// fixed order into indexed slots and assembled into the cell maps after
-// the barrier, so the table is identical at any pool size.
-func (h *Harness) tailTable(ctx context.Context, char string, extract func([]session.Session) []float64) (*MeasuredTable, error) {
-	a, err := h.analyzer()
-	if err != nil {
-		return nil, err
-	}
-	servers := Servers()
-	type serverRows struct {
-		intervals []string
-		rows      []core.TailAnalysis
-	}
-	results, err := parallel.Map(ctx, h.pool(), len(servers), func(ctx context.Context, i int) (serverRows, error) {
-		name := servers[i]
-		sd, err := h.server(ctx, name)
-		if err != nil {
-			return serverRows{}, err
-		}
-		windows, err := h.typicalWindows(ctx, name)
-		if err != nil {
-			return serverRows{}, err
-		}
-		type rowTask struct {
-			interval string
-			values   []float64
-		}
-		tasks := []rowTask{{interval: "Week", values: extract(sd.sessions)}}
-		for _, level := range levelOrder(windows) {
-			w := windows[level]
-			end := w.Start.Add(w.Duration)
-			var subset []session.Session
-			for _, s := range sd.sessions {
-				if !s.Start.Before(w.Start) && s.Start.Before(end) {
-					subset = append(subset, s)
-				}
-			}
-			tasks = append(tasks, rowTask{interval: level.String(), values: extract(subset)})
-		}
-		sr := serverRows{intervals: make([]string, len(tasks)), rows: make([]core.TailAnalysis, len(tasks))}
-		err = h.pool().ForEach(ctx, len(tasks), func(ctx context.Context, j int) error {
-			t := tasks[j]
-			row, err := a.AnalyzeTailCtx(ctx, char, t.interval, t.values)
-			if err != nil {
-				return fmt.Errorf("repro: %s %s %s: %w", name, char, t.interval, err)
-			}
-			sr.intervals[j] = t.interval
-			sr.rows[j] = row
-			return nil
-		})
-		return sr, err
+// tailTable reads one characteristic's tail table from every server's
+// analysis and regroups its rows by interval.
+func (h *Harness) tailTable(ctx context.Context, char string) (*MeasuredTable, error) {
+	tables, err := perServer(ctx, h, func(x *core.Analysis, ctx context.Context) (*core.TailTable, error) {
+		return x.Tails(ctx, char)
 	})
 	if err != nil {
 		return nil, err
@@ -721,11 +524,11 @@ func (h *Harness) tailTable(ctx context.Context, char string, extract func([]ses
 		Cells:          make(map[string]map[string]core.TailAnalysis),
 	}
 	for _, interval := range Intervals() {
-		out.Cells[interval] = make(map[string]core.TailAnalysis, len(servers))
+		out.Cells[interval] = make(map[string]core.TailAnalysis, len(tables))
 	}
-	for i, name := range servers {
-		for j, interval := range results[i].intervals {
-			out.Cells[interval][name] = results[i].rows[j]
+	for name, table := range tables {
+		for interval, row := range table.Rows {
+			out.Cells[interval][name] = row
 		}
 	}
 	return out, nil
@@ -761,23 +564,18 @@ func (h *Harness) Intensity() (*IntensityResult, error) {
 	ctx, sp := h.obsCtx("intensity")
 	defer sp.End()
 	res := &IntensityResult{}
-	servers := Servers()
-	across, err := parallel.Map(ctx, h.pool(), len(servers), func(ctx context.Context, i int) (ServerIntensity, error) {
-		name := servers[i]
-		ra, err := h.requestArrivals(ctx, name)
-		if err != nil {
-			return ServerIntensity{}, err
-		}
-		est, ok := ra.StationaryHurst.ByMethod(lrd.Whittle)
-		if !ok {
-			return ServerIntensity{}, fmt.Errorf("repro: intensity: %s missing Whittle estimate", name)
-		}
-		return ServerIntensity{Server: name, MeanRate: ra.MeanPerSecond, H: est.H}, nil
-	})
+	arrivals, err := perServer(ctx, h, (*core.Analysis).RequestArrivals)
 	if err != nil {
 		return nil, err
 	}
-	res.AcrossServers = across
+	for _, name := range Servers() {
+		ra := arrivals[name]
+		est, ok := ra.StationaryHurst.ByMethod(lrd.Whittle)
+		if !ok {
+			return nil, fmt.Errorf("repro: intensity: %s missing Whittle estimate", name)
+		}
+		res.AcrossServers = append(res.AcrossServers, ServerIntensity{Server: name, MeanRate: ra.MeanPerSecond, H: est.H})
+	}
 	sd, err := h.server(ctx, "WVU")
 	if err != nil {
 		return nil, err

@@ -12,6 +12,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"io/fs"
 	"os"
 	"time"
 
@@ -92,11 +93,15 @@ func DefaultRetryPolicy(sleep func(time.Duration)) RetryPolicy {
 	return RetryPolicy{Attempts: 3, Backoff: 100 * time.Millisecond, Sleep: sleep}
 }
 
-// OpenRetry opens a log segment, retrying transient failures under
-// the policy. Each attempt first consults the weblog.open fault site,
-// so tests can force exactly N transient failures. Retries are
-// counted on the ingest.open_retries obs counter; the last error is
-// returned when every attempt fails.
+// OpenRetry opens a log segment, retrying under the policy the
+// failures a log rotation can cause: a missing path (fs.ErrNotExist —
+// the segment caught mid-rename) and the injected weblog.open fault,
+// which each attempt consults first so tests can force exactly N
+// transient failures. Any other open error is returned on the first
+// attempt, without sleeping. Retries are counted on the
+// ingest.open_retries obs counter; the last error is returned when
+// every attempt fails, so a path that never appears costs the whole
+// backoff schedule.
 func OpenRetry(ctx context.Context, path string, policy RetryPolicy) (*os.File, error) {
 	attempts := policy.Attempts
 	if attempts < 1 {
@@ -120,6 +125,9 @@ func OpenRetry(ctx context.Context, path string, policy RetryPolicy) (*os.File, 
 		f, err := os.Open(path)
 		if err == nil {
 			return f, nil
+		}
+		if !errors.Is(err, fs.ErrNotExist) {
+			return nil, fmt.Errorf("weblog: opening %s: %w", path, err)
 		}
 		lastErr = err
 	}

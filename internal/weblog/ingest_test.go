@@ -5,13 +5,16 @@ import (
 	"compress/gzip"
 	"context"
 	"errors"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"strings"
+	"syscall"
 	"testing"
 	"time"
 
 	"fullweb/internal/faultpoint"
+	"fullweb/internal/obs"
 	"fullweb/internal/parallel"
 )
 
@@ -59,6 +62,43 @@ func TestOpenRetryExhaustsBudget(t *testing.T) {
 	// Missing files fail after the full attempt budget too.
 	if _, err := OpenRetry(context.Background(), filepath.Join(t.TempDir(), "nope"), RetryPolicy{Attempts: 2}); err == nil {
 		t.Fatal("OpenRetry succeeded on a missing file")
+	}
+}
+
+func TestOpenRetryFailsFastOnPermanentErrors(t *testing.T) {
+	// A path under a regular file fails with ENOTDIR, which no rotation
+	// can cure: one attempt, no sleep, no retry counted.
+	file := filepath.Join(t.TempDir(), "access.log")
+	if err := os.WriteFile(file, []byte("x\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	reg := obs.NewRegistry()
+	ctx := obs.WithMetrics(context.Background(), reg)
+	var slept []time.Duration
+	policy := RetryPolicy{Attempts: 3, Backoff: 10 * time.Millisecond, Sleep: func(d time.Duration) { slept = append(slept, d) }}
+	_, err := OpenRetry(ctx, filepath.Join(file, "segment"), policy)
+	if !errors.Is(err, syscall.ENOTDIR) {
+		t.Fatalf("error %v, want ENOTDIR", err)
+	}
+	if len(slept) != 0 {
+		t.Fatalf("slept %v before a permanent error", slept)
+	}
+	if n := reg.Counter("ingest.open_retries").Value(); n != 0 {
+		t.Fatalf("ingest.open_retries = %d, want 0", n)
+	}
+
+	// A missing path is what a mid-rename segment looks like, so it
+	// still gets the whole budget.
+	slept = nil
+	_, err = OpenRetry(ctx, filepath.Join(t.TempDir(), "rotated.log"), policy)
+	if !errors.Is(err, fs.ErrNotExist) {
+		t.Fatalf("error %v, want fs.ErrNotExist", err)
+	}
+	if len(slept) != 2 {
+		t.Fatalf("slept %v on a missing path, want two backoffs", slept)
+	}
+	if n := reg.Counter("ingest.open_retries").Value(); n != 2 {
+		t.Fatalf("ingest.open_retries = %d, want 2", n)
 	}
 }
 
